@@ -58,6 +58,7 @@ func BenchmarkE12RuleMining(b *testing.B)        { benchExperiment(b, "E12") }
 func BenchmarkE13NED(b *testing.B)               { benchExperiment(b, "E13") }
 func BenchmarkE14Linkage(b *testing.B)           { benchExperiment(b, "E14") }
 func BenchmarkE15BrandTracking(b *testing.B)     { benchExperiment(b, "E15") }
+func BenchmarkE16FaultTolerance(b *testing.B)    { benchExperiment(b, "E16") }
 
 // --- micro-benchmarks -------------------------------------------------
 

@@ -33,9 +33,7 @@ func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonPath := flag.String("json", "", "also write results as JSON to this path")
-	queueDepth := flag.Int("ingest-queue", 0, "write-behind ingest queue depth in batches for E8c (0 = default)")
 	flag.Parse()
-	experiments.IngestQueueDepth = *queueDepth
 
 	if *list {
 		for _, e := range experiments.All() {

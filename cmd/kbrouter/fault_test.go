@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,24 +32,25 @@ func startReplicatedTier(t *testing.T, st *core.Store, n, r int, opt shardkb.Opt
 	for _, tr := range st.All() {
 		stores[shardkb.TripleShard(tr, n)].Add(tr)
 	}
-	groups := make([][]string, n)
+	shards := make([]string, n)
 	injectors := make([][]*faultkb.Injector, n)
 	for i := 0; i < n; i++ {
+		urls := make([]string, r)
 		for j := 0; j < r; j++ {
 			backend := httptest.NewServer(serve.NewServer(stores[i], serve.Options{Timeout: 2 * time.Second}))
 			t.Cleanup(backend.Close)
 			in := faultkb.New(int64(17*i + j))
 			proxy := httptest.NewServer(faultkb.NewProxy(backend.URL, in, nil))
 			t.Cleanup(proxy.Close)
-			groups[i] = append(groups[i], proxy.URL)
+			urls[j] = proxy.URL
 			injectors[i] = append(injectors[i], in)
 		}
+		shards[i] = strings.Join(urls, "|")
 	}
 	if opt.Timeout == 0 {
 		opt.Timeout = 2 * time.Second
 	}
-	opt.Shards = groups
-	client, err := shardkb.New(nil, opt)
+	client, err := shardkb.New(shards, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,23 +188,5 @@ func TestRouterDrainingReadyz(t *testing.T) {
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("readyz = %d after drain cleared, want 200", rec.Code)
-	}
-}
-
-func TestParseShards(t *testing.T) {
-	groups, err := parseShards("http://a|http://b, http://c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || len(groups[0]) != 2 || len(groups[1]) != 1 {
-		t.Fatalf("parseShards = %v", groups)
-	}
-	if groups[0][0] != "http://a" || groups[0][1] != "http://b" || groups[1][0] != "http://c" {
-		t.Fatalf("parseShards = %v", groups)
-	}
-	for _, bad := range []string{"", ",", "|,http://a"} {
-		if _, err := parseShards(bad); err == nil {
-			t.Errorf("parseShards(%q) succeeded, want error", bad)
-		}
 	}
 }

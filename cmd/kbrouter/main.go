@@ -22,8 +22,8 @@
 // list several replicas joined with "|" — kbserve processes loaded from
 // the same kb.i.nt — and the router rides out replica faults: transient
 // failures (connection errors, 5xx, timeouts) retry on another replica
-// with jittered exponential backoff, -hedge/-hedge-percentile race a
-// second replica against a slow first attempt, and a per-replica
+// with jittered exponential backoff, -hedge races a second replica
+// against a slow first attempt, and a per-replica
 // circuit breaker (-breaker-threshold, -breaker-cooldown) sheds traffic
 // from a dead replica until its /readyz probe recovers. Adding capacity
 // means re-partitioning with a new N and rolling the tier; kbserve
@@ -37,7 +37,7 @@
 //	         [-addr :8090] [-timeout 5s] [-shard-timeout 2s]
 //	         [-max-inflight 16] [-allow-partial]
 //	         [-retries 3] [-retry-base 20ms] [-retry-max 250ms]
-//	         [-hedge 30ms | -hedge-percentile 0.99]
+//	         [-hedge 30ms]
 //	         [-breaker-threshold 5] [-breaker-cooldown 1s]
 //
 // Endpoints:
@@ -55,45 +55,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"kbharvest/internal/serve"
 	"kbharvest/internal/shardkb"
 )
-
-// parseShards splits the -shards flag into replica groups: shards are
-// comma-separated in partition order, replicas of one shard joined
-// with "|". Every shard must name at least one replica URL.
-func parseShards(s string) ([][]string, error) {
-	var groups [][]string
-	for _, shard := range strings.Split(s, ",") {
-		if strings.TrimSpace(shard) == "" {
-			continue
-		}
-		var replicas []string
-		for _, u := range strings.Split(shard, "|") {
-			if u = strings.TrimSpace(u); u != "" {
-				replicas = append(replicas, u)
-			}
-		}
-		if len(replicas) == 0 {
-			return nil, fmt.Errorf("shard %d has no replica URLs", len(groups))
-		}
-		groups = append(groups, replicas)
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("-shards names no shards")
-	}
-	return groups, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -102,13 +74,12 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request query timeout")
 	shardTimeout := flag.Duration("shard-timeout", 2*time.Second, "per-replica RPC attempt timeout")
-	maxInflight := flag.Int("max-inflight", 0, "bound on concurrent shard RPCs (0 = 2x shard count)")
+	maxInflight := flag.Int("max-inflight", 0, "bound on concurrent shard RPCs (0 = 2x shard count, at least 4)")
 	allowPartial := flag.Bool("allow-partial", false, "merge available results when shards fail instead of failing the query")
 	retries := flag.Int("retries", 0, "max physical attempts per shard RPC, first try included (0 = 2x replicas, clamped to [2,4])")
 	retryBase := flag.Duration("retry-base", 20*time.Millisecond, "first retry backoff (exponential with jitter)")
 	retryMax := flag.Duration("retry-max", 250*time.Millisecond, "retry backoff cap")
 	hedge := flag.Duration("hedge", 0, "fixed hedge delay: fire a second replica attempt if the first has not replied (0 = off)")
-	hedgePct := flag.Float64("hedge-percentile", 0, "derive the hedge delay from this observed latency quantile, e.g. 0.99 (0 = off)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a replica's circuit breaker opens (negative = disabled)")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before a half-open /readyz probe")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
@@ -118,12 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: kbrouter -shards http://h0a:8080|http://h0b:8080,http://h1:8080 [-addr :8090]")
 		os.Exit(2)
 	}
-	groups, err := parseShards(*shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client, err := shardkb.New(nil, shardkb.Options{
-		Shards:           groups,
+	client, err := shardkb.New(strings.Split(*shards, ","), shardkb.Options{
 		Timeout:          *shardTimeout,
 		MaxInFlight:      *maxInflight,
 		AllowPartial:     *allowPartial,
@@ -131,7 +97,6 @@ func main() {
 		RetryBase:        *retryBase,
 		RetryMax:         *retryMax,
 		HedgeDelay:       *hedge,
-		HedgePercentile:  *hedgePct,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 	})
@@ -149,46 +114,17 @@ func main() {
 		for _, r := range replies {
 			facts += r.Facts
 		}
-		log.Printf("%d shards ready, %d facts total", len(groups), facts)
+		log.Printf("%d shards ready, %d facts total", client.NumShards(), facts)
 	}
 	cancel()
 
 	rt := newRouter(client, *timeout)
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("routing %d shards on %s", len(groups), *addr)
-		errc <- hs.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	// Advertise draining on /readyz before the listener closes, so a
-	// fronting load balancer stops routing here without racing Shutdown.
-	rt.SetDraining(true)
-	log.Printf("signal received, draining for up to %v (notice %v)", *drain, *drainNotice)
-	if *drainNotice > 0 {
-		time.Sleep(*drainNotice)
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), *drain)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
 	}
-	log.Print("drained, exiting")
+	log.Printf("routing %d shards on %s", client.NumShards(), *addr)
+	if err := serve.Run(context.Background(), ln, rt, rt.SetDraining, *drainNotice, *drain); err != nil {
+		log.Fatal(err)
+	}
 }

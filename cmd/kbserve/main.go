@@ -34,14 +34,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"kbharvest/internal/core"
@@ -87,50 +84,12 @@ func main() {
 		Snapshot:  *kbPath,
 		LoadError: loadErr,
 	})
-	// A public serving endpoint needs connection-level timeouts: the
-	// per-request query timeout only starts once a request is parsed, so
-	// without these a client trickling headers or a body holds a
-	// connection open indefinitely (slowloris).
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-
-	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops accepting
-	// new connections and waits for in-flight requests up to the drain
-	// deadline, so rolling restarts behind kbrouter are lossless.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("serving on %s", *addr)
-		errc <- hs.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	// Flip /readyz to 503 before Shutdown stops accepting: routers and
-	// load balancers polling readiness see "draining" and stop sending
-	// new work while the listener is still up, so no request races the
-	// closing socket. The notice window gives pollers one cycle to react.
-	srv.SetDraining(true)
-	log.Printf("signal received, draining for up to %v (notice %v)", *drain, *drainNotice)
-	if *drainNotice > 0 {
-		time.Sleep(*drainNotice)
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
 	}
-	log.Print("drained, exiting")
+	log.Printf("serving on %s", *addr)
+	if err := serve.Run(context.Background(), ln, srv, srv.SetDraining, *drainNotice, *drain); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -123,12 +123,6 @@ func (st *Store) Add(t rdf.Triple) FactID {
 	return id
 }
 
-// AddAll asserts every triple, returning the fact IDs in order. It is
-// equivalent to, and implemented as, AddBatch.
-func (st *Store) AddAll(ts []rdf.Triple) []FactID {
-	return st.AddBatch(ts)
-}
-
 // AddBatch asserts every triple through the batch write path: terms are
 // interned per dictionary shard, the fact log is appended under a single
 // lock acquisition (FactIDs assigned in input order), and index insertions

@@ -33,14 +33,14 @@ func TestAddAndHas(t *testing.T) {
 	}
 }
 
-func TestAddAll(t *testing.T) {
+func TestAddBatchReturnsIDsInOrder(t *testing.T) {
 	st := NewStore()
 	ts := []rdf.Triple{
 		rdf.T("a", "p", "b"),
 		rdf.T("b", "p", "c"),
 		rdf.T("a", "p", "b"), // duplicate
 	}
-	ids := st.AddAll(ts)
+	ids := st.AddBatch(ts)
 	if len(ids) != 3 {
 		t.Fatalf("got %d ids", len(ids))
 	}

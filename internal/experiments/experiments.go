@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction's benchmark harness:
-// one function per experiment in DESIGN.md §4 (E1–E15), each regenerating
+// one function per experiment in DESIGN.md §4 (E1–E16), each regenerating
 // the table recorded in EXPERIMENTS.md. cmd/benchrunner prints them all;
 // bench_test.go wraps each in a testing.B benchmark.
 //
@@ -34,12 +34,13 @@ func All() []Experiment {
 		{"E7", "open IE constraints cut incoherent extractions", E7OpenIE},
 		{"E8", "map-reduce extraction scales with workers", E8MapReduce},
 		{"E9", "frequent sequence mining finds relation phrases", E9SequenceMining},
-		{"E10", "temporal scoping; sharded serving scatter/gather", E10Temporal},
+		{"E10", "temporal scoping recovers fact validity intervals", E10Temporal},
 		{"E11", "multilingual name alignment links editions", E11Multilingual},
 		{"E12", "commonsense rules are minable from the KB", E12RuleMining},
 		{"E13", "NED: coherence+context beat prior", E13NED},
 		{"E14", "linkage: learning + blocking", E14Linkage},
 		{"E15", "knowledge-centric brand tracking", E15BrandTracking},
+		{"E16", "replicas and retries keep serving available under faults", E16FaultTolerance},
 	}
 }
 

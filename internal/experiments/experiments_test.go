@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,8 +8,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("registry has %d experiments, want 15", len(all))
+	if len(all) != 16 {
+		t.Fatalf("registry has %d experiments, want 16", len(all))
 	}
 	for i, e := range all {
 		want := "E" + strconv.Itoa(i+1)
@@ -147,9 +146,13 @@ func TestE7Shape(t *testing.T) {
 	}
 }
 
+// E8's wall-clock columns depend on the machine; what the job computes
+// must not. Every worker count — and with it every shuffle partition
+// count — has to produce the same candidate keys with the same counts,
+// and those counts have to add up to the same number of emissions.
 func TestE8Shape(t *testing.T) {
 	tabs := E8MapReduce()
-	if len(tabs) != 3 {
+	if len(tabs) != 1 {
 		t.Fatalf("E8 tables = %d", len(tabs))
 	}
 	rows := tabs[0].Rows
@@ -157,51 +160,16 @@ func TestE8Shape(t *testing.T) {
 		t.Fatalf("E8 rows = %d", len(rows))
 	}
 	for _, row := range rows {
-		t.Logf("E8 workers=%s speedup=%s", row[0], row[4])
-	}
-	// Parallel speedup is bounded by the cores actually available: a
-	// 4-worker run cannot beat 1 worker on a single-core machine, so scale
-	// the expectation to GOMAXPROCS instead of hard-coding a ratio.
-	speedup4 := parseCell(t, rows[2][4])
-	var want float64
-	switch procs := runtime.GOMAXPROCS(0); {
-	case procs >= 4:
-		want = 1.5
-	case procs >= 2:
-		want = 1.15
-	default:
-		want = 0.85 // tolerance: goroutine overhead on one core
-	}
-	if speedup4 < want {
-		t.Errorf("E8 speedup at 4 workers = %v, want >= %v on GOMAXPROCS=%d",
-			speedup4, want, runtime.GOMAXPROCS(0))
-	}
-	// E8b: the batch write path must not lose badly to per-triple Add. On
-	// a single core the lock amortization that makes batching win cannot
-	// show up, and per-run noise swamps the residual difference, so this
-	// only guards against a catastrophic batch-path regression.
-	brows := tabs[1].Rows
-	if len(brows) != 3 {
-		t.Fatalf("E8b rows = %d", len(brows))
-	}
-	for _, row := range brows {
-		t.Logf("E8b workers=%s batch/add=%s", row[0], row[6])
-		if ratio := parseCell(t, row[6]); ratio < 0.5 {
-			t.Errorf("E8b batch/add ratio = %v at %s workers", ratio, row[0])
+		t.Logf("E8 workers=%s speedup=%s keys=%s emitted=%s digest=%s", row[0], row[4], row[5], row[6], row[7])
+		keys, emitted := parseCell(t, row[5]), parseCell(t, row[6])
+		if keys == 0 || emitted < keys {
+			t.Errorf("E8 workers=%s: %v keys from %v emissions", row[0], keys, emitted)
 		}
-	}
-	// E8c: write-behind ingestion overlaps store writes with producer work,
-	// so it must not lose badly to inline synchronous batching. As with E8b,
-	// single-core machines cannot show the overlap win, so this only guards
-	// against a catastrophic regression in the async path.
-	crows := tabs[2].Rows
-	if len(crows) != 3 {
-		t.Fatalf("E8c rows = %d", len(crows))
-	}
-	for _, row := range crows {
-		t.Logf("E8c producers=%s async/sync=%s", row[0], row[6])
-		if ratio := parseCell(t, row[6]); ratio < 0.5 {
-			t.Errorf("E8c async/sync ratio = %v at %s producers", ratio, row[0])
+		for _, col := range []int{5, 6, 7} {
+			if row[col] != rows[0][col] {
+				t.Errorf("E8 %s = %s at %s workers, %s at %s: output depends on parallelism",
+					tabs[0].Headers[col], row[col], row[0], rows[0][col], rows[0][0])
+			}
 		}
 	}
 }
@@ -316,5 +284,20 @@ func TestE15Shape(t *testing.T) {
 	}
 	if len(tabs[1].Rows) != 2 {
 		t.Errorf("E15b should track 2 lines: %v", tabs[1].Rows)
+	}
+}
+
+// Without injected faults every query must answer, at every shard and
+// replica width; the faulted rows are seeded but their values are the
+// experiment's finding, not an invariant.
+func TestE16Shape(t *testing.T) {
+	rows := E16FaultTolerance()[0].Rows
+	if len(rows) != 12 {
+		t.Fatalf("E16 rows = %d, want 2 shard counts x 2 replica counts x 3 fault rates", len(rows))
+	}
+	for _, row := range rows {
+		if parseCell(t, row[2]) == 0 && parseCell(t, row[4]) != 1 {
+			t.Errorf("E16 availability %s with no faults injected: %v", row[4], row)
+		}
 	}
 }

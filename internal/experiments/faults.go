@@ -1,6 +1,6 @@
 package experiments
 
-// E11b: serving availability under replica faults. The web-scale serving
+// E16: serving availability under replica faults. The web-scale serving
 // story (§4) only holds if the tier keeps answering while individual
 // replicas misbehave, so this experiment drives point lookups through
 // the shardkb client with a faultkb proxy in front of every replica and
@@ -13,6 +13,7 @@ package experiments
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"kbharvest/internal/core"
@@ -22,9 +23,9 @@ import (
 	"kbharvest/internal/shardkb"
 )
 
-// e11bFaultTolerance measures availability and tail latency of the
+// E16FaultTolerance measures availability and tail latency of the
 // replicated tier under injected fault rates.
-func e11bFaultTolerance() *eval.Table {
+func E16FaultTolerance() []*eval.Table {
 	merged, _ := ServingWorkload(119)
 	all := merged.All()
 
@@ -41,7 +42,7 @@ func e11bFaultTolerance() *eval.Table {
 		}
 	}
 
-	tab := eval.NewTable("E11b: serving availability under injected replica faults",
+	tab := eval.NewTable("E16: serving availability under injected replica faults",
 		"shards", "replicas", "fault-rate", "queries", "availability", "p50-us", "p99-us", "retry/query")
 	ctx := context.Background()
 	for _, n := range []int{1, 4} {
@@ -53,21 +54,22 @@ func e11bFaultTolerance() *eval.Table {
 			stores[shardkb.TripleShard(t, n)].Add(t)
 		}
 		for _, r := range []int{1, 2} {
-			groups := make([][]string, n)
+			shards := make([]string, n)
 			var injectors []*faultkb.Injector
 			var servers []*httptest.Server
 			for i := 0; i < n; i++ {
+				urls := make([]string, r)
 				for j := 0; j < r; j++ {
 					backend := httptest.NewServer(serve.NewServer(stores[i], serve.Options{Timeout: 5 * time.Second}))
 					in := faultkb.New(int64(1000 + 10*i + j))
 					proxy := httptest.NewServer(faultkb.NewProxy(backend.URL, in, nil))
 					servers = append(servers, backend, proxy)
-					groups[i] = append(groups[i], proxy.URL)
+					urls[j] = proxy.URL
 					injectors = append(injectors, in)
 				}
+				shards[i] = strings.Join(urls, "|")
 			}
-			client, err := shardkb.New(nil, shardkb.Options{
-				Shards:  groups,
+			client, err := shardkb.New(shards, shardkb.Options{
 				Timeout: 5 * time.Second,
 				// Fast retries and no breakers keep the sweep about one
 				// variable: how far the retry budget stretches redundancy.
@@ -75,7 +77,7 @@ func e11bFaultTolerance() *eval.Table {
 				BreakerThreshold: -1,
 			})
 			if err != nil {
-				panic("E11b: " + err.Error())
+				panic("E16: " + err.Error())
 			}
 
 			for _, rate := range []float64{0, 0.05, 0.20} {
@@ -103,5 +105,5 @@ func e11bFaultTolerance() *eval.Table {
 			}
 		}
 	}
-	return tab
+	return []*eval.Table{tab}
 }

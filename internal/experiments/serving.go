@@ -1,30 +1,17 @@
 package experiments
 
-// E9c: the query serving layer under repeat traffic. The tutorial's §1
-// motivates KBs as the backbone of online services (search, QA) whose
-// query mix is heavily skewed toward repeats; the serving recipe is a
-// cost-ordered join engine behind a write-invalidated result cache. This
-// experiment measures the three regimes that recipe distinguishes: cold
-// (every query hits the engine), warm (steady-state cache hits), and
-// concurrent warm (parallel readers sharing the cache).
-
 import (
-	"context"
-	"sync"
-	"time"
-
 	"kbharvest/internal/core"
-	"kbharvest/internal/eval"
-	"kbharvest/internal/qcache"
 	"kbharvest/internal/rdf"
 	"kbharvest/internal/synth"
 )
 
 // ServingWorkload builds the serving store and a skewed query mix over
 // it: two-pattern joins plus single-pattern lookups across the world's
-// relations, the shapes a QA front-end issues. It backs E9c and E10b and
-// is exported so the kbrouter tests can cross-check scatter/gather
-// answers against the same suite on a single merged store.
+// relations, the shapes a QA front-end issues. It backs E16 and is
+// exported so the kbrouter tests can cross-check scatter/gather answers
+// against the same suite on a single merged store. (Serving speed itself
+// is measured by bench/, not here.)
 func ServingWorkload(seed int64) (*core.Store, [][]core.Pattern) {
 	w, _ := standardWorld(seed)
 	st := core.NewStore()
@@ -49,81 +36,4 @@ func ServingWorkload(seed int64) (*core.Store, [][]core.Pattern) {
 		},
 	}
 	return st, queries
-}
-
-// e9cQueryServing times the query mix in the three serving regimes and
-// reports throughput plus speedup over cold for each.
-func e9cQueryServing() *eval.Table {
-	st, queries := ServingWorkload(119)
-	const reps = 200
-	ctx := context.Background()
-
-	drain := func(run func(q []core.Pattern) ([]core.Binding, error)) (time.Duration, int) {
-		t0 := time.Now()
-		n := 0
-		for r := 0; r < reps; r++ {
-			for _, q := range queries {
-				rows, err := run(q)
-				if err != nil {
-					panic("E9c: " + err.Error())
-				}
-				n += len(rows)
-			}
-		}
-		return time.Since(t0), reps * len(queries)
-	}
-
-	// Cold: every query goes to the join engine.
-	coldD, coldN := drain(func(q []core.Pattern) ([]core.Binding, error) {
-		var rows []core.Binding
-		err := st.QueryFunc(ctx, q, 0, func(b core.Binding) bool {
-			rows = append(rows, b)
-			return true
-		})
-		return rows, err
-	})
-
-	// Warm: steady-state hits against a pre-filled cache.
-	cache := qcache.New(st, qcache.Options{})
-	for _, q := range queries {
-		if _, _, err := cache.Query(ctx, q, 0); err != nil {
-			panic("E9c: " + err.Error())
-		}
-	}
-	warmD, warmN := drain(func(q []core.Pattern) ([]core.Binding, error) {
-		rows, _, err := cache.Query(ctx, q, 0)
-		return rows, err
-	})
-
-	// Concurrent: parallel readers sharing the warm cache.
-	const readers = 8
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < reps; r++ {
-				for _, q := range queries {
-					if _, _, err := cache.Query(ctx, q, 0); err != nil {
-						panic("E9c: " + err.Error())
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	concD := time.Since(t0)
-	concN := readers * reps * len(queries)
-
-	tab := eval.NewTable("E9c: query serving — cold vs warm cache vs concurrent",
-		"mode", "queries", "ms", "q/s", "speedup")
-	qps := func(n int, d time.Duration) float64 { return float64(n) / d.Seconds() }
-	coldQPS := qps(coldN, coldD)
-	tab.AddRow("cold (engine)", coldN, float64(coldD.Microseconds())/1000, coldQPS, 1.0)
-	tab.AddRow("warm (cache)", warmN, float64(warmD.Microseconds())/1000, qps(warmN, warmD),
-		qps(warmN, warmD)/coldQPS)
-	tab.AddRow("warm x8 readers", concN, float64(concD.Microseconds())/1000, qps(concN, concD),
-		qps(concN, concD)/coldQPS)
-	return tab
 }

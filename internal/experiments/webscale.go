@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"kbharvest/internal/commonsense"
@@ -15,11 +14,9 @@ import (
 	"kbharvest/internal/extract"
 	"kbharvest/internal/extract/openie"
 	"kbharvest/internal/extract/patterns"
-	"kbharvest/internal/ingest"
 	"kbharvest/internal/mapreduce"
 	"kbharvest/internal/mining"
 	"kbharvest/internal/multilingual"
-	"kbharvest/internal/rdf"
 	"kbharvest/internal/synth"
 	"kbharvest/internal/temporal"
 )
@@ -153,7 +150,7 @@ func E8MapReduce() []*eval.Table {
 		return nil
 	}
 	tab := eval.NewTable("E8: map-reduce extraction scaling (patterns + open IE per doc)",
-		"workers", "docs", "ms", "docs/s", "speedup")
+		"workers", "docs", "ms", "docs/s", "speedup", "keys", "emitted", "digest")
 	// The NLP map task is allocation-heavy; at the default GC target the
 	// collector runs continuously on this transient garbage and serializes
 	// the workers. Raise the target for the measurement window (restored
@@ -164,223 +161,37 @@ func E8MapReduce() []*eval.Table {
 	for _, workers := range []int{1, 2, 4, 8} {
 		// Best of 3 runs to damp scheduler noise.
 		best := time.Duration(1 << 62)
+		var out []mapreduce.KV
 		for r := 0; r < 3; r++ {
 			t0 := time.Now()
-			if _, err := mapreduce.Run(context.Background(), inputs, mapper, mapreduce.CountReducer,
-				mapreduce.Config{Workers: workers, Combiner: mapreduce.CountReducer}); err != nil {
+			var err error
+			out, err = mapreduce.Run(context.Background(), inputs, mapper, mapreduce.CountReducer,
+				mapreduce.Config{Workers: workers, Combiner: mapreduce.CountReducer})
+			if err != nil {
 				panic(err)
 			}
 			if d := time.Since(t0); d < best {
 				best = d
 			}
 		}
+		// What the job computed, which must not depend on how many
+		// workers and shuffle partitions it was split over: the distinct
+		// candidate keys, the emissions their counts add up to, and a
+		// digest of every (key, count) pair.
+		emitted, digest := 0, fnv.New64a()
+		for _, kv := range out {
+			emitted += kv.Value.(int)
+			fmt.Fprintf(digest, "%s\x00%d\n", kv.Key, kv.Value)
+		}
 		ms := float64(best.Microseconds()) / 1000
 		if workers == 1 {
 			base = ms
 		}
 		tab.AddRow(workers, len(docs), ms,
-			float64(len(docs))/best.Seconds(), base/ms)
+			float64(len(docs))/best.Seconds(), base/ms,
+			len(out), emitted, fmt.Sprintf("%016x", digest.Sum64()))
 	}
-	triples, infos := e8Workload(docs)
-	return []*eval.Table{tab, e8Ingestion(triples, infos), e8cAsyncIngestion(triples, infos)}
-}
-
-// IngestQueueDepth tunes the write-behind queue bound (in batches) used by
-// the E8c async-ingestion experiment; 0 means the ingest package default.
-// cmd/benchrunner exposes it as -ingest-queue.
-var IngestQueueDepth = 0
-
-// e8Workload replicates the extraction output of the E8 corpus with
-// distinct subjects (so dedup does not collapse the workload) into the
-// parallel triple/metadata slices the ingestion experiments consume.
-func e8Workload(docs []extract.Doc) ([]rdf.Triple, []core.FactInfo) {
-	cands := patterns.Apply(extract.SplitDocs(docs), patterns.DefaultPatterns())
-	reps := 1
-	if len(cands) > 0 {
-		reps = 1 + 40000/len(cands)
-	}
-	var triples []rdf.Triple
-	var infos []core.FactInfo
-	for rep := 0; rep < reps; rep++ {
-		for _, c := range cands {
-			triples = append(triples, rdf.T(fmt.Sprintf("%s-%d", c.S, rep), c.P, c.O))
-			infos = append(infos, core.FactInfo{Confidence: c.Confidence, Source: c.Source, Time: core.Always})
-		}
-	}
-	return triples, infos
-}
-
-// e8Ingestion is the E8b half of the experiment: the extraction output is
-// funneled into the KB by concurrent workers, once through per-triple Add
-// + SetInfo and once through the batch write path (TripleBatcher ->
-// AddBatchMeta), across worker counts. This exercises the store's sharded
-// dictionary, striped indexes, and single-lock-per-batch fact log under
-// write contention.
-func e8Ingestion(triples []rdf.Triple, infos []core.FactInfo) *eval.Table {
-	run := func(workers int, ingest func(st *core.Store, lo, hi int)) (time.Duration, *core.Store) {
-		// Best of 2 fresh-store runs to damp scheduler and GC noise.
-		best := time.Duration(1 << 62)
-		var bestSt *core.Store
-		for r := 0; r < 2; r++ {
-			st := core.NewStore()
-			chunk := (len(triples) + workers - 1) / workers
-			t0 := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > len(triples) {
-					hi = len(triples)
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					ingest(st, lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-			if d := time.Since(t0); d < best {
-				best, bestSt = d, st
-			}
-		}
-		return best, bestSt
-	}
-	tab := eval.NewTable("E8b: concurrent KB ingestion — per-triple Add vs batch write path",
-		"workers", "triples", "add ms", "add t/s", "batch ms", "batch t/s", "batch/add")
-	for _, workers := range []int{1, 2, 4} {
-		addD, addSt := run(workers, func(st *core.Store, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				st.SetInfo(st.Add(triples[i]), infos[i])
-			}
-		})
-		batchD, batchSt := run(workers, func(st *core.Store, lo, hi int) {
-			b := mapreduce.NewTripleBatcher(st, 1024)
-			for i := lo; i < hi; i++ {
-				b.Emit(triples[i], infos[i])
-			}
-			b.Flush()
-		})
-		if addSt.Len() != batchSt.Len() {
-			panic(fmt.Sprintf("E8b: ingestion paths disagree: %d vs %d facts", addSt.Len(), batchSt.Len()))
-		}
-		tab.AddRow(workers, len(triples),
-			float64(addD.Microseconds())/1000, float64(len(triples))/addD.Seconds(),
-			float64(batchD.Microseconds())/1000, float64(len(triples))/batchD.Seconds(),
-			addD.Seconds()/batchD.Seconds())
-	}
-	return tab
-}
-
-// producerWork simulates the per-fact extraction cost a real producer pays
-// before it can emit (tokenizing, matching, resolving): a few rounds of
-// hashing over the subject bytes. Both E8c paths pay it identically; it is
-// what the write-behind queue overlaps with store writes.
-func producerWork(t rdf.Triple) uint32 {
-	h := fnv.New32a()
-	for r := 0; r < 24; r++ {
-		h.Write([]byte(t.S.Value))
-		h.Write([]byte(t.O.Value))
-	}
-	return h.Sum32()
-}
-
-// e8cAsyncIngestion is the E8c third of the experiment: extraction workers
-// produce facts (paying a per-fact extraction cost) and ingest them either
-// synchronously — each worker flushes its own TripleBatcher into
-// AddBatchMeta inline, blocking on the store — or write-behind, emitting
-// into an ingest.Ingester whose dedicated drainers overlap store writes
-// with production. The async column should meet or beat the synchronous
-// baseline: producers never stall on store lock acquisition.
-func e8cAsyncIngestion(triples []rdf.Triple, infos []core.FactInfo) *eval.Table {
-	var sink uint32 // defeat dead-code elimination of producerWork
-	run := func(workers int, mk func(st *core.Store) (emit func(w, i int) error, finish func() error)) (time.Duration, *core.Store) {
-		// Best of 3 to damp scheduler noise — under a loaded machine a
-		// single rep can starve the ingester goroutine and report a
-		// catastrophic-looking async slowdown that is pure measurement.
-		best := time.Duration(1 << 62)
-		var bestSt *core.Store
-		for r := 0; r < 3; r++ {
-			st := core.NewStore()
-			chunk := (len(triples) + workers - 1) / workers
-			t0 := time.Now()
-			emit, finish := mk(st)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo, hi := w*chunk, (w+1)*chunk
-				if hi > len(triples) {
-					hi = len(triples)
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						if err := emit(w, i); err != nil {
-							panic(err)
-						}
-					}
-				}(w, lo, hi)
-			}
-			wg.Wait()
-			if err := finish(); err != nil {
-				panic(err)
-			}
-			if d := time.Since(t0); d < best {
-				best, bestSt = d, st
-			}
-		}
-		return best, bestSt
-	}
-	tab := eval.NewTable("E8c: write-behind (async) vs synchronous batch ingestion",
-		"producers", "triples", "sync ms", "sync t/s", "async ms", "async t/s", "async/sync")
-	for _, workers := range []int{1, 2, 4} {
-		syncD, syncSt := run(workers, func(st *core.Store) (func(w, i int) error, func() error) {
-			batchers := make([]*mapreduce.TripleBatcher, workers)
-			for w := range batchers {
-				batchers[w] = mapreduce.NewTripleBatcher(st, 1024)
-			}
-			emit := func(w, i int) error {
-				sink += producerWork(triples[i])
-				batchers[w].Emit(triples[i], infos[i])
-				return nil
-			}
-			finish := func() error {
-				for _, b := range batchers {
-					b.Flush()
-				}
-				return nil
-			}
-			return emit, finish
-		})
-		asyncD, asyncSt := run(workers, func(st *core.Store) (func(w, i int) error, func() error) {
-			ing := ingest.New(context.Background(), st, ingest.Options{
-				BatchSize: 1024, QueueDepth: IngestQueueDepth,
-			})
-			producers := make([]*ingest.Producer, workers)
-			for w := range producers {
-				producers[w] = ing.Producer()
-			}
-			emit := func(w, i int) error {
-				sink += producerWork(triples[i])
-				return producers[w].Emit(triples[i], infos[i])
-			}
-			return emit, ing.Close
-		})
-		if syncSt.Len() != asyncSt.Len() {
-			panic(fmt.Sprintf("E8c: ingestion paths disagree: %d vs %d facts", syncSt.Len(), asyncSt.Len()))
-		}
-		tab.AddRow(workers, len(triples),
-			float64(syncD.Microseconds())/1000, float64(len(triples))/syncD.Seconds(),
-			float64(asyncD.Microseconds())/1000, float64(len(triples))/asyncD.Seconds(),
-			syncD.Seconds()/asyncD.Seconds())
-	}
-	_ = sink
-	return tab
+	return []*eval.Table{tab}
 }
 
 // E9SequenceMining — §3: frequent sequence mining over entity-pair
@@ -420,7 +231,7 @@ func E9SequenceMining() []*eval.Table {
 		top.AddRow(p.String(), p.Support)
 		n++
 	}
-	return []*eval.Table{tab, top, e9cQueryServing()}
+	return []*eval.Table{tab, top}
 }
 
 // E10Temporal — §3: inferring timespans during which facts hold.
@@ -469,7 +280,7 @@ func E10Temporal() []*eval.Table {
 		}
 		tab.AddRow(rel, total, eval.Accuracy(beginOK, total), eval.Accuracy(endOK, total))
 	}
-	return []*eval.Table{tab, e10bShardedServing()}
+	return []*eval.Table{tab}
 }
 
 func yearOf(day int) int {
@@ -500,7 +311,7 @@ func E11Multilingual() []*eval.Table {
 			eval.Accuracy(correct, len(aligns)),
 			eval.Accuracy(correct, len(src)))
 	}
-	return []*eval.Table{tab, e11bFaultTolerance()}
+	return []*eval.Table{tab}
 }
 
 // E12RuleMining — §3: commonsense rule mining (AMIE-style) over the KB.

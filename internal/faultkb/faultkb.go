@@ -4,7 +4,7 @@
 // statuses, dropped connections, and truncated response bodies — on a
 // deterministic schedule. The shardkb/kbrouter fault tests stand a
 // faultkb proxy in front of each kbserve replica to prove that retries,
-// hedging, and circuit breakers absorb replica failures, and the E11b
+// hedging, and circuit breakers absorb replica failures, and the E16
 // experiment uses it to measure availability and tail latency under
 // controlled fault rates.
 //

@@ -131,12 +131,6 @@ func (h *LatencyHistogram) quantile(q float64) uint64 {
 	return uint64(1) << (len(h.buckets) - 1)
 }
 
-// Quantile returns an upper bound on the q-quantile latency. The
-// shardkb client derives percentile-based hedge delays from it.
-func (h *LatencyHistogram) Quantile(q float64) time.Duration {
-	return time.Duration(h.quantile(q)) * time.Microsecond
-}
-
 // Summary snapshots the histogram into the /statsz latency block.
 func (h *LatencyHistogram) Summary() LatencyStats {
 	lat := LatencyStats{
@@ -339,7 +333,7 @@ func patternSkeleton(p core.Pattern) rdf.Triple {
 // SetDraining flips the shard in or out of drain mode. While draining,
 // /readyz answers 503 so routers and load balancers stop sending new
 // work, while in-flight and keep-alive requests still complete —
-// cmd/kbserve sets it before starting the shutdown deadline.
+// Run sets it before starting the shutdown deadline.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

@@ -375,22 +375,26 @@ func TestServerReadyzDraining(t *testing.T) {
 	}
 }
 
-// Quantile is the exported face of the histogram the shardkb client
-// derives hedge delays from.
+// Summary's percentiles are upper bounds read off the power-of-two
+// buckets: a tail sample moves p99 and leaves p50 alone.
 func TestLatencyQuantile(t *testing.T) {
 	var h LatencyHistogram
-	if h.Quantile(0.99) != 0 {
-		t.Error("empty histogram quantile != 0")
+	if s := h.Summary(); s.Count != 0 || s.P99US != 0 {
+		t.Errorf("empty histogram summary = %+v, want zeros", s)
 	}
-	for i := 0; i < 99; i++ {
+	for i := 0; i < 98; i++ {
 		h.Observe(100 * time.Microsecond)
 	}
 	h.Observe(50 * time.Millisecond)
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 < 100*time.Microsecond || p50 > time.Millisecond {
-		t.Errorf("p50 = %v, want a small upper bound near 100us", p50)
+	h.Observe(50 * time.Millisecond)
+	s := h.Summary()
+	if s.Count != 100 {
+		t.Errorf("count = %d, want 100", s.Count)
 	}
-	if p99 < p50 {
-		t.Errorf("p99 %v < p50 %v", p99, p50)
+	if s.P50US < 100 || s.P50US > 1000 {
+		t.Errorf("p50 = %dus, want a small upper bound near 100us", s.P50US)
+	}
+	if s.P99US < 50000 {
+		t.Errorf("p99 = %dus, want an upper bound on the 50ms tail", s.P99US)
 	}
 }

@@ -25,18 +25,8 @@ import (
 // Result.Partial set instead.
 var ErrPartial = errors.New("shardkb: partial shard results")
 
-// errBodyTooLarge marks a reply exceeding Options.MaxBodyBytes. It is
-// not transient: the same replica would send the same oversized body on
-// a retry.
-var errBodyTooLarge = errors.New("shardkb: response body too large")
-
 // Options tunes a Client.
 type Options struct {
-	// Shards lists the tier as replica groups: Shards[i] holds the base
-	// URLs of every kbserve replica serving partition i (all loaded from
-	// the same kb.i.nt snapshot). When set it overrides the flat URL
-	// list passed to New, which remains the 1-replica-per-shard case.
-	Shards [][]string
 	// Timeout bounds each replica RPC attempt (default 2s).
 	Timeout time.Duration
 	// MaxInFlight bounds concurrent logical shard RPCs across all
@@ -63,11 +53,6 @@ type Options struct {
 	// if the first attempt has not replied within the delay; the first
 	// reply wins and the loser is cancelled. Requires >= 2 replicas.
 	HedgeDelay time.Duration
-	// HedgePercentile, when > 0 (e.g. 0.99) and HedgeDelay is unset,
-	// derives the hedge delay from the client's observed RPC latency
-	// histogram: hedge once an attempt outlives that quantile. Takes
-	// effect after a short warmup of observed RPCs.
-	HedgePercentile float64
 
 	// BreakerThreshold opens a replica's circuit breaker after this many
 	// consecutive failures (default 5; negative disables breakers). An
@@ -242,22 +227,11 @@ func (s Stats) FastPathRate() float64 {
 // optionally hedging slow requests, and shedding traffic from dead
 // replicas through per-replica circuit breakers.
 type Client struct {
-	groups       []*group
-	hc           *http.Client
-	timeout      time.Duration
-	allowPartial bool
-	sem          chan struct{}
+	groups []*group
+	all    []int   // every shard index, the scatter target of gather
+	opt    Options // with defaults filled in
+	sem    chan struct{}
 
-	maxAttempts int
-	retryBase   time.Duration
-	retryMax    time.Duration
-	hedgeDelay  time.Duration
-	hedgePct    float64
-	brThreshold int
-	brCooldown  time.Duration
-	maxBody     int64
-
-	lat             serve.LatencyHistogram // all replica RPCs, feeds percentile hedging
 	fastPath        atomic.Uint64
 	scatters        atomic.Uint64
 	rpcs            atomic.Uint64
@@ -267,49 +241,41 @@ type Client struct {
 	partialFailures atomic.Uint64
 }
 
-// hedgeWarmup is the number of observed RPCs required before percentile
-// hedging trusts the latency histogram.
-const hedgeWarmup = 16
-
 // drainLimit bounds how much of a leftover response body is drained
 // before close to keep the connection reusable; anything longer is
 // cheaper to tear down.
 const drainLimit = 256 << 10
 
-// New builds a client over the tier. The flat shardURLs list is the
-// 1-replica-per-shard case (shard i serves the facts TripleShard assigns
-// to i — the order must match the builder's partitioning);
-// Options.Shards supersedes it with explicit replica groups.
-func New(shardURLs []string, opt Options) (*Client, error) {
-	groupURLs := opt.Shards
-	if groupURLs == nil {
-		groupURLs = make([][]string, len(shardURLs))
-		for i, u := range shardURLs {
-			groupURLs[i] = []string{u}
-		}
-	}
-	if len(groupURLs) == 0 {
+// New builds a client over the tier. shards[i] names the kbserve
+// processes serving partition i — the facts TripleShard assigns to i, so
+// the order must match the builder's partitioning — as base URLs joined
+// by "|" (all loaded from the same kb.i.nt snapshot); a plain URL is the
+// 1-replica case. Whitespace around a URL, a trailing "/" and empty
+// replicas are dropped; a shard left with no replica is an error, never
+// skipped, because skipping would renumber the partitions after it.
+func New(shards []string, opt Options) (*Client, error) {
+	if len(shards) == 0 {
 		return nil, errors.New("shardkb: no shard URLs")
 	}
-	groups := make([]*group, len(groupURLs))
-	for i, urls := range groupURLs {
-		if len(urls) == 0 {
+	groups := make([]*group, len(shards))
+	all := make([]int, len(shards))
+	for i, spec := range shards {
+		g := &group{}
+		for _, u := range strings.Split(spec, "|") {
+			if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
+				g.replicas = append(g.replicas, &replica{url: u})
+			}
+		}
+		if len(g.replicas) == 0 {
 			return nil, fmt.Errorf("shardkb: shard %d has no replicas", i)
 		}
-		g := &group{replicas: make([]*replica, len(urls))}
-		for j, u := range urls {
-			g.replicas[j] = &replica{url: strings.TrimRight(u, "/")}
-		}
-		groups[i] = g
+		groups[i], all[i] = g, i
 	}
 	if opt.Timeout <= 0 {
 		opt.Timeout = 2 * time.Second
 	}
 	if opt.MaxInFlight <= 0 {
-		opt.MaxInFlight = 2 * len(groups)
-		if opt.MaxInFlight < 4 {
-			opt.MaxInFlight = 4
-		}
+		opt.MaxInFlight = max(2*len(groups), 4)
 	}
 	if opt.RetryBase <= 0 {
 		opt.RetryBase = 20 * time.Millisecond
@@ -326,35 +292,14 @@ func New(shardURLs []string, opt Options) (*Client, error) {
 	if opt.MaxBodyBytes <= 0 {
 		opt.MaxBodyBytes = 32 << 20
 	}
-	hc := opt.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
+	if opt.HTTPClient == nil {
+		opt.HTTPClient = &http.Client{}
 	}
-	return &Client{
-		groups:       groups,
-		hc:           hc,
-		timeout:      opt.Timeout,
-		allowPartial: opt.AllowPartial,
-		sem:          make(chan struct{}, opt.MaxInFlight),
-		maxAttempts:  opt.MaxAttempts,
-		retryBase:    opt.RetryBase,
-		retryMax:     opt.RetryMax,
-		hedgeDelay:   opt.HedgeDelay,
-		hedgePct:     opt.HedgePercentile,
-		brThreshold:  opt.BreakerThreshold,
-		brCooldown:   opt.BreakerCooldown,
-		maxBody:      opt.MaxBodyBytes,
-	}, nil
+	return &Client{groups: groups, all: all, opt: opt, sem: make(chan struct{}, opt.MaxInFlight)}, nil
 }
 
 // NumShards returns the shard (replica group) count.
 func (c *Client) NumShards() int { return len(c.groups) }
-
-// NumReplicas returns the replica count of one shard group.
-func (c *Client) NumReplicas(shard int) int { return len(c.groups[shard].replicas) }
-
-// AllowsPartial reports the configured partial-failure policy.
-func (c *Client) AllowsPartial() bool { return c.allowPartial }
 
 // Stats snapshots the client counters.
 func (c *Client) Stats() Stats {
@@ -387,7 +332,7 @@ func (c *Client) Stats() Stats {
 
 // attempt is the outcome of one physical replica RPC.
 type attempt struct {
-	ri        int
+	rep       *replica
 	hedge     bool
 	data      []byte
 	err       error
@@ -396,9 +341,8 @@ type attempt struct {
 
 // roundTrip issues one physical RPC to a replica under the per-attempt
 // timeout, returning the full (bounded) response body.
-func (c *Client) roundTrip(ctx context.Context, shard, ri int, path string, body []byte) ([]byte, error, bool) {
-	rep := c.groups[shard].replicas[ri]
-	rctx, cancel := context.WithTimeout(ctx, c.timeout)
+func (c *Client) roundTrip(ctx context.Context, rep *replica, path string, body []byte) ([]byte, error, bool) {
+	rctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, rep.url+path, bytes.NewReader(body))
 	if err != nil {
@@ -409,17 +353,14 @@ func (c *Client) roundTrip(ctx context.Context, shard, ri int, path string, body
 	c.rpcs.Add(1)
 	rep.rpcs.Add(1)
 	t0 := time.Now()
-	resp, err := c.hc.Do(hreq)
-	took := time.Since(t0)
-	rep.sumUS.Add(uint64(took.Microseconds()))
-	c.lat.Observe(took)
+	resp, err := c.opt.HTTPClient.Do(hreq)
+	rep.sumUS.Add(uint64(time.Since(t0).Microseconds()))
 	if err != nil {
 		if ctx.Err() != nil {
 			// The logical call is over (parent cancelled, or another
 			// replica already won a hedge race): not a replica failure.
 			return nil, ctx.Err(), false
 		}
-		rep.errs.Add(1)
 		return nil, err, true // connection errors and attempt timeouts are transient
 	}
 	defer func() {
@@ -429,20 +370,18 @@ func (c *Client) roundTrip(ctx context.Context, shard, ri int, path string, body
 		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
 		resp.Body.Close()
 	}()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, c.opt.MaxBodyBytes+1))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err(), false
 		}
-		rep.errs.Add(1)
 		return nil, fmt.Errorf("read response: %w", err), true // torn body
 	}
-	if int64(len(data)) > c.maxBody {
-		rep.errs.Add(1)
-		return nil, fmt.Errorf("%w (> %d bytes)", errBodyTooLarge, c.maxBody), false
+	if int64(len(data)) > c.opt.MaxBodyBytes {
+		// Not transient: any replica would send the same oversized body.
+		return nil, fmt.Errorf("response body too large (> %d bytes)", c.opt.MaxBodyBytes), false
 	}
 	if resp.StatusCode != http.StatusOK {
-		rep.errs.Add(1)
 		transient := resp.StatusCode >= 500 ||
 			resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusRequestTimeout
@@ -455,26 +394,40 @@ func (c *Client) roundTrip(ctx context.Context, shard, ri int, path string, body
 	return data, nil, false
 }
 
+// readyz fetches one replica's /readyz under the per-attempt timeout;
+// any error means the replica is unreachable or not serving a loaded
+// snapshot.
+func (c *Client) readyz(ctx context.Context, rep *replica) (*serve.ReadyResponse, error) {
+	rctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rep.url+"/readyz", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.opt.HTTPClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var rr serve.ReadyResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&rr); err != nil {
+		return nil, fmt.Errorf("decode /readyz: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("not ready (status %d, %d facts)", resp.StatusCode, rr.Facts)
+	}
+	return &rr, nil
+}
+
 // probe launches the half-open /readyz probe that decides whether an
-// open breaker may close: a 200 restores the replica to service, any
-// failure re-opens it for another cooldown.
-func (c *Client) probe(shard, ri int) {
-	rep := c.groups[shard].replicas[ri]
+// open breaker may close: a ready reply restores the replica to service,
+// any failure re-opens it for another cooldown.
+func (c *Client) probe(rep *replica) {
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-		defer cancel()
-		ok := false
-		if req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil); err == nil {
-			if resp, err := c.hc.Do(req); err == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				resp.Body.Close()
-				ok = resp.StatusCode == http.StatusOK
-			}
-		}
-		if ok {
+		if _, err := c.readyz(context.Background(), rep); err == nil {
 			rep.br.onSuccess()
 		} else {
-			rep.br.onFailure(c.brThreshold, c.brCooldown, time.Now())
+			rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 		}
 	}()
 }
@@ -482,9 +435,9 @@ func (c *Client) probe(shard, ri int) {
 // backoff returns the jittered exponential delay before retry number
 // `made` (1-based count of attempts already made).
 func (c *Client) backoff(made int) time.Duration {
-	d := c.retryBase << (made - 1)
-	if d > c.retryMax || d <= 0 {
-		d = c.retryMax
+	d := c.opt.RetryBase << (made - 1)
+	if d > c.opt.RetryMax || d <= 0 {
+		d = c.opt.RetryMax
 	}
 	// Full jitter over [d/2, d): concurrent retries against a struggling
 	// replica spread out instead of stampeding in lockstep.
@@ -493,23 +446,6 @@ func (c *Client) backoff(made int) time.Duration {
 		return d
 	}
 	return time.Duration(half + rand.Int63n(half))
-}
-
-// currentHedgeDelay resolves the hedge trigger: a fixed delay if
-// configured, else the observed latency quantile once warmed up, else
-// hedging is off.
-func (c *Client) currentHedgeDelay() time.Duration {
-	if c.hedgeDelay > 0 {
-		return c.hedgeDelay
-	}
-	if c.hedgePct > 0 && c.lat.Summary().Count >= hedgeWarmup {
-		d := c.lat.Quantile(c.hedgePct)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d
-	}
-	return 0
 }
 
 // call executes one logical RPC against a shard's replica group and
@@ -538,30 +474,24 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 	// of the candidate set.
 	start := int(g.next.Add(1))
 	now := time.Now()
-	order := make([]int, 0, len(g.replicas))
+	order := make([]*replica, 0, len(g.replicas))
 	for i := range g.replicas {
-		ri := (start + i) % len(g.replicas)
-		ok, probe := g.replicas[ri].br.allow(c.brThreshold, now)
+		rep := g.replicas[(start+i)%len(g.replicas)]
+		ok, probe := rep.br.allow(c.opt.BreakerThreshold, now)
 		if probe {
-			c.probe(shard, ri)
+			c.probe(rep)
 		}
 		if ok {
-			order = append(order, ri)
+			order = append(order, rep)
 		}
 	}
 	if len(order) == 0 {
 		return 0, fmt.Errorf("shardkb: shard %d (%s): circuit breakers open on all %d replicas",
 			shard, g.label(), len(g.replicas))
 	}
-	maxAttempts := c.maxAttempts
+	maxAttempts := c.opt.MaxAttempts
 	if maxAttempts <= 0 {
-		maxAttempts = 2 * len(g.replicas)
-		if maxAttempts < 2 {
-			maxAttempts = 2
-		}
-		if maxAttempts > 4 {
-			maxAttempts = 4
-		}
+		maxAttempts = min(2*len(g.replicas), 4) // >= 2: a group has a replica
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
@@ -569,19 +499,19 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 	results := make(chan attempt, maxAttempts)
 	launched, inflight := 0, 0
 	launch := func(hedge bool) {
-		ri := order[launched%len(order)]
+		rep := order[launched%len(order)]
 		launched++
 		inflight++
 		go func() {
-			data, err, transient := c.roundTrip(cctx, shard, ri, path, body)
-			results <- attempt{ri: ri, hedge: hedge, data: data, err: err, transient: transient}
+			data, err, transient := c.roundTrip(cctx, rep, path, body)
+			results <- attempt{rep: rep, hedge: hedge, data: data, err: err, transient: transient}
 		}()
 	}
 	launch(false)
 
 	var hedgeCh <-chan time.Time
-	if d := c.currentHedgeDelay(); d > 0 && len(order) > 1 && maxAttempts > 1 {
-		ht := time.NewTimer(d)
+	if c.opt.HedgeDelay > 0 && len(order) > 1 && maxAttempts > 1 {
+		ht := time.NewTimer(c.opt.HedgeDelay)
 		defer ht.Stop()
 		hedgeCh = ht.C
 	}
@@ -612,9 +542,8 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 			}
 		case a := <-results:
 			inflight--
-			rep := g.replicas[a.ri]
 			if a.err == nil {
-				rep.br.onSuccess()
+				a.rep.br.onSuccess()
 				if a.hedge {
 					c.hedgesWon.Add(1)
 				}
@@ -622,17 +551,17 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 				// flight before decoding.
 				cancel()
 				if err := json.Unmarshal(a.data, out); err != nil {
-					return launched, fmt.Errorf("shardkb: shard %d (%s): decode response: %w", shard, rep.url, err)
+					return launched, fmt.Errorf("shardkb: shard %d (%s): decode response: %w", shard, a.rep.url, err)
 				}
 				return launched, nil
 			}
 			if ctx.Err() != nil {
 				return launched, ctx.Err()
 			}
-			fails = append(fails, fmt.Sprintf("%s: %v", rep.url, a.err))
-			rep.br.onFailure(c.brThreshold, c.brCooldown, time.Now())
+			fails = append(fails, fmt.Sprintf("%s: %v", a.rep.url, a.err))
+			a.rep.errs.Add(1)
+			a.rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 			if !a.transient {
-				cancel()
 				return launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 			}
 			if launched < maxAttempts && retryCh == nil {
@@ -669,71 +598,78 @@ func decodeBindings(resp *serve.QueryResponse) ([]core.Binding, error) {
 	return out, nil
 }
 
+// gather runs fn once for every listed shard group — inline for a single
+// group, so the pinned fast path pays no goroutine, concurrently otherwise
+// — and returns the failures in shard order, each naming its shard. What
+// a failure costs the call is the caller's policy (see partialErr).
+func (c *Client) gather(shards []int, fn func(shard int) error) (failed []string) {
+	errs := make([]error, len(shards))
+	if len(shards) == 1 {
+		errs[0] = fn(shards[0])
+	} else {
+		var wg sync.WaitGroup
+		for k, shard := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = fn(shard)
+			}()
+		}
+		wg.Wait()
+	}
+	for k, err := range errs {
+		if err != nil {
+			failed = append(failed, fmt.Sprintf("shard %d (%s): %v", shards[k], c.groups[shards[k]].label(), err))
+		}
+	}
+	return failed
+}
+
+// partialErr applies the partial-failure policy to a gather's failures:
+// nil when every shard answered or AllowPartial tolerates the gaps.
+func (c *Client) partialErr(failed []string) error {
+	if len(failed) == 0 || c.opt.AllowPartial {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrPartial, strings.Join(failed, "; "))
+}
+
 // Pattern executes one triple pattern across the shard tier. A
 // subject-constant pattern is routed to exactly one shard group — the
 // fast path; anything else scatters to every group concurrently and
-// gathers the merged bindings. limit caps the merged row count (0 = all).
+// gathers the merged bindings. A shard that cannot be reached or whose
+// reply does not decode is a failed shard on either path. limit caps the
+// merged row count (0 = all).
 func (c *Client) Pattern(ctx context.Context, p core.Pattern, limit int) (*Result, error) {
 	req := serve.QueryRequest{Patterns: []string{FormatPattern(p)}, Limit: limit}
+	shards := c.all
 	if shard, ok := PatternShard(p, len(c.groups)); ok {
 		c.fastPath.Add(1)
+		shards = c.all[shard : shard+1]
+	} else {
+		c.scatters.Add(1)
+	}
+	rows := make([][]core.Binding, len(c.groups))
+	attempts := make([]int, len(c.groups))
+	failed := c.gather(shards, func(shard int) error {
 		var resp serve.QueryResponse
-		attempts, err := c.call(ctx, shard, "/query", req, &resp)
-		if err != nil {
-			c.partialFailures.Add(1)
-			if c.allowPartial {
-				return &Result{Partial: true, RPCs: attempts}, nil
-			}
-			return nil, fmt.Errorf("%w: shard %d (%s): %v", ErrPartial, shard, c.groups[shard].label(), err)
+		var err error
+		if attempts[shard], err = c.call(ctx, shard, "/query", req, &resp); err != nil {
+			return err
 		}
-		bs, err := decodeBindings(&resp)
-		if err != nil {
+		rows[shard], err = decodeBindings(&resp)
+		return err
+	})
+	res := &Result{Partial: len(failed) > 0}
+	if res.Partial {
+		c.partialFailures.Add(1)
+		if err := c.partialErr(failed); err != nil {
 			return nil, err
 		}
-		return &Result{Bindings: bs, RPCs: attempts}, nil
 	}
-
-	c.scatters.Add(1)
-	type shardReply struct {
-		bs       []core.Binding
-		attempts int
-		err      error
-	}
-	replies := make([]shardReply, len(c.groups))
-	var wg sync.WaitGroup
-	for i := range c.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp serve.QueryResponse
-			attempts, err := c.call(ctx, i, "/query", req, &resp)
-			replies[i].attempts = attempts
-			if err != nil {
-				replies[i].err = err
-				return
-			}
-			replies[i].bs, replies[i].err = decodeBindings(&resp)
-		}(i)
-	}
-	wg.Wait()
-	res := &Result{}
-	for _, r := range replies {
-		res.RPCs += r.attempts
-	}
-	var failed []string
-	for i, r := range replies {
-		if r.err != nil {
-			failed = append(failed, fmt.Sprintf("shard %d (%s): %v", i, c.groups[i].label(), r.err))
-			continue
-		}
-		res.Bindings = append(res.Bindings, r.bs...)
-	}
-	if len(failed) > 0 {
-		c.partialFailures.Add(1)
-		if !c.allowPartial {
-			return nil, fmt.Errorf("%w: %s", ErrPartial, strings.Join(failed, "; "))
-		}
-		res.Partial = true
+	for _, shard := range shards {
+		res.Bindings = append(res.Bindings, rows[shard]...)
+		res.RPCs += attempts[shard]
 	}
 	if limit > 0 && len(res.Bindings) > limit {
 		res.Bindings = res.Bindings[:limit]
@@ -753,98 +689,50 @@ func (c *Client) Estimates(ctx context.Context, patterns []core.Pattern) ([]int,
 		lines[i] = FormatPattern(p)
 	}
 	req := serve.QueryRequest{Patterns: lines}
-	replies := make([]*serve.EstimateResponse, len(c.groups))
-	errs := make([]error, len(c.groups))
-	var wg sync.WaitGroup
-	for i := range c.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp serve.EstimateResponse
-			if _, err := c.call(ctx, i, "/estimate", req, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			replies[i] = &resp
-		}(i)
+	replies := make([][]int, len(c.groups))
+	failed := c.gather(c.all, func(shard int) error {
+		var resp serve.EstimateResponse
+		if _, err := c.call(ctx, shard, "/estimate", req, &resp); err != nil {
+			return err
+		}
+		if len(resp.Estimates) != len(patterns) {
+			return fmt.Errorf("returned %d estimates for %d patterns", len(resp.Estimates), len(patterns))
+		}
+		replies[shard] = resp.Estimates
+		return nil
+	})
+	if err := c.partialErr(failed); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	sums := make([]int, len(patterns))
-	var failed []string
-	for i := range c.groups {
-		if errs[i] != nil {
-			failed = append(failed, fmt.Sprintf("shard %d (%s): %v", i, c.groups[i].label(), errs[i]))
-			continue
-		}
-		if len(replies[i].Estimates) != len(patterns) {
-			return nil, fmt.Errorf("shardkb: shard %d returned %d estimates for %d patterns",
-				i, len(replies[i].Estimates), len(patterns))
-		}
-		for j, e := range replies[i].Estimates {
+	for _, ests := range replies {
+		for j, e := range ests {
 			sums[j] += e
 		}
 	}
-	if len(failed) > 0 && !c.allowPartial {
-		return nil, fmt.Errorf("%w: %s", ErrPartial, strings.Join(failed, "; "))
-	}
 	return sums, nil
-}
-
-// readyReplica fetches one replica's /readyz.
-func (c *Client) readyReplica(ctx context.Context, url string) (*serve.ReadyResponse, error) {
-	rctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var rr serve.ReadyResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("decode /readyz: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("not ready (status %d, %d facts)", resp.StatusCode, rr.Facts)
-	}
-	return &rr, nil
 }
 
 // Ready health-checks the tier: a shard group is ready when at least one
 // of its replicas answers /readyz with a loaded snapshot (replicas of a
 // group serve the same partition). It returns per-shard readiness (nil
 // entries for groups with no ready replica) and an error naming every
-// such group.
+// such group — under either partial policy, a tier with a dark partition
+// is not ready.
 func (c *Client) Ready(ctx context.Context) ([]*serve.ReadyResponse, error) {
 	replies := make([]*serve.ReadyResponse, len(c.groups))
-	errs := make([]error, len(c.groups))
-	var wg sync.WaitGroup
-	for i := range c.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var fails []string
-			for _, rep := range c.groups[i].replicas {
-				rr, err := c.readyReplica(ctx, rep.url)
-				if err == nil {
-					replies[i] = rr
-					return
-				}
-				fails = append(fails, fmt.Sprintf("%s: %v", rep.url, err))
+	failed := c.gather(c.all, func(shard int) error {
+		var fails []string
+		for _, rep := range c.groups[shard].replicas {
+			rr, err := c.readyz(ctx, rep)
+			if err == nil {
+				replies[shard] = rr
+				return nil
 			}
-			errs[i] = errors.New(strings.Join(fails, "; "))
-		}(i)
-	}
-	wg.Wait()
-	var failed []string
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Sprintf("shard %d: %v", i, err))
+			fails = append(fails, fmt.Sprintf("%s: %v", rep.url, err))
 		}
-	}
+		return errors.New(strings.Join(fails, "; "))
+	})
 	if len(failed) > 0 {
 		return replies, fmt.Errorf("shardkb: %s", strings.Join(failed, "; "))
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +64,52 @@ func mustClient(t *testing.T, urls []string, opt Options) *Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// New takes the tier as one string per shard, replicas joined by "|" —
+// the pieces of kbrouter's comma-separated -shards flag. A shard that
+// names no replica is an error rather than skipped: skipping it would
+// renumber every partition after it.
+func TestNewParsesTier(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards []string
+		want   [][]string // nil: New must fail
+	}{
+		{"flat URLs", []string{"http://a", "http://b"}, [][]string{{"http://a"}, {"http://b"}}},
+		{"replica groups", []string{"http://a|http://b", "http://c"}, [][]string{{"http://a", "http://b"}, {"http://c"}}},
+		{"surrounding whitespace", strings.Split("http://a | http://b, http://c ", ","), [][]string{{"http://a", "http://b"}, {"http://c"}}},
+		{"trailing slash", []string{"http://a/|http://b//"}, [][]string{{"http://a", "http://b"}}},
+		{"empty replica", []string{"http://a||http://b|"}, [][]string{{"http://a", "http://b"}}},
+		{"empty shard", []string{"http://a", "", "http://b"}, nil},
+		{"empty flag", strings.Split("", ","), nil},
+		{"only a comma", strings.Split(",", ","), nil},
+		{"shard of empty replicas", strings.Split("|,http://a", ","), nil},
+		{"zero shards", nil, nil},
+	} {
+		c, err := New(tc.shards, Options{})
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%s: New(%q) succeeded, want error", tc.name, tc.shards)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: New(%q): %v", tc.name, tc.shards, err)
+			continue
+		}
+		var got [][]string
+		for _, ss := range c.Stats().Shards {
+			var urls []string
+			for _, r := range ss.Replicas {
+				urls = append(urls, r.URL)
+			}
+			got = append(got, urls)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: New(%q) tier = %q, want %q", tc.name, tc.shards, got, tc.want)
+		}
+	}
 }
 
 func TestShardOfDeterministicAndBounded(t *testing.T) {
@@ -311,6 +359,68 @@ func TestFastPathFailurePolicies(t *testing.T) {
 	}
 	if !res.Partial || len(res.Bindings) != 0 {
 		t.Errorf("lax result = %+v, want empty partial", res)
+	}
+}
+
+// A shard whose reply carries a term rdf.ParseTerm rejects is a failed
+// shard like an unreachable one, on the pinned path as on a scatter: the
+// strict policy fails the call with ErrPartial, AllowPartial keeps the
+// other shards' rows and flags the result, and both count the failure.
+func TestUnparsableTermIsAFailedShard(t *testing.T) {
+	const badTerm = `"unterminated`
+	if _, err := rdf.ParseTerm(badTerm); err == nil {
+		t.Fatalf("rdf.ParseTerm(%q) succeeded; the test needs an unparsable term", badTerm)
+	}
+	const n, bad = 2, 1
+	urls, _ := startShards(t, testTriples(), n)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, serve.QueryResponse{
+			Vars: []string{"c"}, Rows: []map[string]string{{"c": badTerm}}, Count: 1,
+		})
+	}))
+	t.Cleanup(stub.Close)
+	urls[bad] = stub.URL
+
+	var pinned core.Pattern
+	for i := 0; ; i++ {
+		pinned, _ = core.ParsePattern(fmt.Sprintf("kb:e%d kb:founded ?c", i))
+		if shard, _ := PatternShard(pinned, n); shard == bad {
+			break
+		}
+	}
+	scatter, _ := core.ParsePattern("?p kb:founded ?c")
+	liveRows := 0
+	for _, tr := range testTriples() {
+		if tr.P.Value == "kb:founded" && TripleShard(tr, n) != bad {
+			liveRows++
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		p    core.Pattern
+		rows int
+	}{{"pinned", pinned, 0}, {"scatter", scatter, liveRows}} {
+		strict := mustClient(t, urls, Options{})
+		if _, err := strict.Pattern(context.Background(), tc.p, 0); !errors.Is(err, ErrPartial) {
+			t.Errorf("%s, strict: err = %v, want ErrPartial", tc.name, err)
+		}
+		if st := strict.Stats(); st.PartialFailures != 1 {
+			t.Errorf("%s, strict: partial failures = %d, want 1", tc.name, st.PartialFailures)
+		}
+		lax := mustClient(t, urls, Options{AllowPartial: true})
+		res, err := lax.Pattern(context.Background(), tc.p, 0)
+		if err != nil {
+			t.Errorf("%s, AllowPartial: %v", tc.name, err)
+			continue
+		}
+		if !res.Partial || len(res.Bindings) != tc.rows {
+			t.Errorf("%s, AllowPartial: partial = %v with %d rows, want true with %d",
+				tc.name, res.Partial, len(res.Bindings), tc.rows)
+		}
+		if st := lax.Stats(); st.PartialFailures != 1 {
+			t.Errorf("%s, AllowPartial: partial failures = %d, want 1", tc.name, st.PartialFailures)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package shardkb
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 
 // startReplicatedShards partitions testTriples across n shards, stands r
 // replicas behind each (all serving the same partition), and fronts every
-// replica with a faultkb proxy. Returns the proxy URL groups and the
-// injector for each replica, indexed [shard][replica].
-func startReplicatedShards(t *testing.T, n, r int) ([][]string, [][]*faultkb.Injector) {
+// replica with a faultkb proxy. Returns the tier as New takes it — one
+// "|"-joined string of proxy URLs per shard — and the injector for each
+// replica, indexed [shard][replica].
+func startReplicatedShards(t *testing.T, n, r int) ([]string, [][]*faultkb.Injector) {
 	t.Helper()
 	stores := make([]*core.Store, n)
 	for i := range stores {
@@ -24,9 +26,10 @@ func startReplicatedShards(t *testing.T, n, r int) ([][]string, [][]*faultkb.Inj
 	for _, tr := range testTriples() {
 		stores[TripleShard(tr, n)].Add(tr)
 	}
-	groups := make([][]string, n)
+	groups := make([]string, n)
 	injectors := make([][]*faultkb.Injector, n)
 	for i := 0; i < n; i++ {
+		urls := make([]string, r)
 		for j := 0; j < r; j++ {
 			h := serve.NewServer(stores[i], serve.Options{Timeout: time.Second})
 			backend := httptest.NewServer(h)
@@ -34,21 +37,12 @@ func startReplicatedShards(t *testing.T, n, r int) ([][]string, [][]*faultkb.Inj
 			in := faultkb.New(int64(100*i + j))
 			proxy := httptest.NewServer(faultkb.NewProxy(backend.URL, in, nil))
 			t.Cleanup(proxy.Close)
-			groups[i] = append(groups[i], proxy.URL)
+			urls[j] = proxy.URL
 			injectors[i] = append(injectors[i], in)
 		}
+		groups[i] = strings.Join(urls, "|")
 	}
 	return groups, injectors
-}
-
-func mustReplicatedClient(t *testing.T, groups [][]string, opt Options) *Client {
-	t.Helper()
-	opt.Shards = groups
-	c, err := New(nil, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // queryAll runs the canonical point lookup and scatter against the tier
@@ -74,7 +68,7 @@ func queryAll(t *testing.T, c *Client) {
 // retries fail over to the healthy replica of each shard.
 func TestReplicaDownFailover(t *testing.T) {
 	groups, injectors := startReplicatedShards(t, 2, 2)
-	c := mustReplicatedClient(t, groups, Options{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	c := mustClient(t, groups, Options{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
 	for i := range injectors {
 		injectors[i][0].SetPlan(faultkb.Plan{DropRate: 1})
 	}
@@ -97,7 +91,7 @@ func TestReplicaDownFailover(t *testing.T) {
 // surfacing a decode error.
 func TestTruncatedBodyRetries(t *testing.T) {
 	groups, injectors := startReplicatedShards(t, 1, 2)
-	c := mustReplicatedClient(t, groups, Options{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	c := mustClient(t, groups, Options{RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
 	injectors[0][0].SetPlan(faultkb.Plan{TruncateRate: 1})
 	for k := 0; k < 5; k++ {
 		queryAll(t, c)
@@ -111,7 +105,7 @@ func TestTruncatedBodyRetries(t *testing.T) {
 // dead again — must never surface an error to callers.
 func TestFlappingReplica(t *testing.T) {
 	groups, injectors := startReplicatedShards(t, 2, 2)
-	c := mustReplicatedClient(t, groups, Options{
+	c := mustClient(t, groups, Options{
 		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 		BreakerThreshold: -1, // keep traffic flowing to the flapper
 	})
@@ -135,7 +129,7 @@ func TestFlappingReplica(t *testing.T) {
 // fast replica wins long before the slow attempt's timeout.
 func TestSlowReplicaHedging(t *testing.T) {
 	groups, injectors := startReplicatedShards(t, 1, 2)
-	c := mustReplicatedClient(t, groups, Options{
+	c := mustClient(t, groups, Options{
 		Timeout:    5 * time.Second,
 		HedgeDelay: 10 * time.Millisecond,
 	})
@@ -180,7 +174,7 @@ func TestAllReplicasDownPartialPolicy(t *testing.T) {
 	}
 
 	strictGroups, strictInj := startReplicatedShards(t, 2, 2)
-	strict := mustReplicatedClient(t, strictGroups, Options{
+	strict := mustClient(t, strictGroups, Options{
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, MaxAttempts: 2,
 	})
 	kill(strictInj, 0)
@@ -189,7 +183,7 @@ func TestAllReplicasDownPartialPolicy(t *testing.T) {
 	}
 
 	lenientGroups, lenientInj := startReplicatedShards(t, 2, 2)
-	lenient := mustReplicatedClient(t, lenientGroups, Options{
+	lenient := mustClient(t, lenientGroups, Options{
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, MaxAttempts: 2,
 		AllowPartial: true,
 	})
@@ -211,7 +205,7 @@ func TestAllReplicasDownPartialPolicy(t *testing.T) {
 // /readyz probe succeeds.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	groups, injectors := startReplicatedShards(t, 1, 2)
-	c := mustReplicatedClient(t, groups, Options{
+	c := mustClient(t, groups, Options{
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  20 * time.Millisecond,
@@ -256,7 +250,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // bound or retrying forever.
 func TestMaxBodyBytes(t *testing.T) {
 	groups, _ := startReplicatedShards(t, 1, 2)
-	c := mustReplicatedClient(t, groups, Options{
+	c := mustClient(t, groups, Options{
 		MaxBodyBytes: 64, // far below any real reply
 		RetryBase:    time.Millisecond,
 	})

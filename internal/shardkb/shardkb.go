@@ -6,9 +6,11 @@
 // fanning everything else out concurrently with per-shard timeouts,
 // bounded in-flight RPCs, and an explicit partial-failure policy.
 //
-// Each shard may be a replica group (Options.Shards): replicas serve the
-// same partition, and the client rides out replica faults by retrying
-// transient failures (connection errors, 5xx, timeouts, torn bodies)
+// New takes the tier as one string per shard. Each may name a replica
+// group — base URLs joined by "|", the syntax of kbrouter -shards — whose
+// members serve the same partition; a plain URL is a group of one. The
+// client rides out replica faults by retrying transient failures
+// (connection errors, 5xx, timeouts, torn bodies)
 // across replicas with jittered exponential backoff, optionally hedging
 // slow requests (first reply wins, the loser is cancelled), and wrapping
 // every replica in a circuit breaker that sheds traffic from a dead
