@@ -12,7 +12,12 @@
 //	kbbuild -out kb.nt              # default-scale world
 //	kbbuild -scale 2 -seed 7 -out kb.nt -workers 8
 //	kbbuild -out kb.nt -shards 4    # kb.0.nt … kb.3.nt
-//	kbbuild -no-reason              # skip consistency reasoning
+//	kbbuild -no-reason              # accept every extraction unvetted
+//
+// Consistency reasoning is part of every build and a small share of one
+// at any scale (the solver's work is linear in the candidates);
+// -no-reason exists to show what the KB looks like without it, not to
+// make large worlds affordable.
 package main
 
 import (

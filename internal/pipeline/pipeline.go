@@ -317,7 +317,11 @@ func (st *runState) assert(context.Context) (int, error) {
 // metadata (standing in for interwiki harvesting).
 func (st *runState) labels(context.Context) (int, error) {
 	res := st.res
-	var ts []rdf.Triple
+	n := 0
+	for _, e := range res.World.Entities {
+		n += len(e.Labels) + len(e.Aliases)
+	}
+	ts := make([]rdf.Triple, 0, n)
 	for _, e := range res.World.Entities {
 		for lang, name := range e.Labels {
 			ts = append(ts, rdf.Triple{
@@ -493,21 +497,35 @@ func better(a, b extract.Candidate) bool {
 	return a.Middle < b.Middle
 }
 
-// runReasoning builds the consistency problem from the schema rules and
-// the harvested taxonomy, then solves it.
-func runReasoning(res *Result, cands []extract.Candidate) []extract.Candidate {
+// consistencyRules are the schema rules the reasoner enforces: functional
+// relations, and type signatures checked against the *harvested* taxonomy
+// (not gold), where an entity without types passes (open-world). Each
+// entity's inherited types are looked up in the KB once and kept for the
+// life of the rules: candidates mention the same entities over and over,
+// and every lookup is a walk up the subclass hierarchy.
+func consistencyRules(kb *core.Store) reason.ConsistencyRules {
+	types := map[string][]string{}
+	conforms := func(entity, class string) bool {
+		ts, ok := types[entity]
+		if !ok {
+			ts = kb.Types(entity)
+			types[entity] = ts
+		}
+		if len(ts) == 0 {
+			return true
+		}
+		for _, t := range ts {
+			if t == class {
+				return true
+			}
+		}
+		return false
+	}
 	rules := reason.ConsistencyRules{
 		Functional: map[string]bool{},
 		TypeCheck: func(c extract.Candidate) bool {
 			schema, ok := synth.SchemaOf(c.P)
-			if !ok {
-				return true
-			}
-			// Use the *harvested* taxonomy (not gold) for typing; missing
-			// types pass (open-world).
-			okS := len(res.KB.DirectTypes(c.S)) == 0 || res.KB.IsA(c.S, schema.Domain)
-			okO := len(res.KB.DirectTypes(c.O)) == 0 || res.KB.IsA(c.O, schema.Range)
-			return okS && okO
+			return !ok || conforms(c.S, schema.Domain) && conforms(c.O, schema.Range)
 		},
 	}
 	for _, s := range synth.Schema {
@@ -515,7 +533,13 @@ func runReasoning(res *Result, cands []extract.Candidate) []extract.Candidate {
 			rules.Functional[s.ID] = true
 		}
 	}
-	cp := reason.BuildConsistency(cands, rules)
+	return rules
+}
+
+// runReasoning builds the consistency problem from the schema rules and
+// the harvested taxonomy, then solves it.
+func runReasoning(res *Result, cands []extract.Candidate) []extract.Candidate {
+	cp := reason.BuildConsistency(cands, consistencyRules(res.KB))
 	sol := cp.SolveWalkSAT(4*len(cands)+1000, 0.2, 7)
 	return cp.Accepted(sol)
 }

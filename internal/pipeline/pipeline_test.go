@@ -11,8 +11,10 @@ import (
 	"kbharvest/internal/eval"
 	"kbharvest/internal/extract"
 	"kbharvest/internal/extract/patterns"
+	"kbharvest/internal/ingest"
 	"kbharvest/internal/ned"
 	"kbharvest/internal/rdf"
+	"kbharvest/internal/reason"
 	"kbharvest/internal/synth"
 	"kbharvest/internal/temporal"
 )
@@ -338,4 +340,50 @@ func keysOf(cands []extract.Candidate) map[string]bool {
 
 func patternFor(rel string) rdf.Triple {
 	return rdf.Triple{P: rdf.NewIRI(rel)}
+}
+
+// WalkSAT starts from greedy repair's answer and adopts another only when
+// strictly heavier. On the default world that never happens — every
+// component of the instance is a mutex clique, where greedy is optimal —
+// so the pipeline accepts exactly what SolveGreedy accepts.
+func TestRunAcceptsWhatGreedyAccepts(t *testing.T) {
+	ctx := context.Background()
+	opt := DefaultOptions()
+	opt.Workers = 2
+	res, err := Run(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, rel := range relationIRIs() {
+		res.KB.MatchFunc(patternFor(rel), func(_ core.FactID, tr rdf.Triple) bool {
+			got[tr.S.Value+"\x00"+rel+"\x00"+tr.O.Value] = true
+			return true
+		})
+	}
+
+	// The same stages by hand, up to the candidates the reasoner sees.
+	ref := &Result{KB: core.NewStore()}
+	st := &runState{res: ref, opt: opt, ing: ingest.New(ctx, ref.KB, opt.Ingest)}
+	defer st.ing.Close()
+	for _, stage := range []func(context.Context) (int, error){st.generate, st.taxonomy, st.extract} {
+		if _, err := stage(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := reason.BuildConsistency(st.cands, consistencyRules(ref.KB))
+	greedy := cp.SolveGreedy()
+	if greedy.HardViolations != 0 {
+		t.Fatalf("greedy left %d hard violations", greedy.HardViolations)
+	}
+	want := keysOf(cp.Accepted(greedy))
+	if len(want) == len(st.cands) {
+		t.Fatal("reasoning rejected nothing: the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Run accepted %d facts, greedy %d, and the sets differ", len(got), len(want))
+	}
+	if res.Accepted != len(want) {
+		t.Errorf("Result.Accepted = %d, want %d", res.Accepted, len(want))
+	}
 }

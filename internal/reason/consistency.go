@@ -1,7 +1,6 @@
 package reason
 
 import (
-	"fmt"
 	"sort"
 
 	"kbharvest/internal/core"
@@ -51,7 +50,7 @@ func BuildConsistency(cands []extract.Candidate, rules ConsistencyRules) *Consis
 		cp.Candidates = append(cp.Candidates, c)
 	}
 	for _, c := range cp.Candidates {
-		v := cp.AddVar(fmt.Sprintf("%s|%s|%s", c.S, c.P, c.O))
+		v := cp.AddVar(c.S + "|" + c.P + "|" + c.O)
 		w := c.Confidence
 		if w <= 0 {
 			w = 0.01

@@ -45,9 +45,6 @@ func (p *Problem) AddVar(name string) int {
 	return len(p.names) - 1
 }
 
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return len(p.names) }
-
 // Name returns a variable's name.
 func (p *Problem) Name(v int) string { return p.names[v] }
 
@@ -72,14 +69,21 @@ func (p *Problem) addClause(c Clause) error {
 	}
 	idx := len(p.clauses)
 	p.clauses = append(p.clauses, c)
-	seen := map[int]bool{}
-	for _, l := range c.Lits {
-		if !seen[l.Var] {
-			seen[l.Var] = true
+	for i, l := range c.Lits {
+		if !hasVar(c.Lits[:i], l.Var) {
 			p.watch[l.Var] = append(p.watch[l.Var], idx)
 		}
 	}
 	return nil
+}
+
+func hasVar(lits []Lit, v int) bool {
+	for _, l := range lits {
+		if l.Var == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Solution is one assignment with its quality.
@@ -117,87 +121,13 @@ func (p *Problem) Evaluate(vals []bool) Solution {
 }
 
 // SolveGreedy starts from all-true (accept every fact) and repairs hard
-// violations by flipping, within each violated clause, the variable whose
-// flip loses the least soft weight; then does one local-improvement pass
-// over soft clauses. Deterministic.
+// violations by flipping, within the lowest-numbered violated clause, the
+// variable whose flip loses the least soft weight; then does one
+// local-improvement pass over soft clauses. Deterministic.
 func (p *Problem) SolveGreedy() Solution {
-	vals := make([]bool, len(p.names))
-	for i := range vals {
-		vals[i] = true
-	}
-	// Repair loop.
-	for iter := 0; iter < 4*len(p.clauses)+16; iter++ {
-		vi := p.firstViolatedHard(vals)
-		if vi < 0 {
-			break
-		}
-		c := p.clauses[vi]
-		bestVar, bestLoss := -1, 0.0
-		for _, l := range c.Lits {
-			loss := p.flipLoss(vals, l.Var)
-			if bestVar == -1 || loss < bestLoss {
-				bestVar, bestLoss = l.Var, loss
-			}
-		}
-		vals[bestVar] = !vals[bestVar]
-	}
-	// Local improvement on soft weight (single pass, keep feasibility).
-	for v := range vals {
-		if p.flipLoss(vals, v) < 0 && p.flipKeepsFeasible(vals, v) {
-			vals[v] = !vals[v]
-		}
-	}
-	return p.Evaluate(vals)
-}
-
-// flipLoss returns the soft-weight change lost by flipping v (positive =
-// flip hurts).
-func (p *Problem) flipLoss(vals []bool, v int) float64 {
-	before, after := 0.0, 0.0
-	vals[v] = !vals[v]
-	for _, ci := range p.watch[v] {
-		c := p.clauses[ci]
-		if c.Hard {
-			continue
-		}
-		if satisfied(c, vals) {
-			after += c.Weight
-		}
-	}
-	vals[v] = !vals[v]
-	for _, ci := range p.watch[v] {
-		c := p.clauses[ci]
-		if c.Hard {
-			continue
-		}
-		if satisfied(c, vals) {
-			before += c.Weight
-		}
-	}
-	return before - after
-}
-
-func (p *Problem) flipKeepsFeasible(vals []bool, v int) bool {
-	vals[v] = !vals[v]
-	ok := true
-	for _, ci := range p.watch[v] {
-		c := p.clauses[ci]
-		if c.Hard && !satisfied(c, vals) {
-			ok = false
-			break
-		}
-	}
-	vals[v] = !vals[v]
-	return ok
-}
-
-func (p *Problem) firstViolatedHard(vals []bool) int {
-	for i, c := range p.clauses {
-		if c.Hard && !satisfied(c, vals) {
-			return i
-		}
-	}
-	return -1
+	s := newSearch(p, allTrue(len(p.names)))
+	s.greedy()
+	return p.Evaluate(s.vals)
 }
 
 // SolveWalkSAT runs weighted WalkSAT: starting from the greedy solution,
@@ -205,56 +135,19 @@ func (p *Problem) firstViolatedHard(vals []bool) int {
 // either a random variable in it (with probability noise) or the variable
 // whose flip minimizes the damage. The best feasible solution seen wins.
 func (p *Problem) SolveWalkSAT(maxFlips int, noise float64, seed int64) Solution {
-	rng := rand.New(rand.NewSource(seed))
-	cur := p.SolveGreedy()
-	vals := append([]bool(nil), cur.Values...)
-	best := cur
-	for flip := 0; flip < maxFlips; flip++ {
-		ci := p.pickUnsatisfied(vals, rng)
-		if ci < 0 {
-			break // everything satisfied
-		}
-		c := p.clauses[ci]
-		var v int
-		if rng.Float64() < noise {
-			v = c.Lits[rng.Intn(len(c.Lits))].Var
-		} else {
-			v = -1
-			bestLoss := 0.0
-			for _, l := range c.Lits {
-				loss := p.flipLoss(vals, l.Var)
-				if v == -1 || loss < bestLoss {
-					v, bestLoss = l.Var, loss
-				}
-			}
-		}
-		vals[v] = !vals[v]
-		sol := p.Evaluate(vals)
-		if sol.HardViolations == 0 &&
-			(best.HardViolations > 0 || sol.SoftWeight > best.SoftWeight) {
-			best = Solution{Values: append([]bool(nil), vals...), SoftWeight: sol.SoftWeight}
-		}
-	}
-	return best
+	s := newSearch(p, allTrue(len(p.names)))
+	s.greedy()
+	s.mark()
+	s.walk(maxFlips, noise, rand.New(rand.NewSource(seed)))
+	return p.Evaluate(s.best)
 }
 
-// pickUnsatisfied returns a violated hard clause if any, else a random
-// unsatisfied soft clause, else -1.
-func (p *Problem) pickUnsatisfied(vals []bool, rng *rand.Rand) int {
-	var soft []int
-	for i, c := range p.clauses {
-		if satisfied(c, vals) {
-			continue
-		}
-		if c.Hard {
-			return i
-		}
-		soft = append(soft, i)
+func allTrue(n int) []bool {
+	vals := make([]bool, n)
+	for i := range vals {
+		vals[i] = true
 	}
-	if len(soft) == 0 {
-		return -1
-	}
-	return soft[rng.Intn(len(soft))]
+	return vals
 }
 
 // SolveExhaustive enumerates all assignments — exact, for problems with at

@@ -199,8 +199,14 @@ func BuildCorpus(w *World, opt CorpusOptions) *Corpus {
 		CategoryParents: make(map[string][]string),
 	}
 	c.buildCategoryGraph(w)
+	// Gold facts by subject, each list in w.Facts order: the renderer
+	// draws from rng once per fact, so that order fixes every article.
+	bySubject := make(map[string][]Fact, len(w.Entities))
+	for _, f := range w.Facts {
+		bySubject[f.S] = append(bySubject[f.S], f)
+	}
 	for _, e := range w.Entities {
-		a := renderArticle(w, e, opt, rng)
+		a := renderArticle(w, e, bySubject[e.ID], opt, rng)
 		c.Articles = append(c.Articles, a)
 		c.BySubject[e.ID] = a
 	}
@@ -230,7 +236,9 @@ func (c *Corpus) buildCategoryGraph(w *World) {
 	}
 }
 
-func renderArticle(w *World, e *Entity, opt CorpusOptions, rng *rand.Rand) *Article {
+// renderArticle renders e's page; facts are the gold facts with e as
+// subject.
+func renderArticle(w *World, e *Entity, facts []Fact, opt CorpusOptions, rng *rand.Rand) *Article {
 	a := &Article{
 		ID:      "art:" + e.ID,
 		Title:   e.Name,
@@ -258,7 +266,6 @@ func renderArticle(w *World, e *Entity, opt CorpusOptions, rng *rand.Rand) *Arti
 	tb.raw(" is a " + withArticleFix(noun) + ".")
 
 	// Facts about this entity (as subject), rendered with template variety.
-	facts := factsAbout(w, e.ID)
 	for _, f := range facts {
 		tb.raw(" ")
 		renderFact(w, tb, f, opt, rng)
@@ -309,17 +316,6 @@ func withArticleFix(noun string) string {
 		return "notable entity"
 	}
 	return noun
-}
-
-// factsAbout returns the gold facts with subject id, in stable order.
-func factsAbout(w *World, id string) []Fact {
-	var out []Fact
-	for _, f := range w.Facts {
-		if f.S == id {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // corruptFact swaps the object for another entity of the same class,

@@ -492,7 +492,11 @@ func (w *World) addFact(f Fact) {
 var labelLangs = []string{"en", "de", "fr", "es"}
 
 func (w *World) assertLabels() {
-	var ts []rdf.Triple
+	n := 0
+	for _, e := range w.Entities {
+		n += len(labelLangs) + len(e.Aliases)
+	}
+	ts := make([]rdf.Triple, 0, n)
 	for _, e := range w.Entities {
 		e.Labels = make(map[string]string, len(labelLangs))
 		for _, lang := range labelLangs {
