@@ -1,11 +1,14 @@
 // Kbrouter is the scatter/gather front of the sharded serving tier. It
 // speaks the same /query JSON protocol as kbserve but answers from N
-// kbserve shards: multi-pattern conjunctive queries are planned
-// router-side — patterns ordered by summed shard estimates (each shard's
-// /estimate endpoint), bindings substituted step by step — and each
-// concrete pattern is either pinned to the one shard its subject hashes
-// to (a point lookup costs one RPC at any shard count) or scattered to
-// all shards concurrently and joined locally.
+// kbserve shards. A single pattern is either pinned to the one shard its
+// subject hashes to (a point lookup costs one RPC at any shard count) or
+// scattered to all shards concurrently. A multi-pattern conjunctive query
+// runs as a set-at-a-time bind join (internal/shardkb, Client.Join): one
+// /estimate round plans the order — connected patterns first, the summed
+// shard estimates within each class — and then every step sends all of
+// its distinct bindings in one POST /bind per shard, each binding only to
+// the shard that owns it when the step's subject is bound. A join costs
+// about shards x steps RPCs however many bindings flow through it.
 //
 // # Deployment topology
 //

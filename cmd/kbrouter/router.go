@@ -1,21 +1,17 @@
 package main
 
-// The router's query engine: it plans multi-pattern conjunctive queries
-// router-side — order patterns by summed shard estimates, then for each
-// pattern substitute the bindings accumulated so far and scatter/gather
-// through the shardkb client, joining locally. A pattern whose subject
-// becomes a constant under substitution rides the single-shard fast
-// path, so chained joins that walk from a bound entity cost one RPC per
-// binding group instead of a full fan-out.
+// The router's HTTP shell: /query, /statsz, /healthz, /readyz. It holds
+// no query engine of its own. A single pattern goes to shardkb's
+// Client.Pattern (one pinned RPC or one scatter, answered from the
+// shards' result caches); a conjunction goes to Client.Join, the
+// set-at-a-time bind join that costs about shards x (1 + steps) RPCs.
 
 import (
 	"context"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
-	"kbharvest/internal/core"
 	"kbharvest/internal/serve"
 	"kbharvest/internal/shardkb"
 )
@@ -53,104 +49,6 @@ func newRouter(client *shardkb.Client, timeout time.Duration) *router {
 
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// substitute replaces variables bound in b with their constants.
-func substitute(p core.Pattern, b core.Binding) core.Pattern {
-	sub := func(pt core.PatternTerm) core.PatternTerm {
-		if pt.Var != "" {
-			if t, ok := b[pt.Var]; ok {
-				return core.PTerm(t)
-			}
-		}
-		return pt
-	}
-	return core.Pattern{S: sub(p.S), P: sub(p.P), O: sub(p.O)}
-}
-
-// patternGroup is one distinct substituted pattern and the accumulated
-// bindings that produced it: bindings agreeing on a pattern's bound
-// variables share one shard execution instead of issuing duplicate RPCs.
-type patternGroup struct {
-	sub     core.Pattern
-	parents []core.Binding
-}
-
-// execute evaluates the conjunction across the shard tier. The join
-// order is fixed up front by summed shard estimates (cheapest pattern
-// first — the same cardinality-driven heuristic the in-process engine
-// uses, aggregated over shards); each step substitutes the bindings
-// accumulated so far, deduplicates the resulting concrete patterns, and
-// scatters or fast-paths each one. It reports whether any step merged
-// partial shard results.
-func (rt *router) execute(ctx context.Context, patterns []core.Pattern, limit int) ([]core.Binding, bool, error) {
-	order := make([]int, len(patterns))
-	for i := range order {
-		order[i] = i
-	}
-	if len(patterns) > 1 {
-		ests, err := rt.client.Estimates(ctx, patterns)
-		if err != nil {
-			return nil, false, err
-		}
-		sort.SliceStable(order, func(a, b int) bool { return ests[order[a]] < ests[order[b]] })
-	}
-
-	// Only a single-pattern query can push the row limit down to the
-	// shards: with joins, early rows may be filtered by later patterns.
-	patternLimit := 0
-	if len(patterns) == 1 {
-		patternLimit = limit
-	}
-
-	bindings := []core.Binding{{}}
-	partial := false
-	for _, idx := range order {
-		if len(bindings) == 0 {
-			break // conjunction already empty
-		}
-		groups := make(map[string]*patternGroup)
-		var keys []string // deterministic execution order
-		for _, b := range bindings {
-			sub := substitute(patterns[idx], b)
-			key := shardkb.FormatPattern(sub)
-			g, ok := groups[key]
-			if !ok {
-				g = &patternGroup{sub: sub}
-				groups[key] = g
-				keys = append(keys, key)
-			}
-			g.parents = append(g.parents, b)
-		}
-		var next []core.Binding
-		for _, key := range keys {
-			g := groups[key]
-			res, err := rt.client.Pattern(ctx, g.sub, patternLimit)
-			if err != nil {
-				return nil, false, err
-			}
-			partial = partial || res.Partial
-			for _, parent := range g.parents {
-				for _, m := range res.Bindings {
-					// m binds exactly the variables the substitution left
-					// open, so the union is conflict-free.
-					merged := make(core.Binding, len(parent)+len(m))
-					for k, v := range parent {
-						merged[k] = v
-					}
-					for k, v := range m {
-						merged[k] = v
-					}
-					next = append(next, merged)
-				}
-			}
-		}
-		bindings = next
-	}
-	if limit > 0 && len(bindings) > limit {
-		bindings = bindings[:limit]
-	}
-	return bindings, partial, nil
-}
-
 func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, patterns := serve.DecodePatterns(w, r)
 	if req == nil {
@@ -163,7 +61,16 @@ func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	t0 := time.Now()
-	bindings, partial, err := rt.execute(ctx, patterns, req.Limit)
+	var (
+		single *shardkb.Result
+		rows   shardkb.Rows
+		err    error
+	)
+	if len(patterns) == 1 {
+		single, err = rt.client.Pattern(ctx, patterns[0], req.Limit)
+	} else {
+		rows, err = rt.client.Join(ctx, patterns, req.Limit)
+	}
 	took := time.Since(t0)
 	rt.lat.Observe(took)
 	rt.queries.Add(1)
@@ -171,13 +78,25 @@ func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		serve.WriteQueryError(w, err)
 		return
 	}
-	if partial {
+	if single != nil {
+		if single.Partial {
+			rt.partialAnswers.Add(1)
+		}
+		resp := serve.BuildQueryResponse(single.Bindings, serve.HasVars(patterns))
+		resp.TookUS = took.Microseconds()
+		resp.Partial = single.Partial
+		serve.WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	if rows.Partial {
 		rt.partialAnswers.Add(1)
 	}
-	resp := serve.BuildQueryResponse(bindings, serve.HasVars(patterns))
-	resp.TookUS = took.Microseconds()
-	resp.Partial = partial
-	serve.WriteJSON(w, http.StatusOK, resp)
+	vars := make([]string, len(rows.Vars))
+	for i, v := range rows.Vars {
+		vars[i] = string(v)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(serve.AppendRowsResponse(nil, vars, rows.Cells, rows.N, took.Microseconds(), rows.Partial))
 }
 
 // routerStatsz is the router's GET /statsz reply: router-level query

@@ -160,14 +160,15 @@ func TestRouterPointLookupIsSingleRPC(t *testing.T) {
 	}
 }
 
-// A join that walks from bound subjects must use the fast path for its
-// second step: after ?c binds, "?c kb:hasCEO ?ceo" becomes
-// subject-constant per binding group.
-func TestRouterJoinUsesFastPathAfterSubstitution(t *testing.T) {
+// A join step sends its bindings in one batch: after ?c binds, "?c
+// kb:hasCEO ?ceo" is one bind step whose rows go only to the shards owning
+// them — one RPC per owner shard, not one per binding.
+func TestRouterJoinBatchesBindingsPerShard(t *testing.T) {
 	st := smallStore()
 	st.Add(rdf.T("kb:apple", "kb:hasCEO", "kb:cook"))
 	st.Add(rdf.T("kb:microsoft", "kb:hasCEO", "kb:nadella"))
-	rt, _ := startTier(t, st, 4, shardkb.Options{})
+	const n = 4
+	rt, _ := startTier(t, st, n, shardkb.Options{})
 	rec, resp := postRouterQuery(t, rt,
 		`{"patterns": ["?c kb:locatedIn ?city", "?c kb:hasCEO ?ceo"]}`)
 	if rec.Code != http.StatusOK {
@@ -176,19 +177,19 @@ func TestRouterJoinUsesFastPathAfterSubstitution(t *testing.T) {
 	if resp.Count != 2 {
 		t.Fatalf("count = %d, want 2", resp.Count)
 	}
-	srec := httptest.NewRecorder()
-	rt.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
-	var stats routerStatsz
-	if err := json.Unmarshal(srec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	stats := rt.client.Stats()
+	// One scatter for whichever pattern runs first, then one owner-routed
+	// step for the other, however many companies are bound.
+	if stats.Scatters != 1 || stats.FastPath != 1 {
+		t.Errorf("scatters = %d, owner-routed steps = %d; want 1 and 1", stats.Scatters, stats.FastPath)
 	}
-	// One scatter for the locatedIn scan, then one pinned RPC per distinct
-	// bound company (apple, microsoft).
-	if stats.Client.Scatters != 1 {
-		t.Errorf("scatters = %d, want 1", stats.Client.Scatters)
+	owners := map[int]bool{}
+	for _, c := range []string{"kb:apple", "kb:microsoft"} {
+		owners[shardkb.ShardOf(rdf.NewIRI(c), n)] = true
 	}
-	if stats.Client.FastPath != 2 {
-		t.Errorf("fast-path executions = %d, want 2", stats.Client.FastPath)
+	// The /estimate round, the scatter, and the second step's owners.
+	if want := uint64(n + n + len(owners)); stats.RPCs != want {
+		t.Errorf("RPCs = %d, want %d", stats.RPCs, want)
 	}
 }
 

@@ -19,11 +19,14 @@
 //	               strings are literals. An all-constant query returns
 //	               {"ask": true|false} instead of rows.
 //	POST /estimate {"patterns": [...]} -> per-pattern index-cardinality bounds
+//	POST /bind     one pattern + positional binding rows -> each row's
+//	               matches (kbrouter's join step; see internal/serve/bind.go)
 //	GET  /statsz   cache hit rate, query latency histogram, store stats
 //	GET  /healthz  liveness probe
 //	GET  /readyz   readiness: fact count + snapshot path; 503 while empty,
-//	               while the snapshot failed CRC verification, or while
-//	               draining for shutdown
+//	               while the snapshot failed CRC verification (the three
+//	               POST endpoints answer 503 then, too), or while draining
+//	               for shutdown
 //
 // On SIGINT/SIGTERM the server first flips /readyz to 503 ("draining")
 // for -drain-notice so routers stop sending work, then stops accepting

@@ -60,7 +60,7 @@ func ParsePatternTerm(s string) (PatternTerm, error) {
 		// literal syntax is accepted (escapes, @lang, ^^<datatype>), so
 		// a term serialized with rdf.Term.String round-trips through a
 		// pattern — the property the scatter/gather wire protocol
-		// (internal/shardkb) relies on when substituting bindings.
+		// (internal/shardkb) relies on for a pattern's constants.
 		if strings.HasPrefix(s, `"`) {
 			if t, err := rdf.ParseTerm(s); err == nil && t.IsLiteral() {
 				return PTerm(t), nil

@@ -10,10 +10,16 @@
 //
 //	POST /query     {"patterns": [...], "limit": N} -> QueryResponse
 //	POST /estimate  {"patterns": [...]}             -> EstimateResponse
+//	POST /bind      one pattern + positional binding rows -> the rows'
+//	                matches, positional (bind.go): the router's join step,
+//	                one request per shard per step however many bindings
 //	GET  /statsz    cache hit rate, latency histogram, store stats
 //	GET  /healthz   liveness probe (process up)
 //	GET  /readyz    readiness: 200 + fact count/snapshot path once the
 //	                store holds facts, 503 while empty/still loading
+//
+// A server whose snapshot failed verification (Options.LoadError) answers
+// 503 on the three data endpoints as well as on /readyz.
 package serve
 
 import (
@@ -22,7 +28,9 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -83,9 +91,10 @@ type Options struct {
 	// /readyz so operators and the router can tell shards apart.
 	Snapshot string
 	// LoadError marks the snapshot as failed (e.g. CRC verification
-	// rejected it). The server still answers — operators can inspect
-	// /statsz — but /readyz stays 503 so no router sends traffic to a
-	// shard serving a torn KB.
+	// rejected it). The process stays up — operators can inspect /statsz
+	// — but /readyz, /query, /estimate and /bind answer 503, so a torn KB
+	// is never served: to the shardkb client a 503 is transient, and the
+	// shard's other replica answers instead.
 	LoadError error
 }
 
@@ -167,8 +176,9 @@ func NewServer(st *core.Store, opt Options) *Server {
 		loadErr:  opt.LoadError,
 		mux:      http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/estimate", s.handleEstimate)
+	s.mux.HandleFunc("/query", s.data(s.handleQuery))
+	s.mux.HandleFunc("/estimate", s.data(s.handleEstimate))
+	s.mux.HandleFunc("/bind", s.data(s.handleBind))
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -188,6 +198,10 @@ func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.Encode(v)
 }
 
+// MaxRequestBytes caps a POST body on /query, /estimate and /bind; the
+// shardkb client splits a bind step whose rows would not fit.
+const MaxRequestBytes = 1 << 20
+
 // DecodePatterns parses the shared request envelope of /query and
 // /estimate — also the router's, which speaks the same protocol. A nil
 // return means the error response was already written.
@@ -197,7 +211,7 @@ func DecodePatterns(w http.ResponseWriter, r *http.Request) (*QueryRequest, []co
 		return nil, nil
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
 		return nil, nil
 	}
@@ -275,6 +289,81 @@ func BuildQueryResponse(bindings []core.Binding, hasVar bool) QueryResponse {
 	return resp
 }
 
+// data wraps a data endpoint so that it answers 503 when the snapshot
+// failed verification: whatever part of the file loaded before the
+// corruption was hit must not be served as the KB.
+func (s *Server) data(h http.HandlerFunc) http.HandlerFunc {
+	if s.loadErr == nil {
+		return h
+	}
+	return func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{"snapshot failed verification: " + s.loadErr.Error()})
+	}
+}
+
+// AppendRowsResponse appends the /query reply for n positional rows —
+// row i binds vars[j] to the serialized term cells[i*len(vars)+j] — in
+// the wire shape BuildQueryResponse and WriteJSON give bindings: sorted
+// vars, one object per row with its keys in that order, an ask flag when
+// there are no variables. The router's join executor produces rows in
+// this form, and a large join result is encoded without a map per row.
+func AppendRowsResponse(dst []byte, vars, cells []string, n int, tookUS int64, partial bool) []byte {
+	dst = append(dst, '{')
+	switch {
+	case len(vars) == 0:
+		dst = append(dst, `"count":0,"ask":`...)
+		dst = strconv.AppendBool(dst, n > 0)
+	case n == 0:
+		dst = append(dst, `"count":0`...)
+	default:
+		order := make([]int, len(vars))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return vars[order[a]] < vars[order[b]] })
+		keys := make([][]byte, len(vars)) // `"name":`, in sorted order
+		dst = append(dst, `"vars":[`...)
+		for k, col := range order {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, vars[col])
+			keys[k] = append(appendJSONString(nil, vars[col]), ':')
+		}
+		dst = append(dst, `],"rows":[`...)
+		size := 64 + n*(3*len(vars)+2)
+		for _, key := range keys {
+			size += n * len(key)
+		}
+		for _, cell := range cells[:n*len(vars)] {
+			size += len(cell)
+		}
+		dst = slices.Grow(dst, size) // exact but for escapes inside cells
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			row := cells[i*len(vars) : (i+1)*len(vars)]
+			sep := byte('{')
+			for k, col := range order {
+				dst = append(dst, sep)
+				sep = ','
+				dst = append(dst, keys[k]...)
+				dst = appendJSONString(dst, row[col])
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, `],"count":`...)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	dst = append(dst, `,"cached":false,"took_us":`...)
+	dst = strconv.AppendInt(dst, tookUS, 10)
+	if partial {
+		dst = append(dst, `,"partial":true`...)
+	}
+	return append(dst, '}', '\n')
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, patterns := DecodePatterns(w, r)
 	if req == nil {
@@ -341,7 +430,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.loadErr != nil:
 		// The snapshot failed integrity verification: serving it would
-		// present a torn, silently short KB as healthy. Never ready.
+		// present a torn, silently short KB as healthy. Never ready (and
+		// the data endpoints are shut, see Server.data).
 		resp.Error = "snapshot failed verification: " + s.loadErr.Error()
 		WriteJSON(w, http.StatusServiceUnavailable, resp)
 	case s.draining.Load():

@@ -98,7 +98,6 @@ type breaker struct {
 	state       int
 	fails       int
 	until       time.Time // while open: when a half-open probe may start
-	probing     bool
 	opens       uint64
 	transitions uint64
 }
@@ -115,10 +114,9 @@ func (b *breaker) allow(threshold int, now time.Time) (ok, probe bool) {
 	case brClosed:
 		return true, false
 	case brOpen:
-		if now.After(b.until) && !b.probing {
+		if now.After(b.until) {
 			b.state = brHalfOpen
 			b.transitions++
-			b.probing = true
 			return false, true
 		}
 		return false, false
@@ -131,7 +129,6 @@ func (b *breaker) onSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
-	b.probing = false
 	if b.state != brClosed {
 		b.state = brClosed
 		b.transitions++
@@ -145,7 +142,6 @@ func (b *breaker) onFailure(threshold int, cooldown time.Duration, now time.Time
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	b.probing = false
 	if (b.state == brClosed && b.fails >= threshold) || b.state == brHalfOpen {
 		if b.state != brOpen {
 			b.opens++
@@ -370,7 +366,11 @@ func (c *Client) roundTrip(ctx context.Context, rep *replica, path string, body 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
 		resp.Body.Close()
 	}()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.opt.MaxBodyBytes+1))
+	// Sized from Content-Length when the shard declared one, so a large
+	// reply is read into one allocation instead of a doubling series.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), c.opt.MaxBodyBytes+1)+bytes.MinRead))
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, c.opt.MaxBodyBytes+1))
+	data := buf.Bytes()
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err(), false
@@ -448,23 +448,37 @@ func (c *Client) backoff(made int) time.Duration {
 	return time.Duration(half + rand.Int63n(half))
 }
 
-// call executes one logical RPC against a shard's replica group and
-// reports how many physical attempts it made: the
-// first attempt goes to the group's next replica in rotation, transient
+// call is callBody for the reflection-encoded endpoints: req is
+// marshalled into the request body and the winning reply unmarshalled
+// into out.
+func (c *Client) call(ctx context.Context, shard int, path string, req, out interface{}) (int, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, fmt.Errorf("shardkb: encode request: %w", err)
+	}
+	data, attempts, err := c.callBody(ctx, shard, path, body)
+	if err != nil {
+		return attempts, err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return attempts, fmt.Errorf("shardkb: shard %d: decode response: %w", shard, err)
+	}
+	return attempts, nil
+}
+
+// callBody executes one logical RPC against a shard's replica group and
+// returns the winning reply body and how many physical attempts it made:
+// the first attempt goes to the group's next replica in rotation, transient
 // failures retry on the following replicas with jittered exponential
 // backoff, a hedge may race a second replica when the first is slow
 // (first reply wins, the loser's context is cancelled), and every
 // outcome feeds the per-replica circuit breakers.
-func (c *Client) call(ctx context.Context, shard int, path string, req, out interface{}) (int, error) {
+func (c *Client) callBody(ctx context.Context, shard int, path string, body []byte) ([]byte, int, error) {
 	select {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, fmt.Errorf("shardkb: encode request: %w", err)
+		return nil, 0, ctx.Err()
 	}
 	g := c.groups[shard]
 
@@ -486,7 +500,7 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 		}
 	}
 	if len(order) == 0 {
-		return 0, fmt.Errorf("shardkb: shard %d (%s): circuit breakers open on all %d replicas",
+		return nil, 0, fmt.Errorf("shardkb: shard %d (%s): circuit breakers open on all %d replicas",
 			shard, g.label(), len(g.replicas))
 	}
 	maxAttempts := c.opt.MaxAttempts
@@ -527,7 +541,7 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 	for inflight > 0 || retryCh != nil {
 		select {
 		case <-ctx.Done():
-			return launched, ctx.Err()
+			return nil, launched, ctx.Err()
 		case <-hedgeCh:
 			hedgeCh = nil
 			if launched < maxAttempts {
@@ -547,22 +561,18 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 				if a.hedge {
 					c.hedgesWon.Add(1)
 				}
-				// First reply wins: cancel any slower attempt still in
-				// flight before decoding.
-				cancel()
-				if err := json.Unmarshal(a.data, out); err != nil {
-					return launched, fmt.Errorf("shardkb: shard %d (%s): decode response: %w", shard, a.rep.url, err)
-				}
-				return launched, nil
+				// First reply wins: the deferred cancel stops any slower
+				// attempt still in flight.
+				return a.data, launched, nil
 			}
 			if ctx.Err() != nil {
-				return launched, ctx.Err()
+				return nil, launched, ctx.Err()
 			}
 			fails = append(fails, fmt.Sprintf("%s: %v", a.rep.url, a.err))
 			a.rep.errs.Add(1)
 			a.rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 			if !a.transient {
-				return launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
+				return nil, launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 			}
 			if launched < maxAttempts && retryCh == nil {
 				retryTimer = time.NewTimer(c.backoff(launched))
@@ -570,7 +580,7 @@ func (c *Client) call(ctx context.Context, shard int, path string, req, out inte
 			}
 		}
 	}
-	return launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
+	return nil, launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 }
 
 // decodeBindings converts a wire response into bindings: rows parse each

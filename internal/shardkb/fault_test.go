@@ -9,21 +9,28 @@ import (
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/faultkb"
+	"kbharvest/internal/rdf"
 	"kbharvest/internal/serve"
 )
 
-// startReplicatedShards partitions testTriples across n shards, stands r
+// startReplicatedShards is startReplicatedTier over testTriples.
+func startReplicatedShards(t *testing.T, n, r int) ([]string, [][]*faultkb.Injector) {
+	t.Helper()
+	return startReplicatedTier(t, testTriples(), n, r)
+}
+
+// startReplicatedTier partitions triples across n shards, stands r
 // replicas behind each (all serving the same partition), and fronts every
 // replica with a faultkb proxy. Returns the tier as New takes it — one
 // "|"-joined string of proxy URLs per shard — and the injector for each
 // replica, indexed [shard][replica].
-func startReplicatedShards(t *testing.T, n, r int) ([]string, [][]*faultkb.Injector) {
+func startReplicatedTier(t *testing.T, triples []rdf.Triple, n, r int) ([]string, [][]*faultkb.Injector) {
 	t.Helper()
 	stores := make([]*core.Store, n)
 	for i := range stores {
 		stores[i] = core.NewStore()
 	}
-	for _, tr := range testTriples() {
+	for _, tr := range triples {
 		stores[TripleShard(tr, n)].Add(tr)
 	}
 	groups := make([]string, n)

@@ -1,10 +1,18 @@
 // Package shardkb is the scatter/gather layer of the serving tier: the
-// shard function that hash-partitions a KB by subject term, and an HTTP
-// client that executes single triple patterns against N kbserve shards —
-// routing a subject-constant pattern to exactly one shard (the fast path
-// that makes point lookups cost one RPC regardless of shard count) and
-// fanning everything else out concurrently with per-shard timeouts,
-// bounded in-flight RPCs, and an explicit partial-failure policy.
+// shard function that hash-partitions a KB by subject term, an HTTP
+// client that executes triple patterns against N kbserve shards, and the
+// join executor the router runs on top of it.
+//
+// Client.Pattern routes a subject-constant pattern to exactly one shard
+// (the fast path that makes point lookups cost one RPC regardless of
+// shard count) and fans everything else out concurrently with per-shard
+// timeouts, bounded in-flight RPCs, and an explicit partial-failure
+// policy. Client.Bind is one step of a bind join — it extends a whole set
+// of positional rows by one pattern in one POST /bind per shard, each
+// distinct binding sent once and only to the shard that can match it —
+// and Client.Join plans a conjunction (one Estimates call, connected
+// patterns first) and chains Bind steps, so a join costs about
+// shards x (1 + steps) RPCs instead of one per binding.
 //
 // New takes the tier as one string per shard. Each may name a replica
 // group — base URLs joined by "|", the syntax of kbrouter -shards — whose
@@ -26,9 +34,6 @@
 package shardkb
 
 import (
-	"hash/fnv"
-	"io"
-
 	"kbharvest/internal/core"
 	"kbharvest/internal/rdf"
 )
@@ -40,9 +45,20 @@ func ShardOf(t rdf.Term, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	io.WriteString(h, t.String())
-	return int(h.Sum64() % uint64(n))
+	return shardOfWire(t.String(), n)
+}
+
+// shardOfWire is ShardOf for a term already in canonical N-Triples form,
+// which is how the join executor carries its cells.
+func shardOfWire(s string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := uint64(14695981039346656037) // FNV-1a, 64 bit
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return int(h % uint64(n))
 }
 
 // TripleShard maps a fact to its home shard: facts are partitioned by
