@@ -1,9 +1,10 @@
 package kbharvest
 
-// The benchmark harness: one testing.B benchmark per experiment in
-// DESIGN.md §4 (each regenerates its EXPERIMENTS.md table once per
-// iteration), followed by micro-benchmarks for the core data structures
-// and the index ablation called out in DESIGN.md §5.
+// The benchmark harness: one testing.B benchmark per experiment of
+// experiments.All() (each regenerates its table once per iteration),
+// followed by micro-benchmarks for the core data structures and an index
+// ablation. Serving and build performance are measured by kbbench, not
+// here: see bench/README.md.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -149,8 +150,8 @@ func BenchmarkStoreMatchP(b *testing.B) {
 }
 
 // BenchmarkStoreIndexAblation compares an indexed (?, p, o) lookup with
-// the same query answered by a full scan — the DESIGN.md §5 index
-// ablation. Expect several orders of magnitude difference.
+// the same query answered by a full scan — the index ablation. Expect
+// several orders of magnitude difference.
 func BenchmarkStoreIndexAblation(b *testing.B) {
 	st := benchStore(100000)
 	pat := rdf.Triple{P: rdf.NewIRI("kb:r2"), O: rdf.NewIRI("kb:e7")}

@@ -1,4 +1,5 @@
-// Benchrunner regenerates every experiment table in EXPERIMENTS.md.
+// Benchrunner regenerates the table of every experiment in
+// experiments.All() (benchrunner -list prints each one's claim).
 //
 // Usage:
 //

@@ -78,25 +78,25 @@ func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		serve.WriteQueryError(w, err)
 		return
 	}
+	// Both branches leave through serve's one /query encoder.
+	var (
+		vars, cells []string
+		n           int
+		partial     bool
+	)
 	if single != nil {
-		if single.Partial {
-			rt.partialAnswers.Add(1)
+		vars, cells = serve.BindingCells(patterns, single.Bindings)
+		n, partial = len(single.Bindings), single.Partial
+	} else {
+		for _, v := range rows.Vars {
+			vars = append(vars, string(v))
 		}
-		resp := serve.BuildQueryResponse(single.Bindings, serve.HasVars(patterns))
-		resp.TookUS = took.Microseconds()
-		resp.Partial = single.Partial
-		serve.WriteJSON(w, http.StatusOK, resp)
-		return
+		cells, n, partial = rows.Cells, rows.N, rows.Partial
 	}
-	if rows.Partial {
+	if partial {
 		rt.partialAnswers.Add(1)
 	}
-	vars := make([]string, len(rows.Vars))
-	for i, v := range rows.Vars {
-		vars[i] = string(v)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(serve.AppendRowsResponse(nil, vars, rows.Cells, rows.N, took.Microseconds(), rows.Partial))
+	serve.WriteRows(w, vars, cells, n, false, took, partial)
 }
 
 // routerStatsz is the router's GET /statsz reply: router-level query

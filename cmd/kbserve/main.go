@@ -75,8 +75,10 @@ func main() {
 		// A corrupt snapshot (failed CRC, truncated file) is not a reason
 		// to crash-loop: keep the process up so operators can hit /statsz
 		// and /healthz, but never report ready — the router will not send
-		// traffic to a shard holding a torn KB.
+		// traffic to this shard. It serves a fresh empty store beside the
+		// error, so /statsz can never report a prefix of a rejected file.
 		log.Printf("SNAPSHOT REJECTED, refusing ready: %v", loadErr)
+		st = core.NewStore()
 	} else {
 		log.Printf("loaded %d facts from %s: %s", n, *kbPath, st)
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
 
 	"kbharvest/internal/rdf"
 )
@@ -72,11 +74,13 @@ func ParsePatternTerm(s string) (PatternTerm, error) {
 	}
 }
 
-// ParsePattern parses a whitespace-separated "s p o" pattern line.
+// ParsePattern parses an "s p o" pattern line, with an optional closing
+// " ." as in N-Triples.
 func ParsePattern(line string) (Pattern, error) {
-	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(line), " ."))
-	// Literals may contain spaces; re-join quoted fields.
-	fields = rejoinQuoted(fields)
+	fields := splitPattern(line)
+	if n := len(fields); n > 0 && fields[n-1] == "." {
+		fields = fields[:n-1]
+	}
 	if len(fields) != 3 {
 		return Pattern{}, fmt.Errorf("core: pattern needs 3 terms, got %d in %q", len(fields), line)
 	}
@@ -95,35 +99,40 @@ func ParsePattern(line string) (Pattern, error) {
 	return Pattern{S: s, P: p, O: o}, nil
 }
 
-func rejoinQuoted(fields []string) []string {
+// splitPattern cuts a pattern line into its terms. Blanks separate terms
+// except inside a double-quoted literal, which runs to its closing
+// unescaped quote and on through any @lang or ^^<datatype> suffix, so the
+// blanks inside a literal reach ParsePatternTerm as they were written.
+func splitPattern(line string) []string {
 	var out []string
-	for i := 0; i < len(fields); i++ {
-		f := fields[i]
-		if strings.HasPrefix(f, `"`) && !strings.HasSuffix(f, `"`) {
-			j := i + 1
-			for ; j < len(fields); j++ {
-				f += " " + fields[j]
-				if strings.HasSuffix(fields[j], `"`) {
-					break
+	for {
+		line = strings.TrimLeftFunc(line, unicode.IsSpace)
+		if line == "" {
+			return out
+		}
+		end := 0
+		if line[0] == '"' {
+			for end = 1; end < len(line) && line[end] != '"'; end++ {
+				if line[end] == '\\' {
+					end++
 				}
 			}
-			i = j
 		}
-		out = append(out, f)
+		// The rest of the term runs to the next blank; an unterminated
+		// literal has already run to (or, on an escape, past) the end.
+		end = min(end, len(line))
+		if i := strings.IndexFunc(line[end:], unicode.IsSpace); i >= 0 {
+			end += i
+		} else {
+			end = len(line)
+		}
+		out = append(out, line[:end])
+		line = line[end:]
 	}
-	return out
 }
 
 // Binding maps variable names to terms.
 type Binding map[Var]rdf.Term
-
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
 
 // Query evaluates a conjunction of patterns and returns all bindings.
 // It is QueryFunc without streaming: no cancellation, no limit.
@@ -139,65 +148,17 @@ func (st *Store) Query(patterns []Pattern) []Binding {
 // QueryFunc streams the bindings of a conjunctive query to fn. It stops
 // early when fn returns false, when limit bindings have been emitted
 // (limit <= 0 means unlimited), or when ctx is cancelled — in which case
-// the context's error is returned.
-//
-// Join order is cardinality-driven and chosen per branch: before each
-// step the engine probes the index posting sizes every remaining pattern
-// would read under the current binding (PatternEstimate) and executes the
-// cheapest pattern next. A pattern that estimates to zero matches prunes
-// its branch immediately — estimates are upper bounds — so constants the
-// dictionary has never seen short-circuit the whole conjunction.
+// the context's error is returned. It is Matcher.Match from an empty row,
+// with a Binding built for each row that reaches fn.
 func (st *Store) QueryFunc(ctx context.Context, patterns []Pattern, limit int, fn func(Binding) bool) error {
-	remaining := append([]Pattern(nil), patterns...)
-	emitted := 0
-	stopped := false
-	var step func(b Binding, rest []Pattern) bool // false halts the traversal
-	step = func(b Binding, rest []Pattern) bool {
-		if ctx.Err() != nil {
-			return false
+	m := st.Compile(patterns)
+	return m.Match(ctx, make([]rdf.Term, len(m.vars)), limit, func(row []rdf.Term) bool {
+		b := make(Binding, len(row))
+		for i, v := range m.vars {
+			b[v] = row[i]
 		}
-		if len(rest) == 0 {
-			emitted++
-			if !fn(b) {
-				stopped = true
-				return false
-			}
-			if limit > 0 && emitted >= limit {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		best, bestCost := 0, int(^uint(0)>>1)
-		for i, p := range rest {
-			if c := st.PatternEstimate(p, b); c < bestCost {
-				best, bestCost = i, c
-			}
-		}
-		if bestCost == 0 {
-			return true // some pattern cannot match under b: prune branch
-		}
-		// Swap the chosen pattern to the front and recurse on rest[1:];
-		// restore afterwards so sibling branches see the original order.
-		rest[0], rest[best] = rest[best], rest[0]
-		ok := true
-		st.matchPattern(rest[0], b, func(nb Binding) bool {
-			ok = step(nb, rest[1:])
-			return ok
-		})
-		rest[0], rest[best] = rest[best], rest[0]
-		return ok
-	}
-	completed := step(make(Binding), remaining)
-	// step returns false only when cut short: by fn/limit (stopped) or by
-	// cancellation. A context expiring after the traversal already
-	// completed must not discard the fully-computed result.
-	if !completed && !stopped {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(b)
+	})
 }
 
 // PatternEstimate returns the planner's cost probe for one pattern: the
@@ -207,61 +168,171 @@ func (st *Store) QueryFunc(ctx context.Context, patterns []Pattern, limit int, f
 // compaction prunes them. A zero estimate is exact — the pattern cannot
 // match.
 func (st *Store) PatternEstimate(p Pattern, b Binding) int {
-	var ids [3]ID
-	for i, pt := range [3]PatternTerm{p.S, p.P, p.O} {
-		t := pt.Const
-		if pt.Var != "" {
-			bt, ok := b[pt.Var]
-			if !ok {
-				continue // unbound variable: wildcard
-			}
-			t = bt
-		} else if t.IsZero() {
-			continue // explicit wildcard position
-		}
-		id, ok := st.dict.lookup(t)
-		if !ok {
-			return 0
-		}
-		ids[i] = id
+	m := st.Compile([]Pattern{p})
+	row := make([]rdf.Term, len(m.vars))
+	for i, v := range m.vars {
+		row[i] = b[v]
 	}
-	return st.estimateEnc(ids[0], ids[1], ids[2])
+	_, cost := m.probe(&m.pats[0], row)
+	return cost
 }
 
-// matchPattern streams the bindings extending b that satisfy p, stopping
-// early when emit returns false.
-func (st *Store) matchPattern(p Pattern, b Binding, emit func(Binding) bool) {
-	resolve := func(pt PatternTerm) (rdf.Term, Var) {
-		if pt.Var == "" {
-			return pt.Const, ""
+// Matcher is a conjunction compiled for evaluation: every pattern position
+// is a constant (the zero term being the wildcard) or a slot of one row of
+// terms, one slot per distinct variable, where a zero term means "not
+// bound yet". It is the store's only join executor: QueryFunc runs it from
+// an empty row, and kbserve's /bind runs a one-pattern Matcher once per
+// binding row a join step sends, seeding the slots that row binds.
+type Matcher struct {
+	st   *Store
+	vars []Var
+	pats []slotPattern
+}
+
+// slotPattern is a compiled pattern: subject, predicate, object.
+type slotPattern [3]struct {
+	konst rdf.Term // the position's constant when slot < 0
+	slot  int
+}
+
+// Compile resolves the patterns' variables to slots: the seeded variables
+// first, in the order given, then the others in order of first occurrence.
+func (st *Store) Compile(patterns []Pattern, seeded ...Var) *Matcher {
+	m := &Matcher{st: st, vars: append([]Var(nil), seeded...), pats: make([]slotPattern, len(patterns))}
+	for i, p := range patterns {
+		for j, pt := range [3]PatternTerm{p.S, p.P, p.O} {
+			m.pats[i][j].konst, m.pats[i][j].slot = pt.Const, -1
+			if pt.Var == "" {
+				continue
+			}
+			slot := slices.Index(m.vars, pt.Var)
+			if slot < 0 {
+				slot = len(m.vars)
+				m.vars = append(m.vars, pt.Var)
+			}
+			m.pats[i][j].slot = slot
 		}
-		if t, ok := b[pt.Var]; ok {
-			return t, ""
-		}
-		return rdf.Term{}, pt.Var
 	}
-	sc, sv := resolve(p.S)
-	pc, pv := resolve(p.P)
-	oc, ov := resolve(p.O)
-	st.MatchFunc(rdf.Triple{S: sc, P: pc, O: oc}, func(_ FactID, t rdf.Triple) bool {
-		nb := b.clone()
-		if sv != "" {
-			nb[sv] = t.S
+	return m
+}
+
+// Vars returns the variable of each slot of the rows Match works on.
+func (m *Matcher) Vars() []Var { return m.vars }
+
+// probe is the planner's cost probe: the dictionary IDs p reads under row
+// (0 for a position that is free) and the index-cardinality upper bound
+// on its matches. A term the dictionary has never seen costs 0: nothing
+// can match.
+func (m *Matcher) probe(p *slotPattern, row []rdf.Term) (ids [3]ID, cost int) {
+	for j, ps := range p {
+		t := ps.konst
+		if ps.slot >= 0 {
+			t = row[ps.slot]
 		}
-		if pv != "" {
-			if sv == pv && nb[sv] != t.P {
-				return true
+		var ok bool
+		if ids[j], ok = m.st.lookup(t); !ok {
+			return ids, 0
+		}
+	}
+	return ids, m.st.estimateEnc(ids[0], ids[1], ids[2])
+}
+
+// Match streams every way of filling row's unbound slots that satisfies
+// all the patterns, depth first, calling fn with row itself each time: fn
+// must copy what it keeps, and row is back as it was passed when Match
+// returns. It stops early when fn returns false, when limit rows have
+// been emitted (limit <= 0 means unlimited), or when ctx is cancelled —
+// in which case the context's error is returned.
+//
+// Join order is cardinality-driven and chosen per branch: before each
+// step the engine probes the index posting sizes every remaining pattern
+// would read under the row so far and executes the cheapest pattern next.
+// A pattern that estimates to zero matches prunes its branch immediately
+// — estimates are upper bounds — so constants the dictionary has never
+// seen short-circuit the whole conjunction.
+func (m *Matcher) Match(ctx context.Context, row []rdf.Term, limit int, fn func(row []rdf.Term) bool) error {
+	r := matchRun{m: m, ctx: ctx, row: row, limit: limit, fn: fn}
+	var few [4]*slotPattern // keeps the usual conjunction's order off the heap
+	rest := few[:0]
+	for i := range m.pats {
+		rest = append(rest, &m.pats[i])
+	}
+	// step returns false only when cut short: by fn/limit (stopped) or by
+	// cancellation. A context expiring after the traversal already
+	// completed must not discard the fully-computed result.
+	if !r.step(rest) && !r.stopped {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// matchRun is the state of one Match call.
+type matchRun struct {
+	m       *Matcher
+	ctx     context.Context
+	row     []rdf.Term
+	limit   int
+	fn      func([]rdf.Term) bool
+	emitted int
+	stopped bool // fn or the limit ended the traversal
+}
+
+// step extends the row by the cheapest pattern of rest and recurses on the
+// others; false halts the traversal.
+func (r *matchRun) step(rest []*slotPattern) bool {
+	if r.ctx.Err() != nil {
+		return false
+	}
+	if len(rest) == 0 {
+		r.emitted++
+		if !r.fn(r.row) || (r.limit > 0 && r.emitted >= r.limit) {
+			r.stopped = true
+			return false
+		}
+		return true
+	}
+	st := r.m.st
+	best, bestCost := 0, int(^uint(0)>>1)
+	var ids [3]ID
+	for i, p := range rest {
+		if cand, cost := r.m.probe(p, r.row); cost < bestCost {
+			best, bestCost, ids = i, cost, cand
+		}
+	}
+	if bestCost == 0 {
+		return true // some pattern cannot match under this row: prune the branch
+	}
+	// Swap the chosen pattern to the front and recurse on rest[1:];
+	// restore afterwards so sibling branches see the original order.
+	rest[0], rest[best] = rest[best], rest[0]
+	p := rest[0]
+	ok := true
+	_, ets := st.matchEnc(ids[0], ids[1], ids[2])
+match:
+	for _, et := range ets {
+		got := [3]ID{et.s, et.p, et.o}
+		for j, ps := range p {
+			if ids[j] != 0 || ps.slot < 0 {
+				continue // a constant, a wildcard, or a slot bound before this step
 			}
-			nb[pv] = t.P
-		}
-		if ov != "" {
-			if (sv == ov && nb[sv] != t.O) || (pv == ov && nb[pv] != t.O) {
-				return true
+			for k := range p[:j] {
+				if p[k].slot == ps.slot && got[k] != got[j] {
+					continue match // a variable repeated in the pattern met two terms
+				}
 			}
-			nb[ov] = t.O
+			r.row[ps.slot] = st.dict.term(got[j])
 		}
-		return emit(nb)
-	})
+		if ok = r.step(rest[1:]); !ok {
+			break
+		}
+	}
+	for j, ps := range p {
+		if ids[j] == 0 && ps.slot >= 0 {
+			r.row[ps.slot] = rdf.Term{}
+		}
+	}
+	rest[0], rest[best] = rest[best], rest[0]
+	return ok
 }
 
 // QueryStrings evaluates patterns written as "s p o" lines (see

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"kbharvest/internal/rdf"
@@ -172,6 +176,54 @@ func TestQueryStrings(t *testing.T) {
 	}
 }
 
+// bruteForce is the reference evaluator: nested loops over a flat list of
+// triples, one map copied per candidate, no IDs, no indexes, no planner.
+func bruteForce(triples []rdf.Triple, patterns []Pattern) []Binding {
+	if len(patterns) == 0 {
+		return []Binding{{}}
+	}
+	var out []Binding
+	for _, b := range bruteForce(triples, patterns[:len(patterns)-1]) {
+	next:
+		for _, tr := range triples {
+			nb := Binding{}
+			for v, t := range b {
+				nb[v] = t
+			}
+			p := patterns[len(patterns)-1]
+			for _, pos := range [3]struct {
+				pt  PatternTerm
+				got rdf.Term
+			}{{p.S, tr.S}, {p.P, tr.P}, {p.O, tr.O}} {
+				switch want, bound := nb[pos.pt.Var]; {
+				case pos.pt.Var == "" && pos.pt.Const.IsZero(): // wildcard
+				case pos.pt.Var == "" && pos.pt.Const != pos.got, bound && want != pos.got:
+					continue next
+				case pos.pt.Var != "":
+					nb[pos.pt.Var] = pos.got
+				}
+			}
+			out = append(out, nb)
+		}
+	}
+	return out
+}
+
+// renderBindings turns bindings into sorted "var=term var=term" strings.
+func renderBindings(bs []Binding) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		var cells []string
+		for v, t := range b {
+			cells = append(cells, string(v)+"="+t.String())
+		}
+		sort.Strings(cells)
+		out[i] = strings.Join(cells, " ")
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Property: two-pattern joins agree with a brute-force nested-loop join
 // over random stores.
 func TestQueryJoinAgreesWithBruteForce(t *testing.T) {
@@ -193,28 +245,140 @@ func TestQueryJoinAgreesWithBruteForce(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		st := rnd(seed)
-		got := st.Query([]Pattern{
+		patterns := []Pattern{
 			{S: PVar("x"), P: PIRI("p"), O: PVar("y")},
 			{S: PVar("y"), P: PIRI("q"), O: PVar("z")},
+		}
+		got, want := renderBindings(st.Query(patterns)), renderBindings(bruteForce(st.All(), patterns))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: join returned %q, brute force %q", seed, got, want)
+		}
+	}
+}
+
+// The edges the slot matcher has to get right now that no map is cloned
+// per match: each against the brute-force evaluator.
+func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
+	world := []rdf.Triple{
+		rdf.T("a", "knows", "a"), rdf.T("a", "knows", "b"), rdf.T("b", "knows", "a"), rdf.T("b", "knows", "c"),
+		rdf.T("c", "knows", "c"), rdf.T("a", "likes", "b"), rdf.T("b", "likes", "b"), rdf.T("knows", "likes", "c"),
+		rdf.T("a1", "p", "b1"), rdf.T("a2", "p", "b2"), rdf.T("b1", "q", "c1"), rdf.T("b2", "q", "c2"),
+	}
+	wildcard := PatternTerm{}
+	for _, tc := range []struct {
+		name     string
+		patterns []Pattern
+		limit    int
+		seed     Binding                   // slots bound before the match, as /bind seeds them
+		stopAt   int                       // fn returns false at this row (0 = never)
+		onRow    func(st *Store, n int)    // runs inside fn
+		want     func(st *Store) []Binding // nil: brute force over the store as built
+	}{
+		{name: "variable repeated inside one pattern",
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("x")}}},
+		{name: "variable repeated in all three positions",
+			patterns: []Pattern{{S: PVar("x"), P: PVar("x"), O: PVar("x")}}},
+		{name: "variable repeated inside a later pattern",
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("likes"), O: PVar("y")}, {S: PVar("y"), P: PVar("r"), O: PVar("y")}}},
+		{name: "variables repeated across patterns",
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}, {S: PVar("y"), P: PIRI("knows"), O: PVar("x")}}},
+		{name: "a predicate variable that is a subject elsewhere",
+			patterns: []Pattern{{S: PVar("s"), P: PVar("r"), O: PVar("o")}, {S: PVar("r"), P: PIRI("likes"), O: PVar("z")}}},
+		{name: "explicit wildcard position",
+			patterns: []Pattern{{S: PVar("x"), P: wildcard, O: PIRI("b")}, {S: PVar("x"), P: PIRI("knows"), O: wildcard}}},
+		{name: "all wildcards beside a constant pattern",
+			patterns: []Pattern{{S: wildcard, P: wildcard, O: wildcard}, {S: PIRI("a"), P: PIRI("likes"), O: PIRI("b")}}},
+		{name: "limit reached mid-branch", limit: 3,
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}, {S: PVar("y"), P: PIRI("knows"), O: PVar("z")}}},
+		{name: "fn returning false", stopAt: 2,
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}, {S: PVar("y"), P: PIRI("knows"), O: PVar("z")}}},
+		{name: "seeded slots, one of them repeated", seed: Binding{"y": rdf.NewIRI("b")},
+			patterns: []Pattern{{S: PVar("x"), P: PVar("r"), O: PVar("y")}, {S: PVar("y"), P: PIRI("likes"), O: PVar("y")}}},
+		{name: "seeded with a term the store has never seen", seed: Binding{"y": rdf.NewIRI("nobody")},
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}}},
+		{name: "a fact removed between two steps",
+			patterns: []Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}},
+			onRow: func(st *Store, n int) {
+				if n == 1 { // the first row is a1/b1/c1; take the other branch's second step away
+					st.Remove(rdf.T("b2", "q", "c2"))
+				}
+			},
+			want: func(st *Store) []Binding { // the answer over what is left, which still holds row 1
+				return bruteForce(st.All(), []Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}})
+			}},
+	} {
+		st := NewStore()
+		for _, tr := range world {
+			st.Add(tr)
+		}
+		var seeded []Var
+		for v := range tc.seed {
+			seeded = append(seeded, v)
+		}
+		m := st.Compile(tc.patterns, seeded...)
+		row := make([]rdf.Term, len(m.Vars()))
+		for i, v := range seeded {
+			row[i] = tc.seed[v]
+		}
+		before := append([]rdf.Term(nil), row...)
+		var got []Binding
+		err := m.Match(context.Background(), row, tc.limit, func(row []rdf.Term) bool {
+			b := Binding{}
+			for i, v := range m.Vars() {
+				b[v] = row[i]
+			}
+			got = append(got, b)
+			if tc.onRow != nil {
+				tc.onRow(st, len(got))
+			}
+			return len(got) != tc.stopAt
 		})
-		// Brute force.
-		var want int
-		for _, t1 := range st.Match(rdf.Triple{P: rdf.NewIRI("p")}) {
-			for _, t2 := range st.Match(rdf.Triple{P: rdf.NewIRI("q")}) {
-				if t1.O == t2.S {
-					want++
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(row, before) {
+			t.Errorf("%s: Match left the row as %v, it was passed %v", tc.name, row, before)
+		}
+		var full []Binding
+		if tc.want != nil {
+			full = tc.want(st)
+		} else {
+			for _, b := range bruteForce(world, tc.patterns) {
+				keep := true
+				for v, t := range tc.seed {
+					keep = keep && b[v] == t
+				}
+				if keep {
+					full = append(full, b)
 				}
 			}
 		}
-		if len(got) != want {
-			t.Fatalf("seed %d: join returned %d rows, brute force %d", seed, len(got), want)
+		want, rows := renderBindings(full), renderBindings(got)
+		cut := len(want)
+		if tc.limit > 0 {
+			cut = min(cut, tc.limit)
 		}
-		// Every binding satisfies both patterns.
-		for _, b := range got {
-			if !st.Has(rdf.Triple{S: b["x"], P: rdf.NewIRI("p"), O: b["y"]}) ||
-				!st.Has(rdf.Triple{S: b["y"], P: rdf.NewIRI("q"), O: b["z"]}) {
-				t.Fatalf("seed %d: invalid binding %v", seed, b)
+		if tc.stopAt > 0 {
+			cut = min(cut, tc.stopAt)
+		}
+		if cut == len(want) {
+			if !reflect.DeepEqual(rows, want) {
+				t.Errorf("%s:\n got  %q\n want %q", tc.name, rows, want)
 			}
+			continue
+		}
+		// Cut short: exactly cut distinct rows of the full answer.
+		in := map[string]bool{}
+		for _, r := range want {
+			in[r] = true
+		}
+		for i, r := range rows {
+			if !in[r] || (i > 0 && rows[i-1] == r) {
+				t.Errorf("%s: row %q is not a distinct row of the answer %q", tc.name, r, want)
+			}
+		}
+		if len(rows) != cut {
+			t.Errorf("%s: %d rows, want %d of %d", tc.name, len(rows), cut, len(want))
 		}
 	}
 }
@@ -245,8 +409,8 @@ func TestParsePatternTermQuoteErrors(t *testing.T) {
 }
 
 func TestParsePatternUnclosedQuoteToEOL(t *testing.T) {
-	// rejoinQuoted swallows to end of line; the unterminated literal must
-	// surface as a parse error, not silently become an IRI.
+	// An unterminated literal runs to the end of the line and must surface
+	// as a parse error, not silently become an IRI.
 	if _, err := ParsePattern(`?x label "steve jobs`); err == nil {
 		t.Error("unclosed quote running to end of line should be a parse error")
 	}
@@ -420,5 +584,61 @@ func TestQueryImpossiblePatternShortCircuits(t *testing.T) {
 	})
 	if got != nil {
 		t.Errorf("impossible conjunction returned %v", got)
+	}
+}
+
+// ParsePattern never panics, and a pattern it accepts survives the wire:
+// rendered the way internal/shardkb's FormatPattern renders it ("?name"
+// for a variable, the N-Triples form for a constant) it parses back to
+// itself.
+func FuzzParsePattern(f *testing.F) {
+	for _, seed := range []string{
+		"?p kb:founded ?c", "<kb:jobs> <kb:founded> <kb:apple> .", `?x label "Steve Jobs"`,
+		`?x says "two  spaces and a trailing one "`, `?x says "café <&>  "@fr`, `?x born "1955-02-24"^^<xsd:date>`,
+		`?x says "a \"quoted\" \\ word" .`, `?x " ?y`, `?x label "steve jobs`, "only two", "?x ?x ?x", "a\tb c  d", `"s" "p" "o"`, "?",
+		"0 0 \"\r\x8c\"", // found by this target: an escape next to a byte that is not UTF-8
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		p, err := ParsePattern(line)
+		if err != nil {
+			return
+		}
+		render := func(pt PatternTerm) string {
+			if pt.Var != "" {
+				return "?" + string(pt.Var)
+			}
+			return pt.Const.String()
+		}
+		wire := render(p.S) + " " + render(p.P) + " " + render(p.O)
+		if back, err := ParsePattern(wire); err != nil || back != p {
+			t.Fatalf("%q parsed to %+v, whose wire form %q parses to %+v, %v", line, p, wire, back, err)
+		}
+	})
+}
+
+// A literal reaches ParsePatternTerm with the blanks it was written with:
+// the line is cut at blanks outside quotes only.
+func TestParsePatternKeepsBlanksInsideLiterals(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want rdf.Term
+	}{
+		{`?x says "two  spaces"`, rdf.NewLiteral("two  spaces")},
+		{`?x says "trailing one " .`, rdf.NewLiteral("trailing one ")},
+		{"?x   says\t\" tab\there \"@en", rdf.NewLangLiteral(" tab\there ", "en")},
+		{`?x says "a \" quote  and \\"^^<xsd:string>  .  `, rdf.NewTypedLiteral(`a " quote  and \`, "xsd:string")},
+		{`?x says " . "`, rdf.NewLiteral(" . ")},
+	} {
+		p, err := ParsePattern(tc.line)
+		if err != nil || p.S.Var != "x" || p.P.Const != rdf.NewIRI("says") || p.O.Const != tc.want {
+			t.Errorf("ParsePattern(%q) = %+v, %v; want object %v", tc.line, p, err, tc.want)
+		}
+	}
+	for _, bad := range []string{`?x says "a" "b"`, `?x says "a"b c`, `?x says "open  `, `?x "a  b`, `?x says`} {
+		if p, err := ParsePattern(bad); err == nil {
+			t.Errorf("ParsePattern(%q) = %+v, want an error", bad, p)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -26,26 +27,23 @@ import (
 //	#!meta <conf> <begin> <end> <source...>
 //	#!kbcrc <crc32-hex> <fact-count>
 //
-// A meta line applies to the immediately preceding fact line. The
-// "#!kbsnap" header carries the format version: version >= 2 means meta
-// sources are escaped (escapeMetaSource; Load unescapes only then, so
-// legacy snapshots written before escaping existed load their sources —
-// backslash sequences included — verbatim), and version >= 3 means the
-// snapshot ends in a mandatory "#!kbcrc" trailer: a CRC32 (IEEE) over
-// every preceding line (normalized to "\n" endings) plus the fact
-// count. Load verifies the trailer, so a torn write — a crash mid-save,
-// a truncated copy, a flipped bit — is a loud integrity error instead of
-// a silently short KB. Trailer-less version <= 2 snapshots still load.
+// The first line is the "#!kbsnap 3" header; there is one format, and Load
+// reads no other. A meta line applies to the immediately preceding fact
+// line; its source went through escapeMetaSource. The snapshot ends in a
+// mandatory "#!kbcrc" trailer: a CRC32 (IEEE) over every preceding line
+// (normalized to "\n" endings) plus the fact count. Load verifies header
+// and trailer on a first pass that inserts nothing, so a torn write — a
+// crash mid-save, a truncated copy, a flipped bit — is a loud integrity
+// error and an untouched store instead of a silently short KB.
 
-// snapshotVersion is the format version Save writes; see the layout
-// comment for what each version guarantees.
-const snapshotVersion = 3
-
-// snapshotHeader marks a snapshot written by the current writer.
+// snapshotHeader is the first line of every snapshot.
 const snapshotHeader = "#!kbsnap 3"
 
-// crcPrefix starts the integrity trailer line.
-const crcPrefix = "#!kbcrc "
+// crcPrefix starts the integrity trailer line, metaPrefix a metadata line.
+const (
+	crcPrefix  = "#!kbcrc "
+	metaPrefix = "#!meta "
+)
 
 // Save writes the store to w. Facts appear in insertion order. The fact
 // list and metadata are captured in one consistent view before
@@ -95,7 +93,7 @@ func (st *Store) SaveShards(ws []io.Writer, shardOf func(rdf.Triple) int) error 
 			return fmt.Errorf("core: save: %w", err)
 		}
 		if m := infos[i]; m != nil {
-			line := fmt.Sprintf("#!meta %g %d %d %s\n", m.Confidence, m.Time.Begin, m.Time.End, escapeMetaSource(m.Source))
+			line := fmt.Sprintf(metaPrefix+"%g %d %d %s\n", m.Confidence, m.Time.Begin, m.Time.End, escapeMetaSource(m.Source))
 			if _, err := bw.WriteString(line); err != nil {
 				return fmt.Errorf("core: save: %w", err)
 			}
@@ -169,38 +167,54 @@ func (st *Store) SaveShardFiles(paths []string, shardOf func(rdf.Triple) int) (e
 // them through the batch write path.
 const loadBatchSize = 4096
 
-// Load reads a snapshot produced by Save into an empty-or-existing store.
-// Facts are asserted through the batch write path in chunks of
-// loadBatchSize. It returns the number of facts loaded.
+// Load reads a snapshot produced by Save into an empty-or-existing store,
+// from r's current offset, and returns the number of facts loaded: 0 with
+// any error.
 //
-// Snapshots with a version >= 3 header must end in a valid "#!kbcrc"
-// trailer; a missing trailer (truncated file), a CRC mismatch (corrupted
-// bytes), or a fact-count mismatch fails the load, so a torn snapshot
-// can never silently serve as a short KB. Older snapshots have no
-// trailer and load as before.
-func (st *Store) Load(r io.Reader) (int, error) {
+// It reads r twice. The first pass inserts nothing and checks integrity:
+// the "#!kbsnap 3" header, exactly one well-formed "#!kbcrc" trailer with
+// nothing after it, the CRC of every line before the trailer, and the
+// fact count. Any of those failing — and a read or seek error — leaves the
+// store exactly as it was, so a truncated, bit-flipped or foreign file
+// never half-loads. The second pass parses the lines and asserts the facts
+// through the batch write path in chunks of loadBatchSize. A fact or meta
+// line that does not parse although the trailer certifies it (a snapshot
+// written wrong, not one torn afterwards) is found only there, after the
+// chunks before it went in: that error, alone, can leave a prefix behind.
+func (st *Store) Load(r io.ReadSeeker) (n int, err error) {
+	start, err := r.Seek(0, io.SeekCurrent)
+	if err == nil {
+		_, err = readSnapshot(r, nil)
+	}
+	if err == nil {
+		_, err = r.Seek(start, io.SeekStart)
+	}
+	if err == nil {
+		n, err = readSnapshot(r, st)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("core: load: %w", err)
+	}
+	return n, nil
+}
+
+// readSnapshot is the one pass over a snapshot's lines that Load runs
+// twice: with a nil store it checks header, trailer, CRC and fact count
+// and parses nothing; with a store it also parses and inserts.
+func readSnapshot(r io.Reader, st *Store) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	n := 0
 	lineNo := 0
-	escaped := false     // header version >= 2: meta sources are escaped
-	crcRequired := false // header version >= 3: trailer must be present
 	sawTrailer := false
 	// The running CRC hashes each content line normalized to a "\n"
 	// ending — exactly the bytes SaveShards wrote (it never emits \r),
 	// while staying robust to CRLF translation in transit.
-	crc := crc32.NewIEEE()
+	crc := uint32(0)
 	var (
 		pending []rdf.Triple
 		infos   []*FactInfo
 	)
-	flush := func() {
-		if len(pending) > 0 {
-			st.addBatch(pending, infos)
-			pending = pending[:0]
-			infos = infos[:0]
-		}
-	}
 	for sc.Scan() {
 		lineNo++
 		// Trim only line-ending characters: the scanner already stripped
@@ -208,74 +222,76 @@ func (st *Store) Load(r io.Reader) (int, error) {
 		// trailing spaces/tabs must survive — escapeMetaSource wrote meta
 		// sources byte-faithfully, and a TrimSpace here would silently
 		// mangle a source with trailing whitespace on reload.
-		line := strings.TrimRight(sc.Text(), "\r")
+		line := bytes.TrimRight(sc.Bytes(), "\r")
+		if lineNo == 1 && string(line) != snapshotHeader {
+			return 0, fmt.Errorf("line 1: not a snapshot: want %q, got %.40q", snapshotHeader, line)
+		}
 		// Classify on a left-trimmed view so hand-indented comment and
 		// meta lines still parse, without disturbing the trailing bytes.
-		ltrim := strings.TrimLeft(line, " \t")
-		if strings.HasPrefix(ltrim, crcPrefix) {
+		ltrim := bytes.TrimLeft(line, " \t")
+		blank := len(bytes.TrimSpace(ltrim)) == 0
+		if bytes.HasPrefix(ltrim, []byte(crcPrefix)) {
 			if sawTrailer {
-				return n, fmt.Errorf("core: load: line %d: duplicate %strailer", lineNo, crcPrefix)
+				return 0, fmt.Errorf("line %d: duplicate %strailer", lineNo, crcPrefix)
 			}
-			if err := verifyCRCTrailer(ltrim, crc.Sum32(), n); err != nil {
-				return n, fmt.Errorf("core: load: line %d: %w", lineNo, err)
+			if err := verifyCRCTrailer(string(ltrim), crc, n); err != nil {
+				return 0, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			sawTrailer = true
 			continue
 		}
-		if sawTrailer && strings.TrimSpace(ltrim) != "" {
-			return n, fmt.Errorf("core: load: line %d: content after %strailer", lineNo, crcPrefix)
+		if sawTrailer && !blank {
+			return 0, fmt.Errorf("line %d: content after %strailer", lineNo, crcPrefix)
 		}
-		crc.Write([]byte(line))
-		crc.Write([]byte{'\n'})
+		crc = crc32.Update(crc, crc32.IEEETable, line)
+		crc = crc32.Update(crc, crc32.IEEETable, newline)
 		switch {
-		case strings.TrimSpace(ltrim) == "":
-			continue
-		case strings.HasPrefix(ltrim, "#!kbsnap"):
-			escaped = true
-			if v, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(ltrim, "#!kbsnap"))); err == nil && v >= 3 {
-				crcRequired = true
+		case blank:
+		case bytes.HasPrefix(ltrim, []byte(metaPrefix)):
+			if st == nil {
+				continue
 			}
-			continue
-		case strings.HasPrefix(ltrim, "#!meta "):
 			if len(pending) == 0 {
-				return n, fmt.Errorf("core: load: line %d: meta without preceding fact", lineNo)
+				return 0, fmt.Errorf("line %d: meta without preceding fact", lineNo)
 			}
-			info, err := parseMetaLine(ltrim, escaped)
+			info, err := parseMetaLine(string(ltrim))
 			if err != nil {
-				return n, fmt.Errorf("core: load: line %d: %w", lineNo, err)
+				return 0, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			infos[len(infos)-1] = &info
-		case strings.HasPrefix(ltrim, "#"):
-			continue
+		case ltrim[0] == '#':
 		default:
-			t, err := rdf.ParseTriple(strings.TrimSpace(line))
+			n++
+			if st == nil {
+				continue
+			}
+			t, err := rdf.ParseTriple(string(bytes.TrimSpace(line)))
 			if err != nil {
-				return n, fmt.Errorf("core: load: line %d: %w", lineNo, err)
+				return 0, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+			// Flush before this fact rather than after it, so the fact a
+			// following meta line applies to is always still pending.
+			if len(pending) >= loadBatchSize {
+				st.addBatch(pending, infos)
+				pending, infos = pending[:0], infos[:0]
 			}
 			pending = append(pending, t)
 			infos = append(infos, nil)
-			n++
-			if len(pending) >= loadBatchSize {
-				// Flush only up to the last fact so a following meta
-				// line can still attach to it.
-				keepT, keepI := pending[len(pending)-1], infos[len(infos)-1]
-				pending = pending[:len(pending)-1]
-				infos = infos[:len(infos)-1]
-				flush()
-				pending = append(pending, keepT)
-				infos = append(infos, keepI)
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("core: load: %w", err)
+		return 0, err
 	}
-	if crcRequired && !sawTrailer {
-		return n, fmt.Errorf("core: load: truncated snapshot: missing %strailer after %d facts", crcPrefix, n)
+	if !sawTrailer {
+		return 0, fmt.Errorf("truncated snapshot: missing %strailer after %d facts", crcPrefix, n)
 	}
-	flush()
+	if st != nil {
+		st.addBatch(pending, infos)
+	}
 	return n, nil
 }
+
+var newline = []byte{'\n'}
 
 // verifyCRCTrailer checks one "#!kbcrc <hex> <count>" line against the
 // running CRC and fact count.
@@ -301,11 +317,9 @@ func verifyCRCTrailer(line string, gotCRC uint32, gotFacts int) error {
 	return nil
 }
 
-// parseMetaLine decodes one "#!meta" line. escaped reports whether the
-// snapshot carries the version header, i.e. its sources were written by
-// escapeMetaSource and must be unescaped; legacy sources load verbatim.
-func parseMetaLine(line string, escaped bool) (FactInfo, error) {
-	fields := strings.SplitN(strings.TrimPrefix(line, "#!meta "), " ", 4)
+// parseMetaLine decodes one "#!meta" line, unescaping its source.
+func parseMetaLine(line string) (FactInfo, error) {
+	fields := strings.SplitN(strings.TrimPrefix(line, metaPrefix), " ", 4)
 	if len(fields) < 3 {
 		return FactInfo{}, fmt.Errorf("malformed meta line %q", line)
 	}
@@ -323,17 +337,14 @@ func parseMetaLine(line string, escaped bool) (FactInfo, error) {
 	}
 	src := ""
 	if len(fields) == 4 {
-		src = fields[3]
-		if escaped {
-			src = unescapeMetaSource(src)
-		}
+		src = unescapeMetaSource(fields[3])
 	}
 	return FactInfo{Confidence: conf, Source: src, Time: Interval{begin, end}}, nil
 }
 
 // escapeMetaSource makes a FactInfo.Source safe to embed in a single
 // "#!meta" line: backslashes and line breaks — which would otherwise split
-// the meta line and corrupt the snapshot for Load — are escaped so the
+// the meta line and corrupt the snapshot for Load — become escapes so the
 // line-oriented format round-trips any source string.
 func escapeMetaSource(s string) string {
 	if !strings.ContainsAny(s, "\\\n\r") {
@@ -356,11 +367,9 @@ func escapeMetaSource(s string) string {
 	return b.String()
 }
 
-// unescapeMetaSource inverts escapeMetaSource. It is only applied to
-// snapshots carrying the version header (see parseMetaLine): escaping
-// writers always escape backslashes, so within a versioned snapshot every
-// `\n`, `\r` and `\\` sequence is an escape, and unknown sequences (which
-// an escaping writer never emits) pass through verbatim.
+// unescapeMetaSource inverts escapeMetaSource. The writer always escapes
+// backslashes, so every `\n`, `\r` and `\\` sequence is an escape, and
+// unknown sequences (which it never emits) pass through verbatim.
 func unescapeMetaSource(s string) string {
 	if !strings.Contains(s, `\`) {
 		return s

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +30,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	st2 := NewStore()
-	n, err := st2.Load(&buf)
+	n, err := st2.Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -61,11 +63,27 @@ func TestSnapshotSkipsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := NewStore()
-	if n, err := st2.Load(&buf); err != nil || n != 1 {
+	if n, err := st2.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 1 {
 		t.Fatalf("Load = %d, %v", n, err)
 	}
 }
 
+// sealed wraps fact, meta and comment lines the way a writer other than
+// Save would have to: under the v3 header, over a computed trailer.
+func sealed(lines string) string {
+	content := snapshotHeader + "\n" + lines
+	facts := 0
+	for _, l := range strings.Split(lines, "\n") {
+		if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "#") {
+			facts++
+		}
+	}
+	return fmt.Sprintf("%s%s%08x %d\n", content, crcPrefix, crc32.ChecksumIEEE([]byte(content)), facts)
+}
+
+// Lines that do not parse fail the load even when the trailer certifies
+// them: the integrity pass accepts each of these files, the insert pass
+// rejects it.
 func TestLoadErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -80,20 +98,27 @@ func TestLoadErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st := NewStore()
-			if _, err := st.Load(strings.NewReader(c.in)); err == nil {
-				t.Errorf("Load(%q) should fail", c.in)
+			in := sealed(c.in)
+			if _, err := readSnapshot(strings.NewReader(in), nil); err != nil {
+				t.Fatalf("integrity pass over %q: %v", in, err)
+			}
+			if n, err := NewStore().Load(strings.NewReader(in)); err == nil || n != 0 {
+				t.Errorf("Load(%q) = %d, %v; want 0 and an error", in, n, err)
 			}
 		})
 	}
 }
 
+// Plain "#" comments are skipped, and hashed like any other line.
 func TestLoadIgnoresPlainComments(t *testing.T) {
-	in := "# header comment\n<a> <p> <b> .\n# tail\n"
+	in := sealed("# header comment\n<a> <p> <b> .\n  # indented\n# tail\n")
 	st := NewStore()
 	n, err := st.Load(strings.NewReader(in))
-	if err != nil || n != 1 {
+	if err != nil || n != 1 || !st.Has(rdf.T("a", "p", "b")) {
 		t.Fatalf("Load = %d, %v", n, err)
+	}
+	if _, err := NewStore().Load(strings.NewReader(strings.Replace(in, "# tail", "# tale", 1))); err == nil {
+		t.Error("an edited comment did not fail the CRC")
 	}
 }
 
@@ -117,7 +142,7 @@ func TestSnapshotRoundTripQuick(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2 := NewStore()
-		if _, err := st2.Load(&buf); err != nil {
+		if _, err := st2.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		if st2.Len() != st.Len() {
@@ -190,29 +215,6 @@ func TestSnapshotRoundTripHostileSources(t *testing.T) {
 	}
 }
 
-// Legacy snapshots — no "#!kbsnap" header, written before source escaping
-// existed — must load their backslashes verbatim, including sequences
-// that look like escapes (\n, \r, \\).
-func TestSnapshotLegacyBackslashSource(t *testing.T) {
-	for _, src := range []string{
-		`C:\data\articles`,
-		`C:\network\new`, // \n must stay a literal backslash-n, not a newline
-		`C:\raw\route`,   // likewise \r
-		`double\\slash`,
-	} {
-		snapshot := "<kb:s> <kb:p> <kb:o> .\n#!meta 0.5 1 2 " + src + "\n"
-		st := NewStore()
-		if _, err := st.Load(strings.NewReader(snapshot)); err != nil {
-			t.Fatal(err)
-		}
-		id, _ := st.FactOf(rdf.T("kb:s", "kb:p", "kb:o"))
-		info, _ := st.Info(id)
-		if info.Source != src {
-			t.Errorf("legacy source = %q, want %q", info.Source, src)
-		}
-	}
-}
-
 // Regression: Load used to TrimSpace every line, silently mangling meta
 // sources with leading or trailing spaces/tabs that escapeMetaSource had
 // faithfully written. Only line-ending characters may be trimmed, so
@@ -251,17 +253,18 @@ func TestSnapshotSourceWhitespaceRoundTrip(t *testing.T) {
 	}
 }
 
-// A snapshot whose final fact line lacks a trailing newline (truncated
-// copy, hand-edited file) must still load every fact.
+// A snapshot whose last line — the trailer — lacks its final newline
+// (hand-edited file, a copy tool that strips it) still verifies and loads
+// every fact.
 func TestLoadNoTrailingNewline(t *testing.T) {
-	in := "#!kbsnap 2\n<kb:a> <kb:p> <kb:b> .\n#!meta 0.5 1 2 src\n<kb:c> <kb:p> <kb:d> ."
+	in := strings.TrimSuffix(sealed("<kb:a> <kb:p> <kb:b> .\n#!meta 0.5 1 2 src\n<kb:c> <kb:p> <kb:d> .\n"), "\n")
 	st := NewStore()
 	n, err := st.Load(strings.NewReader(in))
 	if err != nil || n != 2 {
 		t.Fatalf("Load = %d, %v", n, err)
 	}
 	if !st.Has(rdf.T("kb:c", "kb:p", "kb:d")) {
-		t.Error("final newline-less fact missing")
+		t.Error("final fact missing")
 	}
 	id, _ := st.FactOf(rdf.T("kb:a", "kb:p", "kb:b"))
 	if info, _ := st.Info(id); info.Source != "src" {
@@ -389,8 +392,8 @@ func TestSaveShardsRoundTrip(t *testing.T) {
 }
 
 // The version header makes a snapshot self-describing: Save's output
-// carries it, Load treats it as a comment-compatible marker, and other
-// "#"-prefixed lines still load as before.
+// starts with it, and a source escaped on the way out is unescaped on the
+// way in.
 func TestSnapshotHeaderWrittenAndGatesUnescaping(t *testing.T) {
 	st := NewStore()
 	id := st.Add(rdf.T("kb:s", "kb:p", "kb:o"))
@@ -415,7 +418,7 @@ func TestSnapshotHeaderWrittenAndGatesUnescaping(t *testing.T) {
 
 // The v3 trailer turns torn writes into loud errors: a truncated copy, a
 // flipped bit, a wrong fact count, or trailing garbage must all fail the
-// load, while trailer-less legacy snapshots keep loading.
+// load, and so do the formats that predate the trailer.
 func TestSnapshotCRCDetectsCorruption(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 20; i++ {
@@ -444,22 +447,16 @@ func TestSnapshotCRCDetectsCorruption(t *testing.T) {
 		{"content after trailer", good + "<kb:x> <kb:p> <kb:y> .\n"},
 		{"duplicate trailer", good + good[strings.Index(good, "#!kbcrc "):]},
 		{"malformed trailer", strings.Replace(good, "#!kbcrc ", "#!kbcrc zz ", 1)},
+		{"legacy: no header, no trailer", "<kb:a> <kb:p> <kb:b> .\n#!meta 0.5 1 2 src\n"},
+		{"v2: an older header, no trailer", "#!kbsnap 2\n<kb:a> <kb:p> <kb:b> .\n"},
+		{"v2 header over a valid trailer", strings.Replace(sealed("<kb:a> <kb:p> <kb:b> .\n"), "#!kbsnap 3", "#!kbsnap 2", 1)},
+		{"header not on the first line", "\n" + good},
+		{"empty", ""},
 	}
 	for _, tc := range cases {
-		if _, err := NewStore().Load(strings.NewReader(tc.data)); err == nil {
-			t.Errorf("%s: load succeeded, want integrity error", tc.name)
+		if n, err := NewStore().Load(strings.NewReader(tc.data)); err == nil || n != 0 {
+			t.Errorf("%s: load = %d, %v; want 0 and an integrity error", tc.name, n, err)
 		}
-	}
-
-	// Legacy: no header, no trailer — still loads.
-	legacy := "<kb:a> <kb:p> <kb:b> .\n#!meta 0.5 1 2 src\n"
-	if n, err := NewStore().Load(strings.NewReader(legacy)); err != nil || n != 1 {
-		t.Errorf("legacy load = %d, %v; want 1, nil", n, err)
-	}
-	// v2: header but no trailer — still loads (written before trailers).
-	v2 := "#!kbsnap 2\n<kb:a> <kb:p> <kb:b> .\n"
-	if n, err := NewStore().Load(strings.NewReader(v2)); err != nil || n != 1 {
-		t.Errorf("v2 load = %d, %v; want 1, nil", n, err)
 	}
 }
 
@@ -552,4 +549,91 @@ func TestSaveShardFiles(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != len(paths) {
 		t.Fatalf("directory holds %d entries, want %d (no temp litter)", len(entries), len(paths))
 	}
+}
+
+// A snapshot that fails verification must not leave a single fact, term
+// or generation bump behind: Load checks header, trailer, CRC and count
+// over the whole file before it inserts anything. The store then loads a
+// good snapshot as if nothing had happened.
+func TestLoadRejectedLeavesStoreUntouched(t *testing.T) {
+	src := NewStore()
+	for i := 0; i < 10000; i++ {
+		id := src.Add(rdf.T(fmt.Sprintf("kb:e%d", i), "kb:rel", fmt.Sprintf("kb:v%d", i%97)))
+		if i%5 == 0 {
+			src.SetInfo(id, FactInfo{Confidence: 0.5, Source: "src", Time: Interval{1, 2}})
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	flipped := []byte(good)
+	flipped[strings.Index(good, "<kb:e9990>")+5] ^= 0x01 // one bit, ten facts from the end
+	trailer := strings.LastIndex(good, crcPrefix)
+
+	st := NewStore()
+	for _, tc := range []struct{ name, data string }{
+		{"flipped byte near the end", string(flipped)},
+		{"truncated", good[:len(good)-200]},
+		{"wrong trailer count", good[:trailer] + strings.Replace(good[trailer:], " 10000\n", " 9999\n", 1)},
+		{"missing header", strings.TrimPrefix(good, snapshotHeader+"\n")},
+		{"#!kbsnap 2 header", strings.Replace(good, snapshotHeader, "#!kbsnap 2", 1)},
+	} {
+		if tc.data == good {
+			t.Fatalf("%s: the corruption did not apply", tc.name)
+		}
+		n, err := st.Load(strings.NewReader(tc.data))
+		if err == nil || n != 0 {
+			t.Errorf("%s: Load = %d, %v; want 0 and an error", tc.name, n, err)
+		}
+		if st.Len() != 0 || st.TermCount() != 0 || st.WriteGen() != 0 {
+			t.Fatalf("%s: rejected load left %d facts, %d terms, write generation %d", tc.name, st.Len(), st.TermCount(), st.WriteGen())
+		}
+	}
+	if n, err := st.Load(strings.NewReader(good)); err != nil || n != 10000 || st.Len() != 10000 {
+		t.Fatalf("good snapshot after the rejections: Load = %d, %v; Len %d", n, err, st.Len())
+	}
+	if !reflect.DeepEqual(st.All(), src.All()) {
+		t.Error("the loaded facts differ from the saved ones")
+	}
+}
+
+// Load never panics; an input that fails the integrity pass leaves the
+// store empty; an input it accepts is a KB that Save and Load reproduce.
+// Each input is tried as it is and sealed under a computed trailer, so the
+// fuzzer reaches the parsing pass without having to guess a CRC.
+func FuzzLoad(f *testing.F) {
+	f.Add([]byte("<kb:a> <kb:p> <kb:b> .\n#!meta 0.5 1 2 a\\nb \n# note\n<kb:a> <kb:q> \"x  y \"@en .\n"))
+	f.Add([]byte("#!meta 0.5 0 1 src\n"))
+	f.Add([]byte("<a> <p>\r\n<a> <p> <b> .\r\n"))
+	f.Add([]byte(sealed("<a> <p> <b> .\n")))
+	f.Add([]byte("#!kbsnap 2\n<a> <p> <b> .\n"))
+	f.Add([]byte(snapshotHeader + "\n<a> <p> <b> .\n#!kbcrc 00000000 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, []byte(sealed(string(data)))} {
+			st := NewStore()
+			n, err := st.Load(bytes.NewReader(in))
+			if _, verr := readSnapshot(bytes.NewReader(in), nil); verr != nil {
+				if err == nil || n != 0 || st.Len() != 0 || st.TermCount() != 0 || st.WriteGen() != 0 {
+					t.Fatalf("integrity pass says %v, yet Load = %d, %v and the store holds %d facts, %d terms", verr, n, err, st.Len(), st.TermCount())
+				}
+				continue
+			}
+			if err != nil {
+				continue // certified by its trailer but unparsable: a prefix may remain
+			}
+			var buf bytes.Buffer
+			if err := st.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back := NewStore()
+			if _, err := back.Load(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("re-load of an accepted snapshot: %v\n%s", err, buf.String())
+			}
+			if !reflect.DeepEqual(back.All(), st.All()) {
+				t.Fatalf("Save/Load changed the facts:\n got  %v\n want %v", back.All(), st.All())
+			}
+		}
+	})
 }

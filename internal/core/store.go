@@ -97,18 +97,6 @@ func (st *Store) lookup(t rdf.Term) (ID, bool) {
 	return st.dict.lookup(t)
 }
 
-// Term returns the term for an ID. The zero or an unknown ID yields the
-// zero Term.
-func (st *Store) Term(id ID) rdf.Term {
-	return st.dict.term(id)
-}
-
-// TermID returns the dictionary ID for a term, or false if it has never
-// been seen by this store.
-func (st *Store) TermID(t rdf.Term) (ID, bool) {
-	return st.dict.lookup(t)
-}
-
 // Add asserts a triple and returns its FactID. Adding an existing live
 // triple is idempotent and returns the original FactID.
 func (st *Store) Add(t rdf.Triple) FactID {
@@ -380,16 +368,6 @@ func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 	var out []rdf.Triple
 	st.MatchFunc(pattern, func(_ FactID, t rdf.Triple) bool {
 		out = append(out, t)
-		return true
-	})
-	return out
-}
-
-// MatchFacts is Match but returns fact IDs.
-func (st *Store) MatchFacts(pattern rdf.Triple) []FactID {
-	var out []FactID
-	st.MatchFunc(pattern, func(id FactID, _ rdf.Triple) bool {
-		out = append(out, id)
 		return true
 	})
 	return out

@@ -199,24 +199,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestTermIDRoundTrip(t *testing.T) {
-	st := NewStore()
-	st.Add(rdf.T("a", "p", "b"))
-	id, ok := st.TermID(rdf.NewIRI("a"))
-	if !ok {
-		t.Fatal("TermID should find interned term")
-	}
-	if got := st.Term(id); got.Value != "a" {
-		t.Errorf("Term(%d) = %v", id, got)
-	}
-	if _, ok := st.TermID(rdf.NewIRI("unseen")); ok {
-		t.Error("unseen term should not resolve")
-	}
-	if !st.Term(ID(9999)).IsZero() {
-		t.Error("out-of-range ID should yield zero term")
-	}
-}
-
 func TestFactOf(t *testing.T) {
 	st := NewStore()
 	id := st.Add(rdf.T("a", "p", "b"))

@@ -1,6 +1,6 @@
 // Package eval provides the shared evaluation harness: precision, recall,
 // F1, accuracy, set-based scoring against gold standards, and aligned
-// text-table rendering for the experiment reports in EXPERIMENTS.md.
+// text-table rendering for the experiment tables cmd/benchrunner prints.
 package eval
 
 import (

@@ -1,12 +1,13 @@
 // Package experiments implements the reproduction's benchmark harness:
-// one function per experiment in DESIGN.md §4 (E1–E16), each regenerating
-// the table recorded in EXPERIMENTS.md. cmd/benchrunner prints them all;
-// bench_test.go wraps each in a testing.B benchmark.
+// one function per experiment (E1–E16), each regenerating one table.
+// cmd/benchrunner prints them all; bench_test.go wraps each in a
+// testing.B benchmark.
 //
 // The source paper is a tutorial without numbered tables, so each
-// experiment reproduces a named claim of the tutorial (see DESIGN.md);
-// the assertion checked in each table is the *shape* — which method wins
-// and roughly by how much — not absolute numbers.
+// experiment reproduces a named claim of the tutorial (the Claim string
+// of its entry in All()); the assertion checked in each table is the
+// *shape* — which method wins and roughly by how much — not absolute
+// numbers.
 package experiments
 
 import (

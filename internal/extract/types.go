@@ -42,18 +42,6 @@ func (c Candidate) Key() string { return c.S + "\x00" + c.P + "\x00" + c.O }
 // provenance are carried separately, as core.FactInfo).
 func (c Candidate) Triple() rdf.Triple { return rdf.T(c.S, c.P, c.O) }
 
-// ToTriples converts candidates to parallel triple and confidence slices —
-// the shape the store's batch write path (AddBatchMeta) consumes.
-func ToTriples(cs []Candidate) ([]rdf.Triple, []float64) {
-	ts := make([]rdf.Triple, len(cs))
-	confs := make([]float64, len(cs))
-	for i, c := range cs {
-		ts[i] = c.Triple()
-		confs[i] = c.Confidence
-	}
-	return ts, confs
-}
-
 // Doc is a text with entity-mention annotations (an article body, a web
 // page, a post).
 type Doc struct {

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"testing"
+
+	"kbharvest/internal/rdf"
 )
 
 func TestSplitDoc(t *testing.T) {
@@ -88,17 +90,11 @@ func TestCandidateTriples(t *testing.T) {
 		{S: "kb:a", P: "kb:p", O: "kb:b", Confidence: 0.8},
 		{S: "kb:c", P: "kb:q", O: "kb:d", Confidence: 0.3},
 	}
-	ts, confs := ToTriples(cs)
-	if len(ts) != 2 || len(confs) != 2 {
-		t.Fatalf("got %d triples, %d confs", len(ts), len(confs))
-	}
-	if ts[0] != cs[0].Triple() {
-		t.Errorf("triple mismatch: %v vs %v", ts[0], cs[0].Triple())
+	ts := []rdf.Triple{cs[0].Triple(), cs[1].Triple()}
+	if ts[0] != rdf.T("kb:a", "kb:p", "kb:b") {
+		t.Errorf("triple mismatch: %v", ts[0])
 	}
 	if !ts[1].S.IsIRI() || ts[1].S.Value != "kb:c" || ts[1].O.Value != "kb:d" {
 		t.Errorf("bad triple %v", ts[1])
-	}
-	if confs[0] != 0.8 || confs[1] != 0.3 {
-		t.Errorf("bad confidences %v", confs)
 	}
 }

@@ -105,7 +105,6 @@ type Ingester struct {
 	err       error      // first write/context error, sticky
 	closed    bool
 	written   int // facts written to the sink
-	batches   int // batches written to the sink
 	producers []*Producer
 }
 
@@ -166,7 +165,6 @@ func (in *Ingester) settle(n int, err error) {
 	in.pending--
 	if n > 0 {
 		in.written += n
-		in.batches++
 	}
 	if err != nil && in.err == nil {
 		in.err = err
@@ -209,18 +207,11 @@ func (in *Ingester) state() error {
 	return nil
 }
 
-// Written returns the number of facts written to the sink so far.
-func (in *Ingester) Written() int {
+// writtenFacts returns the number of facts written to the sink so far.
+func (in *Ingester) writtenFacts() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.written
-}
-
-// Batches returns the number of batches written to the sink so far.
-func (in *Ingester) Batches() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.batches
 }
 
 // enqueue hands one batch to the drainers, blocking while the queue is
@@ -324,7 +315,6 @@ type Producer struct {
 	mu    sync.Mutex
 	ts    []rdf.Triple
 	infos []core.FactInfo
-	count int // facts emitted through this producer
 }
 
 func (p *Producer) reset() {
@@ -344,17 +334,10 @@ func (p *Producer) Emit(t rdf.Triple, info core.FactInfo) error {
 	}
 	p.ts = append(p.ts, t)
 	p.infos = append(p.infos, info)
-	p.count++
 	if len(p.ts) >= p.in.opt.BatchSize {
 		return p.flushLocked()
 	}
 	return nil
-}
-
-// EmitCandidate emits an extraction-shaped fact: triple plus confidence,
-// provenance, and temporal scope assembled into a FactInfo.
-func (p *Producer) EmitCandidate(t rdf.Triple, confidence float64, source string, time core.Interval) error {
-	return p.Emit(t, core.FactInfo{Confidence: confidence, Source: source, Time: time})
 }
 
 // Flush hands the current buffer to the drain queue without waiting for
@@ -372,11 +355,4 @@ func (p *Producer) flushLocked() error {
 	b := batch{ts: p.ts, infos: p.infos}
 	p.reset()
 	return p.in.enqueue(b)
-}
-
-// Emitted returns the number of facts emitted through this producer.
-func (p *Producer) Emitted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
 }

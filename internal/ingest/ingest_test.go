@@ -46,8 +46,8 @@ func TestFlushVisibility(t *testing.T) {
 	if got, want := st.Len(), producers*each; got != want {
 		t.Fatalf("after flush store has %d facts, want %d", got, want)
 	}
-	if in.Written() != producers*each {
-		t.Errorf("Written = %d, want %d", in.Written(), producers*each)
+	if in.writtenFacts() != producers*each {
+		t.Errorf("written = %d, want %d", in.writtenFacts(), producers*each)
 	}
 	// Metadata rode along.
 	id, ok := st.FactOf(rdf.T("kb:s0", "kb:p", "kb:o0"))
@@ -284,7 +284,7 @@ func TestDuplicatesCollapse(t *testing.T) {
 	if st.Len() != 5 {
 		t.Errorf("store has %d facts, want 5", st.Len())
 	}
-	if in.Written() != 400 {
-		t.Errorf("Written = %d, want 400", in.Written())
+	if in.writtenFacts() != 400 {
+		t.Errorf("written = %d, want 400", in.writtenFacts())
 	}
 }

@@ -408,12 +408,12 @@ type extractOut struct {
 	ivs  []core.Interval
 }
 
-// ExtractMapReduce runs pattern extraction as a map-reduce job: map =
+// extractMapReduce runs pattern extraction as a map-reduce job: map =
 // per-sentence extraction, reduce = dedup by fact key keeping max
-// confidence. This is the §3 "map-reduce computation" path, and the unit
-// experiment E8 scales over `workers`. Documents are fed to the job
-// through a channel; use extractStream via Run for scope collection.
-func ExtractMapReduce(ctx context.Context, docs []extract.Doc, pats []patterns.SurfacePattern, workers int) ([]extract.Candidate, error) {
+// confidence. This is the §3 "map-reduce computation" path over a fixed
+// slice of documents — the seam the worker-count determinism test drives;
+// Run feeds extractStream itself, with scope collection on.
+func extractMapReduce(ctx context.Context, docs []extract.Doc, pats []patterns.SurfacePattern, workers int) ([]extract.Candidate, error) {
 	records := make(chan interface{}, 1)
 	go func() {
 		defer close(records)

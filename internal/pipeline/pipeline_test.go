@@ -127,12 +127,13 @@ func TestTemporalScopesInKB(t *testing.T) {
 	}
 	scoped := 0
 	for _, rel := range relationIRIs() {
-		for _, id := range res.KB.MatchFacts(patternFor(rel)) {
+		res.KB.MatchFunc(patternFor(rel), func(id core.FactID, _ rdf.Triple) bool {
 			info, _ := res.KB.Info(id)
 			if info.Time.Begin != -1<<31 && info.Time.End != 1<<31-1 {
 				scoped++
 			}
-		}
+			return true
+		})
 	}
 	if scoped == 0 {
 		t.Error("no facts carry bounded temporal scopes")
@@ -146,12 +147,12 @@ func TestMapReduceWorkerEquivalence(t *testing.T) {
 	}, 96)
 	corpus := synth.BuildCorpus(w, synth.DefaultCorpusOptions())
 	docs := Docs(corpus)
-	base, err := ExtractMapReduce(context.Background(), docs, patterns.DefaultPatterns(), 1)
+	base, err := extractMapReduce(context.Background(), docs, patterns.DefaultPatterns(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := ExtractMapReduce(context.Background(), docs, patterns.DefaultPatterns(), workers)
+		got, err := extractMapReduce(context.Background(), docs, patterns.DefaultPatterns(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,13 +142,16 @@ func (t Term) Compare(u Term) int {
 	return strings.Compare(t.Datatype, u.Datatype)
 }
 
+// escapeLiteral and unescapeLiteral work byte by byte — every character
+// they treat specially is ASCII — so a value that is not valid UTF-8 comes
+// back with the bytes it went out with.
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -160,28 +163,29 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
 }
 
 func unescapeLiteral(s string) string {
-	if !strings.ContainsRune(s, '\\') {
+	if !strings.Contains(s, `\`) {
 		return s
 	}
 	var b strings.Builder
 	esc := false
-	for _, r := range s {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		if !esc {
-			if r == '\\' {
+			if c == '\\' {
 				esc = true
 			} else {
-				b.WriteRune(r)
+				b.WriteByte(c)
 			}
 			continue
 		}
-		switch r {
+		switch c {
 		case 'n':
 			b.WriteByte('\n')
 		case 'r':
@@ -189,7 +193,7 @@ func unescapeLiteral(s string) string {
 		case 't':
 			b.WriteByte('\t')
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 		esc = false
 	}

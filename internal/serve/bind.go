@@ -17,8 +17,9 @@ package serve
 // Pattern terms are in kbquery syntax (core.ParsePatternTerm), cells in
 // N-Triples syntax (rdf.ParseTerm / rdf.Term.String). A row of zero
 // variables is the empty array, so the first step of a join is the same
-// operation with "vars": [] and "rows": [[]]. Each row seeds the store's
-// index matcher (core.Store.MatchFunc) directly: no per-row query, no
+// operation with "vars": [] and "rows": [[]]. The pattern is compiled once
+// into the matcher /query runs (core.Matcher) with the request's variables
+// as its first slots, and each row seeds those slots: no per-row query, no
 // result-cache entry, no maps. bindwire.go holds the codec.
 
 import (
@@ -36,50 +37,29 @@ import (
 	"kbharvest/internal/rdf"
 )
 
-// bindPos is one position of a compiled /bind pattern: a constant, a
-// request column (in >= 0), or a column of the reply (out >= 0).
-type bindPos struct {
-	konst   rdf.Term
-	in, out int
-}
-
-// compileBind resolves the request's pattern against its bound variable
-// names and returns the per-position plan plus the variables the pattern
-// newly binds, in pattern order.
-func compileBind(req *bindRequest) (plan [3]bindPos, newVars []string, err error) {
-	for i, v := range req.Vars {
-		for _, u := range req.Vars[:i] {
-			if u == v {
-				return plan, nil, fmt.Errorf("vars: ?%s listed twice", v)
-			}
+// compileBind validates the request's pattern against its bound variable
+// names and compiles it with those names as the matcher's first slots.
+func (s *Server) compileBind(req *bindRequest) (*core.Matcher, error) {
+	var pts [3]core.PatternTerm
+	for i, term := range req.Pattern {
+		var err error
+		if pts[i], err = core.ParsePatternTerm(term); err != nil {
+			return nil, err
 		}
 	}
-	used := make([]bool, len(req.Vars))
-	for i, s := range req.Pattern {
-		pt, err := core.ParsePatternTerm(s)
-		if err != nil {
-			return plan, nil, err
+	p := core.Pattern{S: pts[0], P: pts[1], O: pts[2]}
+	seeded := make([]core.Var, 0, len(req.Vars))
+	for _, name := range req.Vars {
+		v := core.Var(name)
+		switch {
+		case slices.Contains(seeded, v):
+			return nil, fmt.Errorf("vars: ?%s listed twice", name)
+		case name == "" || (v != p.S.Var && v != p.P.Var && v != p.O.Var):
+			return nil, fmt.Errorf("vars: ?%s does not occur in the pattern", name)
 		}
-		plan[i] = bindPos{konst: pt.Const, in: -1, out: -1}
-		if pt.Var == "" {
-			continue
-		}
-		name := string(pt.Var)
-		if col := slices.Index(req.Vars, name); col >= 0 {
-			plan[i].in, used[col] = col, true
-			continue
-		}
-		if plan[i].out = slices.Index(newVars, name); plan[i].out < 0 {
-			plan[i].out = len(newVars)
-			newVars = append(newVars, name)
-		}
+		seeded = append(seeded, v)
 	}
-	for col, ok := range used {
-		if !ok {
-			return plan, nil, fmt.Errorf("vars: ?%s does not occur in the pattern", req.Vars[col])
-		}
-	}
-	return plan, newVars, nil
+	return s.st.Compile([]core.Pattern{p}, seeded...), nil
 }
 
 func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
@@ -97,10 +77,14 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
 		return
 	}
-	plan, newVars, err := compileBind(req)
+	m, err := s.compileBind(req)
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 		return
+	}
+	newVars := make([]string, 0, 3)
+	for _, v := range m.Vars()[len(req.Vars):] {
+		newVars = append(newVars, string(v))
 	}
 	terms := make([]rdf.Term, len(req.Cells))
 	for i, cell := range req.Cells {
@@ -127,7 +111,7 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	buf.from = append(buf.from, `,"from":[`...)
 	buf.rows = append(buf.rows[:0], `],"rows":[`...)
 	t0 := time.Now()
-	err = s.bind(ctx, plan, len(newVars), terms, req.N, buf)
+	err = bind(ctx, m, terms, req.N, buf)
 	s.lat.Observe(time.Since(t0))
 	if err != nil {
 		WriteQueryError(w, err)
@@ -148,55 +132,31 @@ type bindBuf struct{ from, rows []byte }
 
 var bindBufs = sync.Pool{New: func() interface{} { return new(bindBuf) }}
 
-// bind runs the compiled pattern once per request row, appending each
-// match's row index to buf.from and its new terms to buf.rows.
-func (s *Server) bind(ctx context.Context, plan [3]bindPos, width int, terms []rdf.Term, n int, buf *bindBuf) (err error) {
+// bind runs the compiled pattern once per request row — n rows, row-major
+// in terms, filling the matcher's first slots — appending each match's row
+// index to buf.from and the terms of its other slots to buf.rows.
+func bind(ctx context.Context, m *core.Matcher, terms []rdf.Term, n int, buf *bindBuf) error {
 	k := len(terms) / max(n, 1)
-	matches, emitted := 0, 0
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+	row := make([]rdf.Term, len(m.Vars()))
+	i, emitted := 0, 0
+	emit := func(row []rdf.Term) bool {
+		if emitted++; emitted > 1 {
+			buf.from, buf.rows = append(buf.from, ','), append(buf.rows, ',')
 		}
-		row := terms[i*k : (i+1)*k]
-		var seed [3]rdf.Term // unbound positions stay the zero term: the wildcard
-		for j, ps := range plan {
-			if seed[j] = ps.konst; ps.in >= 0 {
-				seed[j] = row[ps.in]
+		buf.from = strconv.AppendInt(buf.from, int64(i), 10)
+		buf.rows = append(buf.rows, '[')
+		for j, t := range row[k:] {
+			if j > 0 {
+				buf.rows = append(buf.rows, ',')
 			}
+			buf.rows = appendTermJSON(buf.rows, t)
 		}
-		s.st.MatchFunc(rdf.Triple{S: seed[0], P: seed[1], O: seed[2]}, func(_ core.FactID, t rdf.Triple) bool {
-			if matches++; matches&1023 == 0 {
-				if err = ctx.Err(); err != nil {
-					return false
-				}
-			}
-			got := [3]rdf.Term{t.S, t.P, t.O}
-			var out [3]rdf.Term
-			set := 0
-			for j, ps := range plan {
-				switch {
-				case ps.out < 0:
-				case set&(1<<ps.out) == 0:
-					out[ps.out], set = got[j], set|1<<ps.out
-				case out[ps.out] != got[j]:
-					return true // a variable repeated in the pattern met two terms
-				}
-			}
-			if emitted++; emitted > 1 {
-				buf.from, buf.rows = append(buf.from, ','), append(buf.rows, ',')
-			}
-			buf.from = strconv.AppendInt(buf.from, int64(i), 10)
-			buf.rows = append(buf.rows, '[')
-			for j := 0; j < width; j++ {
-				if j > 0 {
-					buf.rows = append(buf.rows, ',')
-				}
-				buf.rows = appendTermJSON(buf.rows, out[j])
-			}
-			buf.rows = append(buf.rows, ']')
-			return true
-		})
-		if err != nil {
+		buf.rows = append(buf.rows, ']')
+		return true
+	}
+	for ; i < n; i++ {
+		copy(row, terms[i*k:(i+1)*k])
+		if err := m.Match(ctx, row, 0, emit); err != nil {
 			return err
 		}
 	}

@@ -253,8 +253,10 @@ func TestParseBindBodyNeverPanics(t *testing.T) {
 	}
 }
 
-// AppendRowsResponse must put on the wire what BuildQueryResponse and
-// WriteJSON put there for the same solutions.
+// AppendRowsResponse must put on the wire what encoding/json puts there
+// for the QueryResponse holding the same solutions, whether the rows come
+// positional and unsorted (the router's join) or as bindings flattened by
+// BindingCells (kbserve, the router's single-pattern branch).
 func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 	terms := []rdf.Term{
 		rdf.NewIRI("kb:apple"), rdf.NewLiteral("quote \" backslash \\ newline \n tab \t"),
@@ -268,15 +270,33 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 		}
 		return resp
 	}
-	viaBindings := func(bs []core.Binding, hasVar, partial bool) QueryResponse {
-		resp := BuildQueryResponse(bs, hasVar)
-		resp.TookUS, resp.Partial = 42, partial
+	// The reference: the reply struct, filled by hand and encoded by
+	// encoding/json as the handlers did before they shared one encoder.
+	viaJSON := func(bs []core.Binding, hasVar, cached, partial bool) QueryResponse {
+		resp := QueryResponse{Count: len(bs), Cached: cached, TookUS: 42, Partial: partial}
+		if !hasVar {
+			ask := len(bs) > 0
+			resp.Ask, resp.Count = &ask, 0
+		} else if len(bs) > 0 {
+			for v := range bs[0] {
+				resp.Vars = append(resp.Vars, string(v))
+			}
+			sort.Strings(resp.Vars)
+			for _, b := range bs {
+				row := map[string]string{}
+				for v, term := range b {
+					row[string(v)] = term.String()
+				}
+				resp.Rows = append(resp.Rows, row)
+			}
+		}
 		rec := httptest.NewRecorder()
 		WriteJSON(rec, http.StatusOK, resp)
 		return decode(rec.Body.Bytes())
 	}
 	rng := rand.New(rand.NewSource(7))
 	vars := []string{"p", "city", "c\"x"} // unsorted, one needing an escape
+	pattern := []core.Pattern{{S: core.PVar(vars[0]), P: core.PVar(vars[1]), O: core.PVar(vars[2])}}
 	for n := 0; n < 5; n++ {
 		var cells []string
 		bs := make([]core.Binding, n)
@@ -288,18 +308,25 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 				cells = append(cells, term.String())
 			}
 		}
-		got := decode(AppendRowsResponse(nil, vars, cells, n, 42, n%2 == 1))
-		if want := viaBindings(bs, true, n%2 == 1); !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d:\n got  %+v\n want %+v", n, got, want)
+		cached, partial := n%2 == 0, n%2 == 1
+		want := viaJSON(bs, true, cached, partial)
+		if got := decode(AppendRowsResponse(nil, vars, cells, n, cached, 42, partial)); !reflect.DeepEqual(got, want) {
+			t.Errorf("positional, n=%d:\n got  %+v\n want %+v", n, got, want)
+		}
+		sortedVars, sortedCells := BindingCells(pattern, bs)
+		if got := decode(AppendRowsResponse(nil, sortedVars, sortedCells, n, cached, 42, partial)); !reflect.DeepEqual(got, want) {
+			t.Errorf("bindings, n=%d:\n got  %+v\n want %+v", n, got, want)
 		}
 	}
+	ask := []core.Pattern{{S: core.PIRI("kb:jobs"), P: core.PIRI("kb:founded"), O: core.PIRI("kb:apple")}}
 	for _, holds := range []bool{false, true} {
-		n, bs := 0, []core.Binding(nil)
+		var bs []core.Binding
 		if holds {
-			n, bs = 1, []core.Binding{{}}
+			bs = []core.Binding{{}}
 		}
-		got := decode(AppendRowsResponse(nil, nil, nil, n, 42, false))
-		if want := viaBindings(bs, false, false); !reflect.DeepEqual(got, want) || got.Ask == nil || *got.Ask != holds {
+		askVars, askCells := BindingCells(ask, bs)
+		got := decode(AppendRowsResponse(nil, askVars, askCells, len(bs), holds, 42, false))
+		if want := viaJSON(bs, false, holds, false); !reflect.DeepEqual(got, want) || got.Ask == nil || *got.Ask != holds {
 			t.Errorf("ask %v:\n got  %+v\n want %+v", holds, got, want)
 		}
 	}

@@ -20,6 +20,13 @@
 //
 // A server whose snapshot failed verification (Options.LoadError) answers
 // 503 on the three data endpoints as well as on /readyz.
+//
+// There is one matcher and one encoder. /query (through the result
+// cache), /estimate and /bind all run core.Matcher — /bind seeds its
+// slots from the request's rows, the others start from an empty row — and
+// every /query reply, here and in cmd/kbrouter, is written by
+// AppendRowsResponse; encoding/json encodes only the small fixed-shape
+// replies (errors, /estimate, /readyz, /statsz).
 package serve
 
 import (
@@ -36,7 +43,6 @@ import (
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/qcache"
-	"kbharvest/internal/rdf"
 )
 
 // QueryRequest is the POST /query (and /estimate) body.
@@ -255,40 +261,6 @@ func WriteQueryError(w http.ResponseWriter, err error) {
 	WriteJSON(w, status, ErrorResponse{err.Error()})
 }
 
-// BuildQueryResponse renders bindings into the wire shape: sorted vars
-// and serialized rows for a query with variables, an ask flag for an
-// all-constant conjunction. The caller fills Cached/TookUS/Partial.
-func BuildQueryResponse(bindings []core.Binding, hasVar bool) QueryResponse {
-	resp := QueryResponse{Count: len(bindings)}
-	if !hasVar {
-		// ASK-style: an all-constant conjunction either holds or not.
-		ask := len(bindings) > 0
-		resp.Ask = &ask
-		resp.Count = 0
-		return resp
-	}
-	if len(bindings) > 0 {
-		var vars []core.Var
-		for v := range bindings[0] {
-			vars = append(vars, v)
-		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-		resp.Vars = make([]string, len(vars))
-		for i, v := range vars {
-			resp.Vars[i] = string(v)
-		}
-		resp.Rows = make([]map[string]string, len(bindings))
-		for i, b := range bindings {
-			row := make(map[string]string, len(vars))
-			for _, v := range vars {
-				row[string(v)] = b[v].String()
-			}
-			resp.Rows[i] = row
-		}
-	}
-	return resp
-}
-
 // data wraps a data endpoint so that it answers 503 when the snapshot
 // failed verification: whatever part of the file loaded before the
 // corruption was hit must not be served as the KB.
@@ -302,12 +274,12 @@ func (s *Server) data(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // AppendRowsResponse appends the /query reply for n positional rows —
-// row i binds vars[j] to the serialized term cells[i*len(vars)+j] — in
-// the wire shape BuildQueryResponse and WriteJSON give bindings: sorted
-// vars, one object per row with its keys in that order, an ask flag when
-// there are no variables. The router's join executor produces rows in
-// this form, and a large join result is encoded without a map per row.
-func AppendRowsResponse(dst []byte, vars, cells []string, n int, tookUS int64, partial bool) []byte {
+// row i binds vars[j] to the serialized term cells[i*len(vars)+j] — as the
+// JSON encoding of a QueryResponse: vars sorted, one object per row with
+// its keys in that order, an ask flag when there are no variables. It is
+// the only encoder of that reply, for kbserve and kbrouter alike: a result
+// is written without reflection and without a map per row.
+func AppendRowsResponse(dst []byte, vars, cells []string, n int, cached bool, tookUS int64, partial bool) []byte {
 	dst = append(dst, '{')
 	switch {
 	case len(vars) == 0:
@@ -356,12 +328,44 @@ func AppendRowsResponse(dst []byte, vars, cells []string, n int, tookUS int64, p
 		dst = append(dst, `],"count":`...)
 		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	dst = append(dst, `,"cached":false,"took_us":`...)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, cached)
+	dst = append(dst, `,"took_us":`...)
 	dst = strconv.AppendInt(dst, tookUS, 10)
 	if partial {
 		dst = append(dst, `,"partial":true`...)
 	}
 	return append(dst, '}', '\n')
+}
+
+// BindingCells flattens the bindings of a conjunction into the positional
+// form AppendRowsResponse takes: the conjunction's variables, sorted, and
+// one serialized cell per variable per binding.
+func BindingCells(patterns []core.Pattern, bindings []core.Binding) (vars, cells []string) {
+	for _, p := range patterns {
+		for _, pt := range [3]core.PatternTerm{p.S, p.P, p.O} {
+			if pt.Var != "" && !slices.Contains(vars, string(pt.Var)) {
+				vars = append(vars, string(pt.Var))
+			}
+		}
+	}
+	sort.Strings(vars)
+	cells = make([]string, 0, len(vars)*len(bindings))
+	for _, b := range bindings {
+		for _, v := range vars {
+			cells = append(cells, b[core.Var(v)].String())
+		}
+	}
+	return vars, cells
+}
+
+// WriteRows writes a 200 /query reply (see AppendRowsResponse) in one
+// Write.
+func WriteRows(w http.ResponseWriter, vars, cells []string, n int, cached bool, took time.Duration, partial bool) {
+	body := AppendRowsResponse(nil, vars, cells, n, cached, took.Microseconds(), partial)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -383,10 +387,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteQueryError(w, err)
 		return
 	}
-	resp := BuildQueryResponse(bindings, HasVars(patterns))
-	resp.Cached = cached
-	resp.TookUS = took.Microseconds()
-	WriteJSON(w, http.StatusOK, resp)
+	vars, cells := BindingCells(patterns, bindings)
+	WriteRows(w, vars, cells, len(bindings), cached, took, false)
 }
 
 // handleEstimate serves the router's planning probe: per-pattern
@@ -398,25 +400,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	ests := make([]int, len(patterns))
 	for i, p := range patterns {
-		ests[i] = s.st.EstimateMatches(patternSkeleton(p))
+		ests[i] = s.st.PatternEstimate(p, nil)
 	}
 	WriteJSON(w, http.StatusOK, EstimateResponse{Estimates: ests})
-}
-
-// patternSkeleton maps a pattern onto the triple EstimateMatches expects:
-// constants stay, variables become zero-term wildcards.
-func patternSkeleton(p core.Pattern) rdf.Triple {
-	var t rdf.Triple
-	if p.S.Var == "" {
-		t.S = p.S.Const
-	}
-	if p.P.Var == "" {
-		t.P = p.P.Const
-	}
-	if p.O.Var == "" {
-		t.O = p.O.Const
-	}
-	return t
 }
 
 // SetDraining flips the shard in or out of drain mode. While draining,

@@ -6,8 +6,8 @@
 // hyperlinks; web-style list pages; and a timestamped social-media stream.
 //
 // The real tutorial systems harvest Wikipedia and the Web; this generator
-// replaces those sources (see DESIGN.md §2) while preserving the properties
-// the algorithms depend on: Zipf-like mention ambiguity, incomplete
+// replaces those sources while preserving the properties the algorithms
+// depend on: Zipf-like mention ambiguity, incomplete
 // infoboxes, noisy and paraphrased fact sentences, and interlinked
 // articles. Because the generating world is known, every experiment can
 // score extraction output against exact ground truth.

@@ -20,7 +20,8 @@
 //	if err != nil { ... }
 //	rows, _ := result.KB.QueryStrings([]string{"?p kb:founded ?c"})
 //
-// See examples/ for full programs and DESIGN.md for the system inventory.
+// See examples/ for full programs, and ROADMAP.md and OPERATIONS.md for
+// the inventory of what is built around this facade.
 package kbharvest
 
 import (
@@ -59,7 +60,7 @@ type BuildOptions = pipeline.Options
 type BuildResult = pipeline.Result
 
 // WorldConfig sizes the synthetic world standing in for Wikipedia/Web
-// sources (see DESIGN.md for the substitution rationale).
+// sources (internal/synth's package comment gives the rationale).
 type WorldConfig = synth.Config
 
 // Linker is the AIDA-style named-entity disambiguator.
@@ -98,8 +99,9 @@ func T(s, p, o string) Triple { return rdf.T(s, p, o) }
 // SaveKB writes a KB snapshot (N-Triples plus metadata comments) to w.
 func SaveKB(kb *KB, w io.Writer) error { return kb.Save(w) }
 
-// LoadKB reads a snapshot into a fresh KB.
-func LoadKB(r io.Reader) (*KB, error) {
+// LoadKB reads a snapshot into a fresh KB. The reader is read twice:
+// once to verify the snapshot's integrity trailer, once to load it.
+func LoadKB(r io.ReadSeeker) (*KB, error) {
 	kb := core.NewStore()
 	if _, err := kb.Load(r); err != nil {
 		return nil, err

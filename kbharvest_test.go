@@ -46,7 +46,7 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveKB(res.KB, &buf); err != nil {
 		t.Fatal(err)
 	}
-	kb2, err := LoadKB(&buf)
+	kb2, err := LoadKB(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFacadeHelpers(t *testing.T) {
 }
 
 func TestFacadeLoadError(t *testing.T) {
-	if _, err := LoadKB(bytes.NewBufferString("garbage line\n")); err == nil {
-		t.Error("LoadKB should propagate parse errors")
+	if _, err := LoadKB(bytes.NewReader([]byte("garbage line\n"))); err == nil {
+		t.Error("LoadKB should propagate load errors")
 	}
 }
