@@ -6,6 +6,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,16 +23,13 @@ import (
 
 // startReplicatedTier partitions st across n shards with r replicas each,
 // every replica behind its own faultkb proxy, and returns the router plus
-// the injectors indexed [shard][replica].
+// the injectors indexed [shard][replica]. Every replica has answered the
+// router once, as they do a running router's first queries: a replica's
+// first reply is an epoch the router has not seen, which makes what was
+// cached before it stale.
 func startReplicatedTier(t *testing.T, st *core.Store, n, r int, opt shardkb.Options) (*router, [][]*faultkb.Injector) {
 	t.Helper()
-	stores := make([]*core.Store, n)
-	for i := range stores {
-		stores[i] = core.NewStore()
-	}
-	for _, tr := range st.All() {
-		stores[shardkb.TripleShard(tr, n)].Add(tr)
-	}
+	stores := partition(st, n)
 	shards := make([]string, n)
 	injectors := make([][]*faultkb.Injector, n)
 	for i := 0; i < n; i++ {
@@ -54,7 +52,13 @@ func startReplicatedTier(t *testing.T, st *core.Store, n, r int, opt shardkb.Opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newRouter(client, 10*time.Second), injectors
+	rt := newRouter(client, 10*time.Second)
+	// r scatters with distinct keys reach each of the r replicas of every
+	// shard, by the client's rotation.
+	for k := 1; k <= r; k++ {
+		mustQuery(t, rt, fmt.Sprintf(`{"patterns": ["?s ?p ?o"], "limit": %d}`, k))
+	}
+	return rt, injectors
 }
 
 // The headline acceptance test: the full E9 serving suite runs against a
@@ -67,10 +71,15 @@ func TestRouterSurvivesReplicaKillMidSuite(t *testing.T) {
 		RetryBase: 2 * time.Millisecond, RetryMax: 20 * time.Millisecond,
 	})
 
-	// Precompute expected rows so worker goroutines only compare.
+	const rounds = 8
+	const workers = 4
+	// Precompute expected rows so worker goroutines only compare. Each
+	// round asks with its own limit, far above any answer: the rows are
+	// the same, but the keys are new, so every round after the kill still
+	// reaches the shards rather than the router's cache.
 	type expect struct {
-		body string
-		want []string
+		bodies [rounds]string
+		want   []string
 	}
 	expects := make([]expect, len(queries))
 	for qi, q := range queries {
@@ -78,12 +87,13 @@ func TestRouterSurvivesReplicaKillMidSuite(t *testing.T) {
 		for i, p := range q {
 			lines[i] = shardkb.FormatPattern(p)
 		}
-		body, _ := json.Marshal(serve.QueryRequest{Patterns: lines})
-		expects[qi] = expect{body: string(body), want: canonical(bindingsToRows(merged.Query(q)))}
+		for round := range expects[qi].bodies {
+			body, _ := json.Marshal(serve.QueryRequest{Patterns: lines, Limit: 1<<20 + round})
+			expects[qi].bodies[round] = string(body)
+		}
+		expects[qi].want = canonical(bindingsToRows(merged.Query(q)))
 	}
 
-	const rounds = 8
-	const workers = 4
 	var wg sync.WaitGroup
 	killed := make(chan struct{})
 	errs := make(chan string, rounds*workers*len(expects))
@@ -101,7 +111,7 @@ func TestRouterSurvivesReplicaKillMidSuite(t *testing.T) {
 					close(killed)
 				}
 				for _, e := range expects {
-					rec, resp := postRouterQuery(t, rt, e.body)
+					rec, resp := postRouterQuery(t, rt, e.bodies[round])
 					if rec.Code != http.StatusOK {
 						errs <- rec.Body.String()
 						continue

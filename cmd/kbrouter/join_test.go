@@ -173,10 +173,10 @@ func referenceAnswers(t *testing.T, world []rdf.Triple, list []crossCheck) [][]m
 	return out
 }
 
-// checkAgainstNaive posts one conjunction and compares the public reply
-// with the reference answer full: same rows (any order), sorted vars, the ask flag
-// for an all-constant conjunction, and with a limit exactly min(limit,
-// total) distinct rows of the full answer.
+// checkAgainstNaive posts one conjunction twice and holds both public
+// replies to the reference answer full (checkReply). The second must come
+// from the router's cache: a repeated query is answered without the
+// shards, and exactly as the first.
 func checkAgainstNaive(t *testing.T, label string, rt http.Handler, cc crossCheck, full []map[string]string) {
 	t.Helper()
 	lines := make([]string, len(cc.patterns))
@@ -184,23 +184,38 @@ func checkAgainstNaive(t *testing.T, label string, rt http.Handler, cc crossChec
 		lines[i] = shardkb.FormatPattern(p)
 	}
 	body, _ := json.Marshal(serve.QueryRequest{Patterns: lines, Limit: cc.limit})
-	rec, resp := postRouterQuery(t, rt, string(body))
-	if rec.Code != http.StatusOK {
-		t.Errorf("%s %s %q: status %d: %s", label, cc.name, lines, rec.Code, rec.Body.String())
-		return
+	for pass := 1; pass <= 2; pass++ {
+		where := fmt.Sprintf("%s %s %q (pass %d)", label, cc.name, lines, pass)
+		rec, resp := postRouterQuery(t, rt, string(body))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d: %s", where, rec.Code, rec.Body.String())
+			return
+		}
+		if pass == 2 && !resp.Cached {
+			t.Errorf("%s: the repeated query was not answered from the router's cache", where)
+		}
+		checkReply(t, where, cc, resp, full)
 	}
+}
+
+// checkReply compares one public reply with the reference answer full:
+// never partial, same rows (any order), sorted vars, the ask flag for an
+// all-constant conjunction, and with a limit exactly min(limit, total)
+// distinct rows of the full answer.
+func checkReply(t *testing.T, where string, cc crossCheck, resp serve.QueryResponse, full []map[string]string) {
+	t.Helper()
 	if resp.Partial {
-		t.Errorf("%s %s %q: spurious partial flag", label, cc.name, lines)
+		t.Errorf("%s: spurious partial flag", where)
 	}
 	if !serve.HasVars(cc.patterns) {
 		if resp.Ask == nil || *resp.Ask != (len(full) > 0) || resp.Count != 0 || len(resp.Rows) != 0 {
-			t.Errorf("%s %s %q: ask = %v, reference says %v", label, cc.name, lines, resp.Ask, len(full) > 0)
+			t.Errorf("%s: ask = %v, reference says %v", where, resp.Ask, len(full) > 0)
 		}
 		return
 	}
 	want, got := canonical(full), canonical(resp.Rows)
 	if resp.Count != len(got) || resp.Ask != nil {
-		t.Errorf("%s %s %q: count %d for %d rows, ask %v", label, cc.name, lines, resp.Count, len(got), resp.Ask)
+		t.Errorf("%s: count %d for %d rows, ask %v", where, resp.Count, len(got), resp.Ask)
 	}
 	if len(got) > 0 {
 		var vars []string
@@ -209,7 +224,7 @@ func checkAgainstNaive(t *testing.T, label string, rt http.Handler, cc crossChec
 		}
 		sort.Strings(vars)
 		if !reflect.DeepEqual(resp.Vars, vars) {
-			t.Errorf("%s %s %q: vars = %v, rows carry %v", label, cc.name, lines, resp.Vars, vars)
+			t.Errorf("%s: vars = %v, rows carry %v", where, resp.Vars, vars)
 		}
 	}
 	if cc.limit > 0 && cc.limit < len(want) {
@@ -219,16 +234,16 @@ func checkAgainstNaive(t *testing.T, label string, rt http.Handler, cc crossChec
 		}
 		for i, row := range got {
 			if !in[row] || (i > 0 && got[i-1] == row) {
-				t.Errorf("%s %s %q: limited row %q is not a distinct row of the answer", label, cc.name, lines, row)
+				t.Errorf("%s: limited row %q is not a distinct row of the answer", where, row)
 			}
 		}
 		if len(got) != cc.limit {
-			t.Errorf("%s %s %q: %d rows under limit %d of %d", label, cc.name, lines, len(got), cc.limit, len(want))
+			t.Errorf("%s: %d rows under limit %d of %d", where, len(got), cc.limit, len(want))
 		}
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s %s %q: %d rows, reference has %d\n got  %q\n want %q", label, cc.name, lines, len(got), len(want), got, want)
+		t.Errorf("%s: %d rows, reference has %d\n got  %q\n want %q", where, len(got), len(want), got, want)
 	}
 }
 

@@ -10,6 +10,17 @@
 // the shard that owns it when the step's subject is bound. A join costs
 // about shards x steps RPCs however many bindings flow through it.
 //
+// # Result cache
+//
+// A repeated query costs no shard RPC: the router keeps the encoded reply
+// of every full answer (qcache's LRU, 16 x 256 replies) and answers a
+// repeat with "cached": true. Every kbserve reply states the shard's
+// epoch (a Kb-Epoch header that changes on a restart or a write); an
+// epoch the router has not seen from a replica, or a reply without one,
+// invalidates everything cached before it. A hit is as fresh as the last
+// reply, or /readyz, the router saw from each replica. Partial replies
+// and errors are never cached. OPERATIONS.md spells out the contract.
+//
 // # Deployment topology
 //
 // The tier is built in three steps, all agreeing on the subject-hash
@@ -45,12 +56,14 @@
 //
 // Endpoints:
 //
-//	POST /query   same JSON protocol as kbserve; responses gain a
+//	POST /query   same JSON protocol as kbserve; "cached": true when the
+//	              router answered from its own cache; responses gain a
 //	              "partial": true flag when -allow-partial merged
 //	              results with a shard down (the default policy instead
 //	              fails such queries with a partial error)
-//	GET  /statsz  per-shard latency, fan-out counts, fast-path hit
-//	              rate, partial-failure counts
+//	GET  /statsz  the result cache (kbserve's shape), per-shard latency,
+//	              fan-out counts, fast-path hit rate, partial-failure
+//	              counts
 //	GET  /healthz liveness probe
 //	GET  /readyz  readiness of the whole tier (503 until every shard
 //	              serves a loaded snapshot)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,10 +19,8 @@ import (
 	"kbharvest/internal/shardkb"
 )
 
-// startTier partitions the store across n in-process kbserve shards and
-// returns a router over them plus the shard URLs (for failure injection).
-func startTier(t *testing.T, st *core.Store, n int, opt shardkb.Options) (*router, []string) {
-	t.Helper()
+// partition splits st by subject hash the way kbbuild -shards does.
+func partition(st *core.Store, n int) []*core.Store {
 	stores := make([]*core.Store, n)
 	for i := range stores {
 		stores[i] = core.NewStore()
@@ -29,9 +28,42 @@ func startTier(t *testing.T, st *core.Store, n int, opt shardkb.Options) (*route
 	for _, tr := range st.All() {
 		stores[shardkb.TripleShard(tr, n)].Add(tr)
 	}
+	return stores
+}
+
+// swappable is a handler a test replaces behind one URL, the way a
+// restarted process comes back at the same address.
+type swappable struct {
+	mu sync.Mutex
+	h  http.Handler
+}
+
+func (s *swappable) get() http.Handler {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.h
+}
+
+func (s *swappable) set(h http.Handler) {
+	s.mu.Lock()
+	s.h = h
+	s.mu.Unlock()
+}
+
+func (s *swappable) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.get().ServeHTTP(w, r) }
+
+// startTier partitions the store across n in-process kbserve shards, each
+// behind a swappable handler, and returns a router over them that has
+// probed the tier's readiness the way kbrouter does at startup, plus the
+// shard stores and handlers.
+func startTier(t *testing.T, st *core.Store, n int, opt shardkb.Options) (*router, []*core.Store, []*swappable) {
+	t.Helper()
+	stores := partition(st, n)
 	urls := make([]string, n)
+	swaps := make([]*swappable, n)
 	for i := range stores {
-		srv := httptest.NewServer(serve.NewServer(stores[i], serve.Options{Timeout: 2 * time.Second}))
+		swaps[i] = &swappable{h: serve.NewServer(stores[i], serve.Options{Timeout: 2 * time.Second})}
+		srv := httptest.NewServer(swaps[i])
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
@@ -42,7 +74,31 @@ func startTier(t *testing.T, st *core.Store, n int, opt shardkb.Options) (*route
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newRouter(client, 10*time.Second), urls
+	// As at startup, an unready shard (one with no facts) is no error.
+	client.Ready(context.Background())
+	return newRouter(client, 10*time.Second), stores, swaps
+}
+
+// mustQuery posts a /query body and fails the test unless it answers 200.
+func mustQuery(t *testing.T, rt http.Handler, body string) serve.QueryResponse {
+	t.Helper()
+	rec, resp := postRouterQuery(t, rt, body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body.String())
+	}
+	return resp
+}
+
+// getStatsz reads the router's /statsz.
+func getStatsz(t *testing.T, rt http.Handler) routerStatsz {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
+	var stats routerStatsz
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("statsz %q: %v", rec.Body.String(), err)
+	}
+	return stats
 }
 
 func smallStore() *core.Store {
@@ -106,7 +162,7 @@ func bindingsToRows(bs []core.Binding) []map[string]string {
 func TestRouterMatchesMergedStoreOnServingSuite(t *testing.T) {
 	merged, queries := experiments.ServingWorkload(119)
 	for _, n := range []int{1, 2, 4} {
-		rt, _ := startTier(t, merged, n, shardkb.Options{})
+		rt, _, _ := startTier(t, merged, n, shardkb.Options{})
 		for qi, q := range queries {
 			lines := make([]string, len(q))
 			for i, p := range q {
@@ -134,28 +190,36 @@ func TestRouterMatchesMergedStoreOnServingSuite(t *testing.T) {
 	}
 }
 
+// A point lookup costs one RPC at any shard count, and repeating it costs
+// none: the router answers "cached": true from its own cache.
 func TestRouterPointLookupIsSingleRPC(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
-		rt, _ := startTier(t, smallStore(), n, shardkb.Options{})
+		rt, _, _ := startTier(t, smallStore(), n, shardkb.Options{})
 		rec, resp := postRouterQuery(t, rt, `{"patterns": ["kb:jobs kb:founded ?c"]}`)
-		if rec.Code != http.StatusOK || resp.Count != 1 {
-			t.Fatalf("n=%d: status %d count %d", n, rec.Code, resp.Count)
+		if rec.Code != http.StatusOK || resp.Count != 1 || resp.Cached {
+			t.Fatalf("n=%d: status %d count %d cached %v", n, rec.Code, resp.Count, resp.Cached)
 		}
 		if resp.Rows[0]["c"] != "<kb:apple>" {
 			t.Errorf("n=%d: c = %q", n, resp.Rows[0]["c"])
 		}
-		srec := httptest.NewRecorder()
-		rt.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
-		var stats routerStatsz
-		if err := json.Unmarshal(srec.Body.Bytes(), &stats); err != nil {
-			t.Fatal(err)
-		}
+		stats := getStatsz(t, rt)
 		if stats.Client.RPCs != 1 || stats.Client.FastPath != 1 || stats.Client.Scatters != 0 {
 			t.Errorf("n=%d: point lookup issued %d RPCs (fastpath %d, scatters %d), want exactly 1 RPC",
 				n, stats.Client.RPCs, stats.Client.FastPath, stats.Client.Scatters)
 		}
 		if stats.FastPathRate != 1 {
 			t.Errorf("n=%d: fast-path rate = %v", n, stats.FastPathRate)
+		}
+		again := mustQuery(t, rt, `{"patterns": ["kb:jobs kb:founded ?c"]}`)
+		if !again.Cached || again.Count != 1 || again.Rows[0]["c"] != "<kb:apple>" {
+			t.Errorf("n=%d: repeat = %+v, want the same row, cached", n, again)
+		}
+		stats = getStatsz(t, rt)
+		if stats.Client.RPCs != 1 {
+			t.Errorf("n=%d: the repeat issued %d RPCs, want 0", n, stats.Client.RPCs-1)
+		}
+		if c := stats.Cache; c.Hits != 1 || c.Misses != 1 || c.Entries != 1 || c.HitRate != 0.5 {
+			t.Errorf("n=%d: cache stats = %+v", n, c)
 		}
 	}
 }
@@ -168,7 +232,7 @@ func TestRouterJoinBatchesBindingsPerShard(t *testing.T) {
 	st.Add(rdf.T("kb:apple", "kb:hasCEO", "kb:cook"))
 	st.Add(rdf.T("kb:microsoft", "kb:hasCEO", "kb:nadella"))
 	const n = 4
-	rt, _ := startTier(t, st, n, shardkb.Options{})
+	rt, _, _ := startTier(t, st, n, shardkb.Options{})
 	rec, resp := postRouterQuery(t, rt,
 		`{"patterns": ["?c kb:locatedIn ?city", "?c kb:hasCEO ?ceo"]}`)
 	if rec.Code != http.StatusOK {
@@ -194,7 +258,7 @@ func TestRouterJoinBatchesBindingsPerShard(t *testing.T) {
 }
 
 func TestRouterAsk(t *testing.T) {
-	rt, _ := startTier(t, smallStore(), 2, shardkb.Options{})
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{})
 	rec, resp := postRouterQuery(t, rt,
 		`{"patterns": ["kb:jobs kb:founded kb:apple", "kb:apple kb:locatedIn kb:cupertino"]}`)
 	if rec.Code != http.StatusOK || resp.Ask == nil || !*resp.Ask {
@@ -208,18 +272,26 @@ func TestRouterAsk(t *testing.T) {
 }
 
 func TestRouterLimit(t *testing.T) {
-	rt, _ := startTier(t, smallStore(), 2, shardkb.Options{})
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{})
 	rec, resp := postRouterQuery(t, rt, `{"patterns": ["?p kb:founded ?c"], "limit": 2}`)
 	if rec.Code != http.StatusOK || resp.Count != 2 {
 		t.Errorf("status %d count %d, want 2", rec.Code, resp.Count)
 	}
 }
 
+// The router shares kbserve's strict envelope: no patterns, a misspelt
+// field or a second JSON value is a 400, never a query answered without
+// it.
 func TestRouterBadRequest(t *testing.T) {
-	rt, _ := startTier(t, smallStore(), 2, shardkb.Options{})
-	rec, _ := postRouterQuery(t, rt, `{"patterns": []}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", rec.Code)
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{})
+	for _, body := range []string{
+		`{"patterns": []}`,
+		`{"patterns": ["?p kb:founded ?c"], "limt": 1}`,
+		`{"patterns": ["?p kb:founded ?c"]} {"patterns": ["?p kb:founded ?c"], "limit": 1}`,
+	} {
+		if rec, _ := postRouterQuery(t, rt, body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, rec.Code)
+		}
 	}
 }
 
@@ -234,13 +306,7 @@ func killShard(t *testing.T, urls []string, i int) {
 func TestRouterPartialFailurePolicies(t *testing.T) {
 	st := smallStore()
 	// Default policy: a scatter with a dead shard fails the query.
-	stores := make([]*core.Store, 4)
-	for i := range stores {
-		stores[i] = core.NewStore()
-	}
-	for _, tr := range st.All() {
-		stores[shardkb.TripleShard(tr, 4)].Add(tr)
-	}
+	stores := partition(st, 4)
 	urls := make([]string, 4)
 	for i := range stores {
 		srv := httptest.NewServer(serve.NewServer(stores[i], serve.Options{Timeout: time.Second}))
@@ -279,19 +345,13 @@ func TestRouterPartialFailurePolicies(t *testing.T) {
 	if resp.Count != want {
 		t.Errorf("lax count = %d, want %d (live shards only)", resp.Count, want)
 	}
-	srec := httptest.NewRecorder()
-	lax.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
-	var stats routerStatsz
-	if err := json.Unmarshal(srec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.PartialAnswers != 1 || stats.Client.PartialFailures == 0 {
+	if stats := getStatsz(t, lax); stats.PartialAnswers != 1 || stats.Client.PartialFailures == 0 {
 		t.Errorf("partial stats = %+v", stats)
 	}
 }
 
 func TestRouterReadyz(t *testing.T) {
-	rt, _ := startTier(t, smallStore(), 2, shardkb.Options{})
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{})
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusOK {
@@ -322,7 +382,7 @@ func TestRouterReadyz(t *testing.T) {
 // Concurrent mixed traffic through the router must be race-clean and
 // always answer from a consistent partition (run under -race in CI).
 func TestRouterConcurrent(t *testing.T) {
-	rt, _ := startTier(t, smallStore(), 4, shardkb.Options{})
+	rt, _, _ := startTier(t, smallStore(), 4, shardkb.Options{})
 	queries := []struct {
 		body string
 		want int

@@ -1,8 +1,24 @@
 // Package qcache is the sharded query-result cache of the read path: it
-// memoizes the binding sets of conjunctive queries over a core.Store and
-// serves repeats without re-evaluating the join — the cheap half of the
-// cache-plus-cost-based-evaluation recipe public KB endpoints rely on to
-// survive skewed repeat traffic.
+// memoizes the answers of conjunctive queries and serves repeats without
+// re-evaluating the join — the cheap half of the cache-plus-cost-based-
+// evaluation recipe public KB endpoints rely on to survive skewed repeat
+// traffic.
+//
+// # One LRU, two generation sources
+//
+// LRU is the one store: entries spread over 2^k independently locked
+// shards, each an LRU list, so concurrent readers contend only within a
+// shard and eviction is O(1). It knows nothing about what makes an entry
+// stale; its owner supplies a validity predicate, checked on every hit
+// under the shard lock, and a failing entry is dropped and counted as
+// stale. Two caches are built on it:
+//
+//   - Cache, over a core.Store (kbserve): it holds binding sets, and an
+//     entry is valid while the store's pattern generations are unchanged
+//     (below).
+//   - kbrouter's reply cache, over the shard tier: it holds encoded /query
+//     replies, and an entry is valid while shardkb.Client.Generation — the
+//     count of shard epoch changes the router has observed — is unchanged.
 //
 // # The generation-invalidation contract
 //
@@ -31,17 +47,23 @@
 // evaluation makes a write racing the fill land the entry with an
 // already-stale generation, so it self-invalidates on its first hit — the
 // cache is exactly as consistent as an uncached query racing the same
-// write.
+// write. The router's cache follows the same rule with its one
+// generation.
 //
-// Entries are spread over 2^k independently locked shards by key hash,
-// each an LRU list, so concurrent readers contend only within a shard and
-// eviction is O(1).
+// # Shard choice
+//
+// A key's shard is a fixed hash of the key (FNV-1a), not a per-process
+// seed, so the same request sequence fills and evicts the same entries in
+// every process — benchmark hit ratios repeat from run to run. The price:
+// a client who knows the hash can aim all its keys at one of the shards
+// and so shrink the cache to one shard's capacity for its own traffic. It
+// cannot make any operation more expensive than a miss: the per-shard
+// maps are Go maps, which stay seeded.
 package qcache
 
 import (
 	"container/list"
 	"context"
-	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,7 +72,7 @@ import (
 	"kbharvest/internal/rdf"
 )
 
-// Options tunes a Cache.
+// Options tunes a cache.
 type Options struct {
 	// Shards is the number of independently locked cache shards, rounded
 	// up to a power of two. Default 16.
@@ -77,33 +99,32 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Cache is a sharded, generation-validated LRU cache of conjunctive query
-// results. It is safe for concurrent use.
-type Cache struct {
-	st     *core.Store
-	shards []shard
+// LRU is a sharded LRU map from query keys to values of type V whose
+// entries are checked by the owner's validity predicate on every hit. It
+// is safe for concurrent use.
+type LRU[V any] struct {
+	valid  func(V) bool
+	shards []lruShard[V]
 	mask   uint64
-	seed   maphash.Seed
 
 	hits, misses, stale, evictions atomic.Uint64
 }
 
-type entry struct {
-	key      string
-	pats     []rdf.Triple // constant skeleton of each pattern, for PatternGen
-	gens     []uint64     // generation of pats[i] before evaluation
-	bindings []core.Binding
+type lruEntry[V any] struct {
+	key string
+	val V
 }
 
-type shard struct {
+type lruShard[V any] struct {
 	mu  sync.Mutex
 	m   map[string]*list.Element
-	lru list.List // front = most recently used; values are *entry
+	lru list.List // front = most recently used; values are *lruEntry[V]
 	cap int
 }
 
-// New returns a cache over st.
-func New(st *core.Store, opt Options) *Cache {
+// NewLRU returns an empty LRU whose hits must satisfy valid; valid runs
+// under a shard lock and must be cheap (a few atomic loads).
+func NewLRU[V any](opt Options, valid func(V) bool) *LRU[V] {
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = 16
@@ -117,16 +138,100 @@ func New(st *core.Store, opt Options) *Cache {
 	if perShard <= 0 {
 		perShard = 256
 	}
-	c := &Cache{
-		st:     st,
-		shards: make([]shard, n),
-		mask:   uint64(n - 1),
-		seed:   maphash.MakeSeed(),
+	l := &LRU[V]{valid: valid, shards: make([]lruShard[V], n), mask: uint64(n - 1)}
+	for i := range l.shards {
+		l.shards[i].m = make(map[string]*list.Element)
+		l.shards[i].cap = perShard
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*list.Element)
-		c.shards[i].cap = perShard
+	return l
+}
+
+// shardOf picks key's shard by FNV-1a (see the package doc).
+func (l *LRU[V]) shardOf(key string) *lruShard[V] {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
 	}
+	return &l.shards[h&l.mask]
+}
+
+// Get returns the value cached under key if it is still valid, counting a
+// hit, or reports a miss — dropping the entry, and counting it stale, when
+// it failed validation.
+func (l *LRU[V]) Get(key string) (V, bool) {
+	sh := l.shardOf(key)
+	sh.mu.Lock()
+	if el, ok := sh.m[key]; ok {
+		e := el.Value.(*lruEntry[V])
+		if l.valid(e.val) {
+			sh.lru.MoveToFront(el)
+			sh.mu.Unlock()
+			l.hits.Add(1)
+			return e.val, true
+		}
+		sh.lru.Remove(el)
+		delete(sh.m, key)
+		l.stale.Add(1)
+	}
+	sh.mu.Unlock()
+	l.misses.Add(1)
+	var zero V
+	return zero, false
+}
+
+// Put caches v under key as the most recently used entry, replacing any
+// entry a concurrent miss filled, and evicts beyond the shard's capacity.
+func (l *LRU[V]) Put(key string, v V) {
+	sh := l.shardOf(key)
+	sh.mu.Lock()
+	if el, ok := sh.m[key]; ok {
+		sh.lru.Remove(el)
+	}
+	sh.m[key] = sh.lru.PushFront(&lruEntry[V]{key: key, val: v})
+	for sh.lru.Len() > sh.cap {
+		last := sh.lru.Back()
+		sh.lru.Remove(last)
+		delete(sh.m, last.Value.(*lruEntry[V]).key)
+		l.evictions.Add(1)
+	}
+	sh.mu.Unlock()
+}
+
+// Stats returns a snapshot of the counters.
+func (l *LRU[V]) Stats() Stats {
+	s := Stats{
+		Hits:      l.hits.Load(),
+		Misses:    l.misses.Load(),
+		Stale:     l.stale.Load(),
+		Evictions: l.evictions.Load(),
+	}
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		s.Entries += sh.lru.Len()
+		sh.mu.Unlock()
+	}
+	return s
+}
+
+// Cache is the store-backed cache: conjunctive query results over a
+// core.Store, validated by pattern generations. It is safe for concurrent
+// use.
+type Cache struct {
+	st  *core.Store
+	lru *LRU[*entry]
+}
+
+type entry struct {
+	pats     []rdf.Triple // constant skeleton of each pattern, for PatternGen
+	gens     []uint64     // generation of pats[i] before evaluation
+	bindings []core.Binding
+}
+
+// New returns a cache over st.
+func New(st *core.Store, opt Options) *Cache {
+	c := &Cache{st: st}
+	c.lru = NewLRU(opt, c.valid)
 	return c
 }
 
@@ -159,24 +264,9 @@ func Key(patterns []core.Pattern, limit int) string {
 // must not be modified.
 func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) ([]core.Binding, bool, error) {
 	key := Key(patterns, limit)
-	sh := &c.shards[maphash.String(c.seed, key)&c.mask]
-
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
-		e := el.Value.(*entry)
-		if c.valid(e) {
-			sh.lru.MoveToFront(el)
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return e.bindings, true, nil
-		}
-		sh.lru.Remove(el)
-		delete(sh.m, key)
-		c.stale.Add(1)
+	if e, ok := c.lru.Get(key); ok {
+		return e.bindings, true, nil
 	}
-	sh.mu.Unlock()
-	c.misses.Add(1)
-
 	// Capture each pattern's generation before evaluating so a write
 	// racing the evaluation leaves the entry already-stale.
 	pats := make([]rdf.Triple, len(patterns))
@@ -192,22 +282,7 @@ func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) (
 	}); err != nil {
 		return nil, false, err
 	}
-
-	e := &entry{key: key, pats: pats, gens: gens, bindings: bindings}
-	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
-		// A concurrent miss filled the same key; keep the newer entry.
-		sh.lru.Remove(el)
-		delete(sh.m, key)
-	}
-	sh.m[key] = sh.lru.PushFront(e)
-	for sh.lru.Len() > sh.cap {
-		last := sh.lru.Back()
-		sh.lru.Remove(last)
-		delete(sh.m, last.Value.(*entry).key)
-		c.evictions.Add(1)
-	}
-	sh.mu.Unlock()
+	c.lru.Put(key, &entry{pats: pats, gens: gens, bindings: bindings})
 	return bindings, false, nil
 }
 
@@ -241,18 +316,4 @@ func constSkeleton(p core.Pattern) rdf.Triple {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	s := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Stale:     c.stale.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return s
-}
+func (c *Cache) Stats() Stats { return c.lru.Stats() }

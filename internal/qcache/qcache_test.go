@@ -3,7 +3,10 @@ package qcache
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kbharvest/internal/core"
@@ -181,6 +184,61 @@ func TestCacheLRUEviction(t *testing.T) {
 	q = []core.Pattern{{S: core.PIRI("s0"), P: core.PIRI("p"), O: core.PVar("o")}}
 	if _, cached, _ := c.Query(ctx, q, 0); cached {
 		t.Error("least recent entry survived past capacity")
+	}
+}
+
+// The shard a key lands on is a fixed function of the key, not of the
+// process: two caches fed the same operations hold the same entries in
+// the same LRU order and evict the same ones.
+func TestCacheShardChoiceIsDeterministic(t *testing.T) {
+	st := core.NewStore()
+	for i := 0; i < 64; i++ {
+		st.Add(rdf.T(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i)))
+	}
+	entries := func(c *Cache) [][]string {
+		out := make([][]string, len(c.lru.shards))
+		for i := range c.lru.shards {
+			for el := c.lru.shards[i].lru.Front(); el != nil; el = el.Next() {
+				out[i] = append(out[i], el.Value.(*lruEntry[*entry]).key)
+			}
+		}
+		return out
+	}
+	a, b := New(st, Options{Shards: 4, PerShard: 3}), New(st, Options{Shards: 4, PerShard: 3})
+	rng := rand.New(rand.NewSource(1))
+	ctx := context.Background()
+	for i := 0; i < 500; i++ {
+		q := []core.Pattern{{S: core.PIRI(fmt.Sprintf("s%d", rng.Intn(64))), P: core.PIRI("p"), O: core.PVar("o")}}
+		for _, c := range []*Cache{a, b} {
+			if _, _, err := c.Query(ctx, q, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ea, eb := entries(a), entries(b); !reflect.DeepEqual(ea, eb) {
+		t.Errorf("two caches, same operations, different entries:\n%q\n%q", ea, eb)
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa != sb || sa.Evictions == 0 {
+		t.Errorf("stats %+v and %+v: want equal, with evictions", sa, sb)
+	}
+}
+
+// An LRU owner's validity predicate decides every hit: an entry that
+// fails it is dropped and counted stale, never served.
+func TestLRUValidatesEveryHit(t *testing.T) {
+	var gen atomic.Uint64
+	type stamped struct{ gen, val uint64 }
+	l := NewLRU(Options{}, func(e stamped) bool { return e.gen == gen.Load() })
+	l.Put("k", stamped{gen: gen.Load(), val: 7})
+	if e, ok := l.Get("k"); !ok || e.val != 7 {
+		t.Fatalf("fresh entry: %+v, %v", e, ok)
+	}
+	gen.Add(1)
+	if _, ok := l.Get("k"); ok {
+		t.Fatal("an entry from an older generation was served")
+	}
+	if s := l.Stats(); s.Hits != 1 || s.Misses != 1 || s.Stale != 1 || s.Entries != 0 {
+		t.Errorf("stats = %+v", s)
 	}
 }
 

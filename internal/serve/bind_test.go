@@ -253,11 +253,15 @@ func TestParseBindBodyNeverPanics(t *testing.T) {
 	}
 }
 
-// AppendRowsResponse must put on the wire what encoding/json puts there
-// for the QueryResponse holding the same solutions, whether the rows come
-// positional and unsorted (the router's join) or as bindings flattened by
-// BindingCells (kbserve, the router's single-pattern branch).
+// AppendRowsHead followed by AppendRowsTail must put on the wire what
+// encoding/json puts there for the QueryResponse holding the same
+// solutions, whether the rows come positional and unsorted (the router's
+// join) or as bindings flattened by BindingCells (kbserve, the router's
+// single-pattern branch).
 func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
+	reply := func(vars, cells []string, n int, cached, partial bool) []byte {
+		return AppendRowsTail(AppendRowsHead(nil, vars, cells, n), cached, 42, partial)
+	}
 	terms := []rdf.Term{
 		rdf.NewIRI("kb:apple"), rdf.NewLiteral("quote \" backslash \\ newline \n tab \t"),
 		rdf.NewLangLiteral("caf\u00e9 <&> \u2028", "fr"), rdf.NewTypedLiteral("1955-02-24", "xsd:date"), rdf.NewBlank("b1"),
@@ -310,11 +314,11 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 		}
 		cached, partial := n%2 == 0, n%2 == 1
 		want := viaJSON(bs, true, cached, partial)
-		if got := decode(AppendRowsResponse(nil, vars, cells, n, cached, 42, partial)); !reflect.DeepEqual(got, want) {
+		if got := decode(reply(vars, cells, n, cached, partial)); !reflect.DeepEqual(got, want) {
 			t.Errorf("positional, n=%d:\n got  %+v\n want %+v", n, got, want)
 		}
 		sortedVars, sortedCells := BindingCells(pattern, bs)
-		if got := decode(AppendRowsResponse(nil, sortedVars, sortedCells, n, cached, 42, partial)); !reflect.DeepEqual(got, want) {
+		if got := decode(reply(sortedVars, sortedCells, n, cached, partial)); !reflect.DeepEqual(got, want) {
 			t.Errorf("bindings, n=%d:\n got  %+v\n want %+v", n, got, want)
 		}
 	}
@@ -325,7 +329,7 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 			bs = []core.Binding{{}}
 		}
 		askVars, askCells := BindingCells(ask, bs)
-		got := decode(AppendRowsResponse(nil, askVars, askCells, len(bs), holds, 42, false))
+		got := decode(reply(askVars, askCells, len(bs), holds, false))
 		if want := viaJSON(bs, false, holds, false); !reflect.DeepEqual(got, want) || got.Ask == nil || *got.Ask != holds {
 			t.Errorf("ask %v:\n got  %+v\n want %+v", holds, got, want)
 		}

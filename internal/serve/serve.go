@@ -21,19 +21,30 @@
 // A server whose snapshot failed verification (Options.LoadError) answers
 // 503 on the three data endpoints as well as on /readyz.
 //
+// Every 200 reply on /query, /estimate, /bind and /readyz carries the
+// server's epoch in a Kb-Epoch header (EpochHeader): a random 64-bit
+// nonce minted by NewServer, a dot, and the store's write generation read
+// before the request is evaluated. The answers a server gives cannot
+// change unless its epoch does — a new process mints a new nonce, and
+// every write advances the generation — so a client that remembers the
+// last epoch of each server (shardkb.Client.Generation) knows when what
+// it cached may have gone stale.
+//
 // There is one matcher and one encoder. /query (through the result
 // cache), /estimate and /bind all run core.Matcher — /bind seeds its
 // slots from the request's rows, the others start from an empty row — and
 // every /query reply, here and in cmd/kbrouter, is written by
-// AppendRowsResponse; encoding/json encodes only the small fixed-shape
-// replies (errors, /estimate, /readyz, /statsz).
+// AppendRowsHead and AppendRowsTail; encoding/json encodes only the small
+// fixed-shape replies (errors, /estimate, /readyz, /statsz).
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"slices"
 	"sort"
@@ -164,6 +175,7 @@ func (h *LatencyHistogram) Summary() LatencyStats {
 type Server struct {
 	st       *core.Store
 	cache    *qcache.Cache
+	nonce    string // "<random hex>.", the per-process half of the epoch
 	timeout  time.Duration
 	snapshot string
 	loadErr  error
@@ -172,11 +184,16 @@ type Server struct {
 	lat      LatencyHistogram
 }
 
+// EpochHeader names the response header that carries a server's epoch
+// (see the package doc).
+const EpochHeader = "Kb-Epoch"
+
 // NewServer wires the handler for one store.
 func NewServer(st *core.Store, opt Options) *Server {
 	s := &Server{
 		st:       st,
 		cache:    qcache.New(st, opt.Cache),
+		nonce:    strconv.FormatUint(rand.Uint64(), 16) + ".",
 		timeout:  opt.Timeout,
 		snapshot: opt.Snapshot,
 		loadErr:  opt.LoadError,
@@ -216,8 +233,18 @@ func DecodePatterns(w http.ResponseWriter, r *http.Request) (*QueryRequest, []co
 		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST a JSON body"})
 		return nil, nil
 	}
+	// Strict: a misspelt field ("limt") or a second JSON value would
+	// otherwise be dropped silently and the query answered without it.
 	var req QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON body")
+		}
+	}
+	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
 		return nil, nil
 	}
@@ -265,21 +292,34 @@ func WriteQueryError(w http.ResponseWriter, err error) {
 // failed verification: whatever part of the file loaded before the
 // corruption was hit must not be served as the KB.
 func (s *Server) data(h http.HandlerFunc) http.HandlerFunc {
-	if s.loadErr == nil {
-		return h
+	if s.loadErr != nil {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{"snapshot failed verification: " + s.loadErr.Error()})
+		}
 	}
-	return func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{"snapshot failed verification: " + s.loadErr.Error()})
+	return func(w http.ResponseWriter, r *http.Request) {
+		// Read before h evaluates anything: a write racing the evaluation
+		// then shows as a new epoch on the next reply, never as a new
+		// epoch on older data.
+		w.Header().Set(EpochHeader, s.epoch())
+		h(w, r)
 	}
 }
 
-// AppendRowsResponse appends the /query reply for n positional rows —
-// row i binds vars[j] to the serialized term cells[i*len(vars)+j] — as the
-// JSON encoding of a QueryResponse: vars sorted, one object per row with
-// its keys in that order, an ask flag when there are no variables. It is
-// the only encoder of that reply, for kbserve and kbrouter alike: a result
-// is written without reflection and without a map per row.
-func AppendRowsResponse(dst []byte, vars, cells []string, n int, cached bool, tookUS int64, partial bool) []byte {
+// epoch is the value of EpochHeader for a reply evaluated from now on.
+func (s *Server) epoch() string {
+	return s.nonce + strconv.FormatUint(s.st.WriteGen(), 10)
+}
+
+// AppendRowsHead appends the head of the /query reply for n positional
+// rows — row i binds vars[j] to the serialized term cells[i*len(vars)+j] —
+// as the JSON encoding of a QueryResponse up to its "cached" member: vars
+// sorted, one object per row with its keys in that order, an ask flag
+// when there are no variables. AppendRowsTail appends the rest. The two
+// are the only encoder of that reply, for kbserve and kbrouter alike: a
+// result is written without reflection and without a map per row, and
+// the router's cache keeps a head and writes a fresh tail on each hit.
+func AppendRowsHead(dst []byte, vars, cells []string, n int) []byte {
 	dst = append(dst, '{')
 	switch {
 	case len(vars) == 0:
@@ -328,6 +368,13 @@ func AppendRowsResponse(dst []byte, vars, cells []string, n int, cached bool, to
 		dst = append(dst, `],"count":`...)
 		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
+	return dst
+}
+
+// AppendRowsTail appends the members of a /query reply that describe one
+// answer rather than the result — cached, took_us and, when set, partial
+// — and closes the reply AppendRowsHead began.
+func AppendRowsTail(dst []byte, cached bool, tookUS int64, partial bool) []byte {
 	dst = append(dst, `,"cached":`...)
 	dst = strconv.AppendBool(dst, cached)
 	dst = append(dst, `,"took_us":`...)
@@ -339,7 +386,7 @@ func AppendRowsResponse(dst []byte, vars, cells []string, n int, cached bool, to
 }
 
 // BindingCells flattens the bindings of a conjunction into the positional
-// form AppendRowsResponse takes: the conjunction's variables, sorted, and
+// form AppendRowsHead takes: the conjunction's variables, sorted, and
 // one serialized cell per variable per binding.
 func BindingCells(patterns []core.Pattern, bindings []core.Binding) (vars, cells []string) {
 	for _, p := range patterns {
@@ -359,13 +406,19 @@ func BindingCells(patterns []core.Pattern, bindings []core.Binding) (vars, cells
 	return vars, cells
 }
 
-// WriteRows writes a 200 /query reply (see AppendRowsResponse) in one
-// Write.
-func WriteRows(w http.ResponseWriter, vars, cells []string, n int, cached bool, took time.Duration, partial bool) {
-	body := AppendRowsResponse(nil, vars, cells, n, cached, took.Microseconds(), partial)
+// WriteRows writes a 200 /query reply whose body is the concatenation of
+// parts: a head from AppendRowsHead and its tail, or one slice holding
+// both.
+func WriteRows(w http.ResponseWriter, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	for _, p := range parts {
+		w.Write(p)
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -388,7 +441,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vars, cells := BindingCells(patterns, bindings)
-	WriteRows(w, vars, cells, len(bindings), cached, took, false)
+	WriteRows(w, AppendRowsTail(AppendRowsHead(nil, vars, cells, len(bindings)), cached, took.Microseconds(), false))
 }
 
 // handleEstimate serves the router's planning probe: per-pattern
@@ -429,6 +482,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Error = "empty store"
 		WriteJSON(w, http.StatusServiceUnavailable, resp)
 	default:
+		w.Header().Set(EpochHeader, s.epoch())
 		WriteJSON(w, http.StatusOK, resp)
 	}
 }

@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kbharvest/internal/core"
+	"kbharvest/internal/qcache"
 	"kbharvest/internal/rdf"
 )
 
@@ -290,16 +293,23 @@ func TestServerConcurrentQueriesWithWriter(t *testing.T) {
 // a bare text error would break them.
 func TestServerErrorEnvelopes(t *testing.T) {
 	srv := newTestServer(testStore(), time.Second)
-	oversized := `{"patterns": ["?p kb:founded ?c"], "pad": "` + strings.Repeat("x", 2<<20) + `"}`
+	// The padding sits inside a pattern, so the body is well-formed but
+	// for its size: the case tests the 1 MiB cap, not the strict envelope.
+	oversized := `{"patterns": ["?p kb:founded \"` + strings.Repeat("x", 2<<20) + `\""]}`
 	cases := []struct {
 		name, path, body string
 		want             int
+		says             string // a substring of the error, when it matters which check refused
 	}{
-		{"malformed json", "/query", `{"patterns": [`, http.StatusBadRequest},
-		{"not json at all", "/query", `<html>`, http.StatusBadRequest},
-		{"oversized body", "/query", oversized, http.StatusBadRequest},
-		{"bad pattern", "/query", `{"patterns": ["too few"]}`, http.StatusBadRequest},
-		{"estimate malformed", "/estimate", `}{`, http.StatusBadRequest},
+		{"malformed json", "/query", `{"patterns": [`, http.StatusBadRequest, ""},
+		{"not json at all", "/query", `<html>`, http.StatusBadRequest, ""},
+		{"oversized body", "/query", oversized, http.StatusBadRequest, "too large"},
+		{"bad pattern", "/query", `{"patterns": ["too few"]}`, http.StatusBadRequest, ""},
+		{"estimate malformed", "/estimate", `}{`, http.StatusBadRequest, ""},
+		{"misspelt limit", "/query", `{"patterns": ["?p kb:founded ?c"], "limt": 1}`, http.StatusBadRequest, "limt"},
+		{"second JSON value", "/query", `{"patterns": ["?p kb:founded ?c"]} {"patterns": []}`, http.StatusBadRequest, "after"},
+		{"estimate unknown field", "/estimate", `{"patterns": ["?p kb:founded ?c"], "pad": 1}`, http.StatusBadRequest, "pad"},
+		{"estimate trailing data", "/estimate", `{"patterns": ["?p kb:founded ?c"]} x`, http.StatusBadRequest, ""},
 	}
 	for _, c := range cases {
 		rec := postJSON(t, srv, c.path, c.body)
@@ -313,6 +323,13 @@ func TestServerErrorEnvelopes(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 			t.Errorf("%s: body %q is not an error envelope (%v)", c.name, rec.Body.String(), err)
 		}
+		if !strings.Contains(er.Error, c.says) {
+			t.Errorf("%s: error %q does not mention %q", c.name, er.Error, c.says)
+		}
+	}
+	// Trailing whitespace is not a second value.
+	if rec := postJSON(t, srv, "/query", "{\"patterns\": [\"?p kb:founded ?c\"]}\n \t"); rec.Code != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d: %s", rec.Code, rec.Body.String())
 	}
 	// The timeout path flows through WriteQueryError: 504 plus envelope.
 	slow := newTestServer(testStore(), time.Nanosecond)
@@ -373,6 +390,96 @@ func TestServerReadyzDraining(t *testing.T) {
 	if c := readyz(); c != http.StatusOK {
 		t.Fatalf("readyz after drain cleared = %d", c)
 	}
+}
+
+// Every 200 data reply and /readyz states the server's epoch: one value
+// until the store is written, a new one after, and a different one from a
+// new server over the same store.
+func TestServerEpochHeader(t *testing.T) {
+	st := testStore()
+	epochs := func(srv http.Handler) []string {
+		t.Helper()
+		var out []string
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"patterns": ["?p kb:founded ?c"]}`)),
+			httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(`{"patterns": ["?p kb:founded ?c"]}`)),
+			httptest.NewRequest(http.MethodPost, "/bind", strings.NewReader(`{"pattern": ["?p", "<kb:founded>", "?c"], "vars": [], "rows": [[]]}`)),
+			httptest.NewRequest(http.MethodGet, "/readyz", nil),
+		} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", req.URL.Path, rec.Code, rec.Body.String())
+			}
+			out = append(out, rec.Header().Get(EpochHeader))
+		}
+		return out
+	}
+	srv := newTestServer(st, time.Second)
+	first := epochs(srv)
+	for _, e := range first {
+		if e == "" || e != first[0] {
+			t.Fatalf("epochs %q: want one non-empty value on every endpoint", first)
+		}
+	}
+	if again := epochs(srv)[0]; again != first[0] {
+		t.Errorf("epoch moved from %q to %q without a write", first[0], again)
+	}
+	st.Add(rdf.T("kb:ive", "kb:founded", "kb:apple"))
+	written := epochs(srv)[0]
+	if written == first[0] {
+		t.Errorf("epoch %q survived a write", written)
+	}
+	if other := epochs(newTestServer(st, time.Second))[0]; other == written {
+		t.Errorf("a second server over the same store states the same epoch %q", other)
+	}
+}
+
+// DecodePatterns never panics, and a body it accepts re-encodes to a
+// QueryRequest it decodes to the same patterns, limit and cache key;
+// everything else is a 400 with the error envelope.
+func FuzzDecodePatterns(f *testing.F) {
+	for _, seed := range []string{
+		`{"patterns": ["?p kb:founded ?c", "?c kb:locatedIn ?city"], "limit": 3}`,
+		`{"patterns": ["?x kb:says \"two  spaces \"@en"]}`,
+		`{"patterns": ["<kb:a> <kb:b> \"\\u00e9\\ud800\"^^<xsd:string>"], "limit": -1}`,
+		`{"Patterns": ["?p kb:founded ?c"], "LIMIT": 2}`,
+		`{"patterns": ["?p kb:founded ?c"], "limt": 10}`,
+		`{"patterns": ["?p kb:founded ?c"]} {"patterns": []}`,
+		"{\"patterns\": [\"?p kb:founded ?c\"]}\n",
+		`{"patterns": ["?p kb:founded ?c"], "limit": 1.5}`,
+		`{"patterns": null}`, `null`, `[]`, ``, `{"patterns": ["only two"]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	decode := func(body []byte) (*QueryRequest, []core.Pattern, *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		req, pats := DecodePatterns(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		return req, pats, rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, pats, rec := decode(body)
+		if req == nil {
+			var er ErrorResponse
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
+				t.Fatalf("refused %q with %d %q, want 400 and the error envelope", body, rec.Code, rec.Body.String())
+			}
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req2, pats2, rec2 := decode(again)
+		switch {
+		case req2 == nil:
+			t.Fatalf("accepted %q but refused its re-encoding %q: %s", body, again, rec2.Body.String())
+		case !slices.Equal(pats, pats2) || req.Limit != req2.Limit:
+			t.Fatalf("%q and its re-encoding %q decode differently:\n%v limit %d\n%v limit %d", body, again, pats, req.Limit, pats2, req2.Limit)
+		case qcache.Key(pats, req.Limit) != qcache.Key(pats2, req2.Limit):
+			t.Fatalf("%q and its re-encoding %q have different cache keys", body, again)
+		}
+	})
 }
 
 // Summary's percentiles are upper bounds read off the power-of-two

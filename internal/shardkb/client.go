@@ -161,6 +161,7 @@ func (b *breaker) snapshot() (state string, opens, transitions uint64) {
 // replica is one kbserve process inside a shard's replica group.
 type replica struct {
 	url   string
+	epoch atomic.Pointer[string] // the last serve.EpochHeader it sent
 	rpcs  atomic.Uint64
 	errs  atomic.Uint64
 	sumUS atomic.Uint64
@@ -227,6 +228,7 @@ type Client struct {
 	all    []int   // every shard index, the scatter target of gather
 	opt    Options // with defaults filled in
 	sem    chan struct{}
+	gen    atomic.Uint64 // Generation
 
 	fastPath        atomic.Uint64
 	scatters        atomic.Uint64
@@ -296,6 +298,26 @@ func New(shards []string, opt Options) (*Client, error) {
 
 // NumShards returns the shard (replica group) count.
 func (c *Client) NumShards() int { return len(c.groups) }
+
+// Generation counts the epoch changes the client has observed. It
+// advances whenever a replica answers 200 with an epoch
+// (serve.EpochHeader) other than the last one it stated — its first
+// reply, a reply after a write, a reply from a new process — and on every
+// 200 reply that states none. A result computed while Generation stayed
+// put is as fresh as the last reply, or /readyz, the client saw from
+// each replica; kbrouter's result cache is validated by it.
+func (c *Client) Generation() uint64 { return c.gen.Load() }
+
+// sawEpoch records the epoch a replica stated on a 200 reply.
+func (c *Client) sawEpoch(rep *replica, h http.Header) {
+	epoch := h.Get(serve.EpochHeader)
+	if last := rep.epoch.Load(); epoch != "" && last != nil && *last == epoch {
+		return
+	}
+	stated := epoch // allocated only here, on a change
+	rep.epoch.Store(&stated)
+	c.gen.Add(1)
+}
 
 // Stats snapshots the client counters.
 func (c *Client) Stats() Stats {
@@ -391,6 +413,7 @@ func (c *Client) roundTrip(ctx context.Context, rep *replica, path string, body 
 		}
 		return nil, fmt.Errorf("status %d", resp.StatusCode), transient
 	}
+	c.sawEpoch(rep, resp.Header)
 	return data, nil, false
 }
 
@@ -416,6 +439,7 @@ func (c *Client) readyz(ctx context.Context, rep *replica) (*serve.ReadyResponse
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("not ready (status %d, %d facts)", resp.StatusCode, rr.Facts)
 	}
+	c.sawEpoch(rep, resp.Header)
 	return &rr, nil
 }
 

@@ -451,6 +451,70 @@ func TestReady(t *testing.T) {
 	}
 }
 
+// noEpoch drops the epoch header from a reply, as a proxy that does not
+// forward it would.
+type noEpoch struct{ http.ResponseWriter }
+
+func (w noEpoch) WriteHeader(code int) {
+	w.Header().Del(serve.EpochHeader)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w noEpoch) Write(b []byte) (int, error) {
+	w.Header().Del(serve.EpochHeader)
+	return w.ResponseWriter.Write(b)
+}
+
+// Generation advances when a replica states an epoch the client has not
+// seen from it — its first reply, a reply after a write, a reply from a
+// new process — and on every 200 reply that states none. Replies, and
+// /readyz answers, that repeat the last epoch leave it alone.
+func TestGenerationFollowsEpochs(t *testing.T) {
+	st := core.NewStore()
+	for _, tr := range testTriples() {
+		st.Add(tr)
+	}
+	var strip atomic.Bool
+	var h atomic.Pointer[serve.Server]
+	h.Store(serve.NewServer(st, serve.Options{Timeout: time.Second}))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strip.Load() {
+			w = noEpoch{w}
+		}
+		h.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := mustClient(t, []string{srv.URL}, Options{})
+	ctx := context.Background()
+	scan, _ := core.ParsePattern("?p kb:founded ?c")
+	step := func(what string, call func() error, want uint64) {
+		t.Helper()
+		g0 := c.Generation()
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := c.Generation() - g0; got != want {
+			t.Errorf("%s: generation advanced by %d, want %d", what, got, want)
+		}
+	}
+	query := func() error { _, err := c.Pattern(ctx, scan, 0); return err }
+	ready := func() error { _, err := c.Ready(ctx); return err }
+	step("first reply", query, 1)
+	step("same epoch", query, 0)
+	step("same epoch on /readyz", ready, 0)
+	st.Add(rdf.T("kb:ive", "kb:founded", "kb:apple"))
+	step("after a write", query, 1)
+	step("same epoch again", query, 0)
+	strip.Store(true)
+	step("no epoch", query, 1)
+	step("still no epoch", query, 1)
+	strip.Store(false)
+	step("epoch back", query, 1)
+	h.Store(serve.NewServer(st, serve.Options{Timeout: time.Second}))
+	step("a new process, seen on /readyz", ready, 1)
+	step("its epoch again", query, 0)
+}
+
 // Concurrent fast-path and scatter traffic against live shards: counters
 // and merges must be race-clean (run under -race in CI).
 func TestClientConcurrent(t *testing.T) {

@@ -26,6 +26,13 @@
 // retries, hedges fired/won, breaker transitions, and per-replica error
 // counts.
 //
+// Every 200 reply from a kbserve states its epoch (serve.EpochHeader),
+// which changes whenever the answers the server gives may change: a new
+// process or a write. The client remembers the last epoch of each replica
+// and counts every change — a replica's first reply included, and any
+// 200 reply without the header — in Generation, the one number
+// kbrouter's result cache validates its entries against.
+//
 // The shard function is the contract between the builder and the router:
 // kbbuild -shards partitions facts with TripleShard, and the client pins
 // subject-constant patterns with PatternShard, so a point lookup lands on
