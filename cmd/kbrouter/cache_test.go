@@ -244,3 +244,25 @@ func TestRouterCacheConcurrentEpochFlips(t *testing.T) {
 		}
 	}
 }
+
+// Two queries whose cache keys once coincided: the second is answered
+// afresh, with its own variables and the merged store's rows.
+func TestRouterShiftedVariableNamesAreDistinctQueries(t *testing.T) {
+	st := smallStore()
+	rt, _, _ := startTier(t, st, 2, shardkb.Options{})
+	for _, line := range []string{"?x\x1f?y ?z ?w", "?x ?y\x1f?z ?w"} {
+		body, err := json.Marshal(serve.QueryRequest{Patterns: []string{line}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.ParsePattern(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := mustQuery(t, rt, string(body))
+		want := bindingsToRows(st.Query([]core.Pattern{p}))
+		if resp.Cached || fmt.Sprint(canonical(resp.Rows)) != fmt.Sprint(canonical(want)) {
+			t.Errorf("%q: cached %v, rows %v, want %v", line, resp.Cached, canonical(resp.Rows), canonical(want))
+		}
+	}
+}

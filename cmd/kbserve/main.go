@@ -1,9 +1,13 @@
 // Kbserve is the long-lived query serving surface of the knowledge base:
 // it loads a snapshot once and serves concurrent conjunctive queries over
-// HTTP through the sharded result cache (internal/qcache), with
-// per-request timeouts and an operational stats endpoint. The handler
-// itself lives in internal/serve; N kbserve processes over partitioned
-// snapshots (kbbuild -shards) form the shard tier behind cmd/kbrouter.
+// HTTP, with per-request timeouts and an operational stats endpoint. A
+// query it has answered is kept as its encoded reply in a sharded LRU
+// (internal/qcache), valid until a write touches what the query reads,
+// so a repeat is answered with the stored bytes and a fresh "cached" and
+// "took_us"; the -cache-* flags count replies, and what they hold costs
+// memory per encoded byte. The handler itself lives in internal/serve; N
+// kbserve processes over partitioned snapshots (kbbuild -shards) form the
+// shard tier behind cmd/kbrouter.
 //
 // Usage:
 //
@@ -57,8 +61,8 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request query timeout")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	drainNotice := flag.Duration("drain-notice", 500*time.Millisecond, "how long /readyz advertises draining before the listener closes")
-	cacheShards := flag.Int("cache-shards", 16, "result cache shard count")
-	cachePerShard := flag.Int("cache-per-shard", 256, "cached queries per shard")
+	cacheShards := flag.Int("cache-shards", 16, "reply cache shard count")
+	cachePerShard := flag.Int("cache-per-shard", 256, "cached replies per shard")
 	flag.Parse()
 	if *kbPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: kbserve -kb snapshot.nt [-addr :8080]")

@@ -4,21 +4,25 @@
 // evaluation recipe public KB endpoints rely on to survive skewed repeat
 // traffic.
 //
-// # One LRU, two generation sources
+// # One LRU, one generation rule
 //
 // LRU is the one store: entries spread over 2^k independently locked
 // shards, each an LRU list, so concurrent readers contend only within a
 // shard and eviction is O(1). It knows nothing about what makes an entry
 // stale; its owner supplies a validity predicate, checked on every hit
 // under the shard lock, and a failing entry is dropped and counted as
-// stale. Two caches are built on it:
+// stale. The two caches on the serving path both hold encoded replies —
+// the head serve.AppendRowsHead's format fixes, without the members a hit
+// writes afresh — so a hit is one lookup and one write:
 //
-//   - Cache, over a core.Store (kbserve): it holds binding sets, and an
-//     entry is valid while the store's pattern generations are unchanged
-//     (below).
-//   - kbrouter's reply cache, over the shard tier: it holds encoded /query
-//     replies, and an entry is valid while shardkb.Client.Generation — the
-//     count of shard epoch changes the router has observed — is unchanged.
+//   - kbserve's reply cache, over a core.Store: an entry is valid while
+//     the Gens it captured (below) are current.
+//   - kbrouter's reply cache, over the shard tier: an entry is valid while
+//     shardkb.Client.Generation — the count of shard epoch changes the
+//     router has observed — is unchanged.
+//
+// Cache is the same store-side rule over binding sets instead of bytes,
+// for callers that want the bindings themselves (Cache.Query).
 //
 // # The generation-invalidation contract
 //
@@ -38,10 +42,10 @@
 // pattern's generation.
 //
 // A cache entry therefore records, for each pattern of its query, the
-// pattern's generation observed *before* evaluation. A hit validates each
-// recorded pattern with one atomic load: if every generation is
-// unchanged, no write can have altered the result; if any differs, the
-// entry is discarded and the query re-evaluated. Generations advancing
+// pattern's generation observed *before* evaluation (CaptureGens). A hit
+// validates each recorded pattern with one atomic load (Gens.Valid): if
+// every generation is unchanged, no write can have altered the result; if
+// any differs, the entry is discarded and the query re-evaluated. Generations advancing
 // spuriously (an unrelated write hashing to the same stripe) costs a
 // recomputation, never a stale answer. Capturing the generations before
 // evaluation makes a write racing the fill land the entry with an
@@ -64,6 +68,7 @@ package qcache
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -214,47 +219,87 @@ func (l *LRU[V]) Stats() Stats {
 	return s
 }
 
+// Gens is what an entry over a core.Store records to validate its hits:
+// the generation of each pattern of its query, read before the query was
+// evaluated (see the package doc). Cache and kbserve's reply cache both
+// keep one per entry.
+type Gens []patternGen
+
+type patternGen struct {
+	pat rdf.Triple // the pattern's constant skeleton, as PatternGen takes it
+	gen uint64
+}
+
+// CaptureGens reads the generation of each pattern in st. Call it before
+// evaluating the patterns: a write racing the evaluation then leaves the
+// entry stale from the start.
+func CaptureGens(st *core.Store, patterns []core.Pattern) Gens {
+	g := make(Gens, len(patterns))
+	for i, p := range patterns {
+		g[i].pat = constSkeleton(p)
+		g[i].gen = st.PatternGen(g[i].pat)
+	}
+	return g
+}
+
+// Valid reports whether every generation recorded in g is still current
+// in st — one atomic load per pattern.
+func (g Gens) Valid(st *core.Store) bool {
+	for _, pg := range g {
+		if st.PatternGen(pg.pat) != pg.gen {
+			return false
+		}
+	}
+	return true
+}
+
 // Cache is the store-backed cache: conjunctive query results over a
-// core.Store, validated by pattern generations. It is safe for concurrent
-// use.
+// core.Store, held as bindings and validated by Gens. It is safe for
+// concurrent use.
 type Cache struct {
 	st  *core.Store
 	lru *LRU[*entry]
 }
 
 type entry struct {
-	pats     []rdf.Triple // constant skeleton of each pattern, for PatternGen
-	gens     []uint64     // generation of pats[i] before evaluation
+	gens     Gens
 	bindings []core.Binding
 }
 
 // New returns a cache over st.
 func New(st *core.Store, opt Options) *Cache {
-	c := &Cache{st: st}
-	c.lru = NewLRU(opt, c.valid)
-	return c
+	return &Cache{st: st, lru: NewLRU(opt, func(e *entry) bool { return e.gens.Valid(st) })}
 }
 
 // Key renders the canonical cache key of a query: its patterns plus the
-// limit (a truncated result set cannot serve a larger request).
+// limit (a truncated result set cannot serve a larger request). It is
+// injective: each position is tagged as a variable ('?') or by its
+// constant's kind, and every string after a tag is length-prefixed, so no
+// byte inside a name or a literal can be read as a boundary. Limits <= 0
+// all mean "every row" and share a key.
 func Key(patterns []core.Pattern, limit int) string {
-	var b []byte
+	b := make([]byte, 0, 256) // on the stack for the usual query
 	for _, p := range patterns {
 		for _, pt := range [3]core.PatternTerm{p.S, p.P, p.O} {
 			if pt.Var != "" {
-				b = append(b, '?')
-				b = append(b, pt.Var...)
-			} else {
-				b = append(b, pt.Const.String()...)
+				b = appendField(append(b, '?'), string(pt.Var))
+				continue
 			}
-			b = append(b, 0x1f)
+			b = append(b, byte(pt.Const.Kind)) // never '?' or '#'
+			b = appendField(b, pt.Const.Value)
+			b = appendField(b, pt.Const.Lang)
+			b = appendField(b, pt.Const.Datatype)
 		}
-		b = append(b, 0x1e)
 	}
 	if limit > 0 {
-		b = strconv.AppendInt(b, int64(limit), 10)
+		b = strconv.AppendInt(append(b, '#'), int64(limit), 10)
 	}
 	return string(b)
+}
+
+// appendField appends s prefixed by its length.
+func appendField(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Query evaluates a conjunction of patterns through the cache, returning
@@ -267,14 +312,7 @@ func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) (
 	if e, ok := c.lru.Get(key); ok {
 		return e.bindings, true, nil
 	}
-	// Capture each pattern's generation before evaluating so a write
-	// racing the evaluation leaves the entry already-stale.
-	pats := make([]rdf.Triple, len(patterns))
-	gens := make([]uint64, len(patterns))
-	for i, p := range patterns {
-		pats[i] = constSkeleton(p)
-		gens[i] = c.st.PatternGen(pats[i])
-	}
+	gens := CaptureGens(c.st, patterns)
 	var bindings []core.Binding
 	if err := c.st.QueryFunc(ctx, patterns, limit, func(b core.Binding) bool {
 		bindings = append(bindings, b)
@@ -282,19 +320,8 @@ func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) (
 	}); err != nil {
 		return nil, false, err
 	}
-	c.lru.Put(key, &entry{pats: pats, gens: gens, bindings: bindings})
+	c.lru.Put(key, &entry{gens: gens, bindings: bindings})
 	return bindings, false, nil
-}
-
-// valid reports whether every pattern generation recorded in e is still
-// current — one atomic load per pattern.
-func (c *Cache) valid(e *entry) bool {
-	for i, pat := range e.pats {
-		if c.st.PatternGen(pat) != e.gens[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // constSkeleton reduces a pattern to the constant triple PatternGen keys

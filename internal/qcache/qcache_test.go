@@ -326,3 +326,77 @@ func TestCacheConcurrentQueriersWithWriter(t *testing.T) {
 		t.Error("no cache traffic recorded")
 	}
 }
+
+// Two queries that differ only in where a 0x1f sits relative to a '?'
+// once rendered the same key, so the second was answered from the first's
+// entry.
+func TestKeySeparatesShiftedVariableNames(t *testing.T) {
+	a, err := core.ParsePattern("?x\x1f?y ?z ?w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.ParsePattern("?x ?y\x1f?z ?w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatalf("%+v and %+v parse equal", a, b)
+	}
+	if Key([]core.Pattern{a}, 0) == Key([]core.Pattern{b}, 0) {
+		t.Errorf("%+v and %+v share a key", a, b)
+	}
+}
+
+// Equal keys if and only if equal patterns and limit, over queries whose
+// names and values are drawn from small pools of the bytes that once
+// delimited a key (0x1e, 0x1f), '?', '#' and digits — small enough that
+// equal queries recur, and holding names that are shifts of each other.
+func TestKeyIsInjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"x", "y", "z", "1", "x\x1f?y", "y\x1f?z", "\x1e", "?", "1\x1e?x", "#1"}
+	values := []string{"", "x", "\x1f", "\x1e?x", "1", "?y\x1f", "#"}
+	tags := []string{"en", "1", "\x1f?"}
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	term := func() core.PatternTerm {
+		switch rng.Intn(7) {
+		case 0, 1, 2:
+			return core.PVar(pick(names))
+		case 3:
+			return core.PTerm(rdf.NewIRI(pick(values)))
+		case 4:
+			return core.PTerm(rdf.NewLiteral(pick(values)))
+		case 5:
+			if rng.Intn(2) == 0 {
+				return core.PTerm(rdf.NewLangLiteral(pick(values), pick(tags)))
+			}
+			return core.PTerm(rdf.NewTypedLiteral(pick(values), pick(tags)))
+		}
+		return core.PTerm(rdf.NewBlank(pick(values)))
+	}
+	type query struct {
+		pats  []core.Pattern
+		limit int
+	}
+	const n = 30000
+	byKey := map[string]query{}
+	byQuery := map[string]string{} // %#v of the query -> its key
+	for i := 0; i < n; i++ {
+		q := query{pats: make([]core.Pattern, 1+rng.Intn(4)/3), limit: rng.Intn(4) - 1}
+		for j := range q.pats {
+			q.pats[j] = core.Pattern{S: term(), P: term(), O: term()}
+		}
+		key := Key(q.pats, q.limit)
+		q.limit = max(q.limit, 0) // every limit <= 0 means all rows
+		id := fmt.Sprintf("%#v", q)
+		if prev, ok := byKey[key]; ok && fmt.Sprintf("%#v", prev) != id {
+			t.Fatalf("key %q is shared by %#v and %#v", key, prev, q)
+		}
+		if prev, ok := byQuery[id]; ok && prev != key {
+			t.Fatalf("%s has two keys, %q and %q", id, prev, key)
+		}
+		byKey[key], byQuery[id] = q, key
+	}
+	if len(byKey) > n*19/20 {
+		t.Errorf("%d of %d queries distinct: too few recur to test that equal queries share a key", len(byKey), n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/rdf"
@@ -251,6 +252,59 @@ func TestParseBindBodyNeverPanics(t *testing.T) {
 		}
 		parseBindBody(b)
 	}
+}
+
+// The /bind body cursor never panics, and what it accepts encoding/json
+// accepts too, with the same pattern, vars, from and rows. The cursor
+// keeps the bytes of a string that is not UTF-8 (a term must cross a join
+// step unchanged) where encoding/json substitutes U+FFFD, so the values
+// are compared only for bodies that are valid UTF-8.
+func FuzzParseBindBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"pattern":["?c","<kb:locatedIn>","?city"],"vars":["c"],"rows":[["<kb:apple>"],["<kb:microsoft>"]]}`,
+		`{"vars":["city"],"from":[0,1],"rows":[["<kb:cupertino>"],["<kb:redmond>"]]}`,
+		`{"pattern":["?p","<kb:founded>","?c"],"vars":[],"rows":[[]]}`,
+		`{"vars":["x"],"from":[0,12],"rows":[["<kb:a\u00e9\ud83d\ude00>"],["\"x\\\"y\""]]}`,
+		`{"rows":[["\ud83dx"],["\ude00"]],"from":[0,0],"vars":["x"]}`,
+		` { "vars" : [ "x" ] , "rows" : [ [ "a" ] ] , "from" : [ 7 ] } `,
+		`{"rows":[["a"]],"rows":[["b"],["c"]]}`, `{"from":[01]}`, `{"from":[0],"from":[]}`,
+		`{"vars":["x"],"rows":[["a"],["b","c"]]}`, `{"Vars":["x"]}`, `{"rows":[["\u12"]]}`, `{}`, ``, `null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	type wire struct {
+		Pattern []string   `json:"pattern"`
+		Vars    []string   `json:"vars"`
+		From    []int      `json:"from"`
+		Rows    [][]string `json:"rows"`
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b, err := parseBindBody(body)
+		if err != nil {
+			return
+		}
+		var want wire
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("parseBindBody accepted %q, encoding/json refuses it: %v", body, err)
+		}
+		if !utf8.Valid(body) {
+			return
+		}
+		if b.n*b.width != len(b.cells) {
+			t.Fatalf("%q: %d rows %d wide but %d cells", body, b.n, b.width, len(b.cells))
+		}
+		var rows [][]string
+		if want.Rows != nil {
+			rows = [][]string{}
+			for i := 0; i < b.n; i++ {
+				rows = append(rows, b.cells[i*b.width:(i+1)*b.width])
+			}
+		}
+		got := wire{Pattern: b.pattern, Vars: b.vars, From: b.from, Rows: rows}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n cursor        %#v\n encoding/json %#v", body, got, want)
+		}
+	})
 }
 
 // AppendRowsHead followed by AppendRowsTail must put on the wire what

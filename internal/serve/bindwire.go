@@ -290,8 +290,11 @@ func (c *cursor) ints() ([]int, error) {
 			}
 			c.i++
 		}
-		if c.i == start {
+		switch {
+		case c.i == start:
 			return c.errorf("want a non-negative integer")
+		case c.s[start] == '0' && c.i > start+1:
+			return c.errorf("leading zero")
 		}
 		out = append(out, v)
 		return nil
@@ -300,9 +303,10 @@ func (c *cursor) ints() ([]int, error) {
 }
 
 // rows reads the array of positional rows into b.cells, all of one width.
+// A repeated "rows" key replaces the earlier rows, as in encoding/json.
 func (c *cursor) rows(b *bindBody) error {
 	// Every cell is a quoted string, so the quotes ahead bound the cells.
-	b.cells = make([]string, 0, strings.Count(c.s[c.i:], `"`)/2)
+	b.cells, b.n, b.width = make([]string, 0, strings.Count(c.s[c.i:], `"`)/2), 0, 0
 	return c.elems(func() error {
 		before := len(b.cells)
 		var err error

@@ -30,15 +30,24 @@
 // last epoch of each server (shardkb.Client.Generation) knows when what
 // it cached may have gone stale.
 //
-// There is one matcher and one encoder. /query (through the result
-// cache), /estimate and /bind all run core.Matcher — /bind seeds its
-// slots from the request's rows, the others start from an empty row — and
-// every /query reply, here and in cmd/kbrouter, is written by
-// AppendRowsHead and AppendRowsTail; encoding/json encodes only the small
-// fixed-shape replies (errors, /estimate, /readyz, /statsz).
+// There is one matcher and one encoder. /query, /estimate and /bind all
+// run core.Matcher — /bind seeds its slots from the request's rows, the
+// others start from an empty row — and every /query reply, here and in
+// cmd/kbrouter, is the head AppendRowsHead's format fixes followed by
+// AppendRowsTail; encoding/json encodes only the small fixed-shape
+// replies (errors, /estimate, /readyz, /statsz).
+//
+// /query keeps what it encoded. A miss compiles the patterns, runs the
+// matcher and appends each row it completes straight to the reply head —
+// no binding map, no string per cell — then stores that head in the
+// reply cache (a qcache.LRU) beside the patterns' generations
+// (qcache.Gens). A repeat whose generations still hold is one lookup and
+// one write: the stored head, unchanged, and a fresh tail carrying
+// "cached":true and its own took_us.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,11 +58,13 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/qcache"
+	"kbharvest/internal/rdf"
 )
 
 // QueryRequest is the POST /query (and /estimate) body.
@@ -100,7 +111,7 @@ type ErrorResponse struct {
 
 // Options tunes a Server.
 type Options struct {
-	// Cache configures the result cache (internal/qcache).
+	// Cache sizes the reply cache, in replies (internal/qcache).
 	Cache qcache.Options
 	// Timeout bounds each query evaluation (0 = unbounded).
 	Timeout time.Duration
@@ -174,7 +185,7 @@ func (h *LatencyHistogram) Summary() LatencyStats {
 // Server is the HTTP handler serving one store.
 type Server struct {
 	st       *core.Store
-	cache    *qcache.Cache
+	cache    *qcache.LRU[cachedReply]
 	nonce    string // "<random hex>.", the per-process half of the epoch
 	timeout  time.Duration
 	snapshot string
@@ -191,8 +202,10 @@ const EpochHeader = "Kb-Epoch"
 // NewServer wires the handler for one store.
 func NewServer(st *core.Store, opt Options) *Server {
 	s := &Server{
-		st:       st,
-		cache:    qcache.New(st, opt.Cache),
+		st: st,
+		cache: qcache.NewLRU(opt.Cache, func(e cachedReply) bool {
+			return e.gens.Valid(st)
+		}),
 		nonce:    strconv.FormatUint(rand.Uint64(), 16) + ".",
 		timeout:  opt.Timeout,
 		snapshot: opt.Snapshot,
@@ -315,60 +328,103 @@ func (s *Server) epoch() string {
 // rows — row i binds vars[j] to the serialized term cells[i*len(vars)+j] —
 // as the JSON encoding of a QueryResponse up to its "cached" member: vars
 // sorted, one object per row with its keys in that order, an ask flag
-// when there are no variables. AppendRowsTail appends the rest. The two
-// are the only encoder of that reply, for kbserve and kbrouter alike: a
-// result is written without reflection and without a map per row, and
-// the router's cache keeps a head and writes a fresh tail on each hit.
+// when there are no variables. AppendRowsTail appends the rest. Together
+// with kbserve's miss path, which writes the same head straight from the
+// matcher's rows (rowsHead), they are the only encoder of that reply, for
+// kbserve and kbrouter alike: a result is written without reflection and
+// without a map per row, and both servers cache the head and write a
+// fresh tail on each hit.
 func AppendRowsHead(dst []byte, vars, cells []string, n int) []byte {
-	dst = append(dst, '{')
-	switch {
-	case len(vars) == 0:
-		dst = append(dst, `"count":0,"ask":`...)
-		dst = strconv.AppendBool(dst, n > 0)
-	case n == 0:
-		dst = append(dst, `"count":0`...)
-	default:
-		order := make([]int, len(vars))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return vars[order[a]] < vars[order[b]] })
-		keys := make([][]byte, len(vars)) // `"name":`, in sorted order
-		dst = append(dst, `"vars":[`...)
-		for k, col := range order {
-			if k > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, vars[col])
-			keys[k] = append(appendJSONString(nil, vars[col]), ':')
-		}
-		dst = append(dst, `],"rows":[`...)
+	h := startRowsHead(dst, vars)
+	if n > 0 {
 		size := 64 + n*(3*len(vars)+2)
-		for _, key := range keys {
+		for _, key := range h.keys {
 			size += n * len(key)
 		}
 		for _, cell := range cells[:n*len(vars)] {
 			size += len(cell)
 		}
-		dst = slices.Grow(dst, size) // exact but for escapes inside cells
+		h.buf = slices.Grow(h.buf, size) // exact but for escapes inside cells
 		for i := 0; i < n; i++ {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
 			row := cells[i*len(vars) : (i+1)*len(vars)]
-			sep := byte('{')
-			for k, col := range order {
-				dst = append(dst, sep)
-				sep = ','
-				dst = append(dst, keys[k]...)
-				dst = appendJSONString(dst, row[col])
+			for k, col := range h.order {
+				h.key(k)
+				h.buf = appendJSONString(h.buf, row[col])
 			}
-			dst = append(dst, '}')
+			h.endRow()
 		}
-		dst = append(dst, `],"count":`...)
-		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
-	return dst
+	return h.end()
+}
+
+// rowsHead writes the head AppendRowsHead describes one row at a time,
+// for a writer that does not know the row count before the last row: per
+// row, key(k) and the k-th cell in name order for every column, then
+// endRow; end closes the head. A row of no columns (an ASK match) is just
+// endRow.
+type rowsHead struct {
+	buf   []byte
+	start int      // len(buf) before the head
+	order []int    // the columns, sorted by variable name
+	keys  [][]byte // `"name":` of each column, in that order
+	rows  int      // rows ended so far
+}
+
+// startRowsHead appends the opening of a head for vars, in any order.
+func startRowsHead(dst []byte, vars []string) rowsHead {
+	h := rowsHead{buf: dst, start: len(dst)}
+	if len(vars) == 0 {
+		return h
+	}
+	h.order = make([]int, len(vars))
+	for i := range h.order {
+		h.order[i] = i
+	}
+	sort.Slice(h.order, func(a, b int) bool { return vars[h.order[a]] < vars[h.order[b]] })
+	h.keys = make([][]byte, len(vars))
+	h.buf = append(h.buf, `{"vars":[`...)
+	for k, col := range h.order {
+		if k > 0 {
+			h.buf = append(h.buf, ',')
+		}
+		h.buf = appendJSONString(h.buf, vars[col])
+		h.keys[k] = append(appendJSONString(nil, vars[col]), ':')
+	}
+	h.buf = append(h.buf, `],"rows":[`...)
+	return h
+}
+
+// key appends what precedes the k-th cell, in name order, of the current
+// row.
+func (h *rowsHead) key(k int) {
+	switch {
+	case k > 0:
+		h.buf = append(h.buf, ',')
+	case h.rows > 0:
+		h.buf = append(h.buf, ',', '{')
+	default:
+		h.buf = append(h.buf, '{')
+	}
+	h.buf = append(h.buf, h.keys[k]...)
+}
+
+func (h *rowsHead) endRow() {
+	if len(h.order) > 0 {
+		h.buf = append(h.buf, '}')
+	}
+	h.rows++
+}
+
+// end closes the head: the count, or, for no rows or no variables, the
+// shorter forms that replace everything startRowsHead wrote.
+func (h *rowsHead) end() []byte {
+	switch {
+	case len(h.order) == 0:
+		return strconv.AppendBool(append(h.buf[:h.start], `{"count":0,"ask":`...), h.rows > 0)
+	case h.rows == 0:
+		return append(h.buf[:h.start], `{"count":0`...)
+	}
+	return strconv.AppendInt(append(h.buf, `],"count":`...), int64(h.rows), 10)
 }
 
 // AppendRowsTail appends the members of a /query reply that describe one
@@ -426,22 +482,66 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
-	ctx := r.Context()
+	t0 := time.Now()
+	key := qcache.Key(patterns, req.Limit)
+	e, cached := s.cache.Get(key)
+	if !cached {
+		var err error
+		if e, err = s.evaluate(r.Context(), patterns, req.Limit); err != nil {
+			s.lat.Observe(time.Since(t0))
+			WriteQueryError(w, err)
+			return
+		}
+		s.cache.Put(key, e)
+	}
+	took := time.Since(t0)
+	s.lat.Observe(took)
+	// 64 bytes hold any tail: it is allocated once, not grown.
+	WriteRows(w, e.head, AppendRowsTail(make([]byte, 0, 64), cached, took.Microseconds(), false))
+}
+
+// cachedReply is one entry of the server's reply cache.
+type cachedReply struct {
+	gens qcache.Gens // the patterns' generations before the evaluation
+	head []byte      // the reply up to "cached", never modified once stored
+}
+
+// heads pools the buffers misses encode into; the cache keeps an exact
+// copy.
+var heads = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// evaluate answers a query from the store: the matcher runs from an empty
+// row and each row it completes is appended to the reply head as it
+// stands, with no binding map and no intermediate strings.
+func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit int) (cachedReply, error) {
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	t0 := time.Now()
-	bindings, cached, err := s.cache.Query(ctx, patterns, req.Limit)
-	took := time.Since(t0)
-	s.lat.Observe(took)
-	if err != nil {
-		WriteQueryError(w, err)
-		return
+	e := cachedReply{gens: qcache.CaptureGens(s.st, patterns)}
+	m := s.st.Compile(patterns)
+	vars := make([]string, len(m.Vars()))
+	for i, v := range m.Vars() {
+		vars[i] = string(v)
 	}
-	vars, cells := BindingCells(patterns, bindings)
-	WriteRows(w, AppendRowsTail(AppendRowsHead(nil, vars, cells, len(bindings)), cached, took.Microseconds(), false))
+	buf := heads.Get().(*[]byte)
+	defer heads.Put(buf)
+	h := startRowsHead((*buf)[:0], vars)
+	err := m.Match(ctx, make([]rdf.Term, len(vars)), limit, func(row []rdf.Term) bool {
+		for k, col := range h.order {
+			h.key(k)
+			h.buf = appendTermJSON(h.buf, row[col])
+		}
+		h.endRow()
+		return true
+	})
+	*buf = h.end()
+	if err != nil {
+		return e, err
+	}
+	e.head = bytes.Clone(*buf)
+	return e, nil
 }
 
 // handleEstimate serves the router's planning probe: per-pattern
