@@ -2,20 +2,19 @@ package core
 
 import "sync"
 
-// The fact-log layer: the append-only list of encoded triples, tombstones,
-// the exact-match (dedup) index, and per-fact metadata. FactIDs are dense
-// log positions. The log's critical sections are short — one map probe and
-// two appends — and the batch path amortizes the lock over a whole batch,
-// assigning FactIDs in input order (which is what makes batch and
-// sequential insertion of the same triples observationally identical).
+// The fact-log layer: the append-only list of encoded triples, the
+// exact-match (dedup) index, and per-fact metadata. FactIDs are dense log
+// positions, and a fact once logged stays for the life of the store. The
+// log's critical sections are short — one map probe and one append — and
+// the batch path amortizes the lock over a whole batch, assigning FactIDs
+// in input order (which is what makes batch and sequential insertion of
+// the same triples observationally identical).
 
 type factLog struct {
 	mu      sync.RWMutex
 	triples []encTriple // FactID -> triple
-	dead    []bool      // FactID -> tombstone
 	index   map[encTriple]FactID
 	meta    map[FactID]*FactInfo
-	live    int
 }
 
 func newFactLog() *factLog {
@@ -26,7 +25,7 @@ func newFactLog() *factLog {
 }
 
 // add appends one triple, reporting its FactID and whether it is new (a
-// live duplicate reuses its existing ID).
+// duplicate reuses its existing ID).
 func (l *factLog) add(et encTriple) (FactID, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -34,14 +33,12 @@ func (l *factLog) add(et encTriple) (FactID, bool) {
 }
 
 func (l *factLog) addLocked(et encTriple) (FactID, bool) {
-	if id, ok := l.index[et]; ok && !l.dead[id] {
+	if id, ok := l.index[et]; ok {
 		return id, false
 	}
 	id := FactID(len(l.triples))
 	l.triples = append(l.triples, et)
-	l.dead = append(l.dead, false)
 	l.index[et] = id
-	l.live++
 	return id, true
 }
 
@@ -68,130 +65,75 @@ func (l *factLog) addBatch(ets []encTriple, ids []FactID, fresh []bool, infos []
 	}
 }
 
-// remove tombstones the live fact for et, reporting whether one existed.
-func (l *factLog) remove(et encTriple) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id, ok := l.index[et]
-	if !ok || l.dead[id] {
-		return false
-	}
-	l.killLocked(id)
-	return true
-}
-
-// removeFact tombstones a fact by ID, returning its triple so the caller
-// can bump the index generations that covered it.
-func (l *factLog) removeFact(id FactID) (encTriple, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if int(id) >= len(l.triples) || l.dead[id] {
-		return encTriple{}, false
-	}
-	l.killLocked(id)
-	return l.triples[id], true
-}
-
-func (l *factLog) killLocked(id FactID) {
-	l.dead[id] = true
-	delete(l.meta, id)
-	l.live--
-}
-
-// factOf resolves a live triple to its FactID.
+// factOf resolves a triple to its FactID.
 func (l *factLog) factOf(et encTriple) (FactID, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	id, ok := l.index[et]
-	if !ok || l.dead[id] {
+	if !ok {
 		return NoFact, false
 	}
 	return id, true
 }
 
-// get returns the triple of a live fact.
+// get returns the triple of a fact.
 func (l *factLog) get(id FactID) (encTriple, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if int(id) >= len(l.triples) || l.dead[id] {
+	if int(id) >= len(l.triples) {
 		return encTriple{}, false
 	}
 	return l.triples[id], true
 }
 
-// resolve filters candidate IDs down to live facts and fetches their
-// triples under one read lock, also returning the tombstoned IDs it
-// skipped (nil when none) so callers can compact the posting they came
-// from. ids must be sorted if callers rely on deterministic output order;
-// the live result aliases ids' backing array.
-func (l *factLog) resolve(ids []FactID) ([]FactID, []encTriple, []FactID) {
-	live := ids[:0]
-	ets := make([]encTriple, 0, len(ids))
-	var dead []FactID
+// resolve fetches the triples of ids under one read lock. Every ID comes
+// from a posting, and a fact is logged before it is indexed, so each one
+// names a logged fact.
+func (l *factLog) resolve(ids []FactID) []encTriple {
+	ets := make([]encTriple, len(ids))
 	l.mu.RLock()
-	for _, id := range ids {
-		if int(id) < len(l.triples) && !l.dead[id] {
-			live = append(live, id)
-			ets = append(ets, l.triples[id])
-		} else {
-			dead = append(dead, id)
-		}
+	for i, id := range ids {
+		ets[i] = l.triples[id]
 	}
 	l.mu.RUnlock()
-	return live, ets, dead
+	return ets
 }
 
-// scan returns every live fact ID and triple in insertion order.
-func (l *factLog) scan() ([]FactID, []encTriple) {
+// scan returns every triple in insertion order, which is FactID order.
+func (l *factLog) scan() []encTriple {
 	l.mu.RLock()
-	ids := make([]FactID, 0, l.live)
-	ets := make([]encTriple, 0, l.live)
-	for id, et := range l.triples {
-		if !l.dead[id] {
-			ids = append(ids, FactID(id))
-			ets = append(ets, et)
-		}
-	}
-	l.mu.RUnlock()
-	return ids, ets
+	defer l.mu.RUnlock()
+	return append([]encTriple(nil), l.triples...)
 }
 
-// snapshot returns every live fact in insertion order together with a
-// copy of its explicit metadata (nil where none was set), under one read
-// lock — the consistent view Save serializes.
-func (l *factLog) snapshot() ([]FactID, []encTriple, []*FactInfo) {
+// snapshot returns every fact in insertion order together with a copy of
+// its explicit metadata (nil where none was set), under one read lock —
+// the consistent view Save serializes.
+func (l *factLog) snapshot() ([]encTriple, []*FactInfo) {
 	l.mu.RLock()
-	ids := make([]FactID, 0, l.live)
-	ets := make([]encTriple, 0, l.live)
-	infos := make([]*FactInfo, 0, l.live)
-	for id, et := range l.triples {
-		if l.dead[id] {
-			continue
-		}
-		ids = append(ids, FactID(id))
-		ets = append(ets, et)
+	defer l.mu.RUnlock()
+	ets := append([]encTriple(nil), l.triples...)
+	infos := make([]*FactInfo, len(ets))
+	for id := range ets {
 		if m, ok := l.meta[FactID(id)]; ok {
 			cp := *m
-			infos = append(infos, &cp)
-		} else {
-			infos = append(infos, nil)
+			infos[id] = &cp
 		}
 	}
-	l.mu.RUnlock()
-	return ids, ets, infos
+	return ets, infos
 }
 
 func (l *factLog) len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.live
+	return len(l.triples)
 }
 
-// setInfo replaces a live fact's metadata.
+// setInfo replaces a fact's metadata.
 func (l *factLog) setInfo(id FactID, info FactInfo) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if int(id) >= len(l.triples) || l.dead[id] {
+	if int(id) >= len(l.triples) {
 		return false
 	}
 	cp := info
@@ -202,11 +144,11 @@ func (l *factLog) setInfo(id FactID, info FactInfo) bool {
 	return true
 }
 
-// info reads a live fact's metadata, defaulting to confidence 1 / Always.
+// info reads a fact's metadata, defaulting to confidence 1 / Always.
 func (l *factLog) info(id FactID) (FactInfo, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if int(id) >= len(l.triples) || l.dead[id] {
+	if int(id) >= len(l.triples) {
 		return FactInfo{}, false
 	}
 	if m, ok := l.meta[id]; ok {
@@ -215,12 +157,12 @@ func (l *factLog) info(id FactID) (FactInfo, bool) {
 	return FactInfo{Confidence: 1, Time: Always}, true
 }
 
-// update mutates a live fact's metadata in place via fn, creating the
-// entry from the given default if absent.
+// update mutates a fact's metadata in place via fn, creating the entry
+// from the given default if absent.
 func (l *factLog) update(id FactID, def FactInfo, fn func(*FactInfo)) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if int(id) >= len(l.triples) || l.dead[id] {
+	if int(id) >= len(l.triples) {
 		return false
 	}
 	m, ok := l.meta[id]

@@ -12,28 +12,26 @@ import (
 // contend; readers take a stripe read lock only long enough to copy the
 // matching fact IDs out.
 //
+// Postings are append-only: the store never retracts a fact, and the fact
+// log's dedup index admits each triple once, so a posting holds exactly the
+// facts filed under its key and its length is an exact match count.
 // Postings are held behind pointers (map[ID]*posting) so appending to an
 // existing posting list costs one map access instead of an access plus a
 // re-assignment.
 //
 // Each stripe additionally carries a write generation counter, bumped on
-// every insertion into the stripe and on every tombstone whose fact the
-// stripe indexes. The counter lets the result cache (internal/qcache)
-// validate a cached pattern result with a single atomic load: if the
-// generation of the stripe a pattern reads from is unchanged since the
-// result was computed, no write can have altered the pattern's matches.
-// Writers only bump atomics — they never touch cache state or cache locks.
+// every insertion into the stripe. The counter lets the result cache
+// (internal/qcache) validate a cached pattern result with a single atomic
+// load: if the generation of the stripe a pattern reads from is unchanged
+// since the result was computed, no write can have altered the pattern's
+// matches. Writers only bump atomics — they never touch cache state or
+// cache locks.
 
 const (
 	indexStripeBits = 4
 	indexStripes    = 1 << indexStripeBits // 16
 	indexStripeMask = indexStripes - 1
 )
-
-// compactMinPostings is the smallest copied-out candidate list that can
-// trigger tombstone compaction of its posting; below it, the dead entries
-// cost less than the compaction pass.
-const compactMinPostings = 16
 
 type posting struct{ ids []FactID }
 
@@ -133,9 +131,8 @@ func (p *permIndex) lead(a ID, buf []FactID) []FactID {
 	return buf
 }
 
-// pairCount returns the posting length under (a, b). Tombstoned facts are
-// included until compaction prunes them, so this is an upper bound on the
-// live matches — which is exactly what join planning needs cheaply.
+// pairCount returns the posting length under (a, b): the exact number of
+// facts filed there.
 func (p *permIndex) pairCount(a, b ID) int {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
@@ -147,8 +144,8 @@ func (p *permIndex) pairCount(a, b ID) int {
 	return n
 }
 
-// leadCount returns the total posting length under leading term a (an
-// upper bound on live matches, like pairCount).
+// leadCount returns the total posting length under leading term a: the
+// exact number of facts whose leading term is a.
 func (p *permIndex) leadCount(a ID) int {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
@@ -164,59 +161,4 @@ func (p *permIndex) leadCount(a ID) int {
 // leading term a.
 func (p *permIndex) genOf(a ID) uint64 {
 	return p.stripes[stripeOf(a)].gen.Load()
-}
-
-// bumpGen marks a write affecting leading term a without touching the
-// stripe's postings (used when a fact is tombstoned: the posting entry
-// goes stale but is pruned lazily).
-func (p *permIndex) bumpGen(a ID) {
-	p.stripes[stripeOf(a)].gen.Add(1)
-}
-
-// compactPair rewrites the (a, b) posting dropping every FactID in dead.
-// Tombstoned FactIDs never come back to life (a re-added triple gets a
-// fresh ID), so dead sets computed outside the stripe lock stay valid.
-// Compaction does not change any pattern's visible matches, so it does not
-// bump the stripe generation.
-func (p *permIndex) compactPair(a, b ID, dead map[FactID]bool) {
-	s := &p.stripes[stripeOf(a)]
-	s.mu.Lock()
-	if pl, ok := s.m[a][b]; ok {
-		pl.ids = pruneDead(pl.ids, dead)
-		if len(pl.ids) == 0 {
-			delete(s.m[a], b)
-			if len(s.m[a]) == 0 {
-				delete(s.m, a)
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// compactLead rewrites every posting under leading term a dropping the
-// FactIDs in dead.
-func (p *permIndex) compactLead(a ID, dead map[FactID]bool) {
-	s := &p.stripes[stripeOf(a)]
-	s.mu.Lock()
-	inner := s.m[a]
-	for b, pl := range inner {
-		pl.ids = pruneDead(pl.ids, dead)
-		if len(pl.ids) == 0 {
-			delete(inner, b)
-		}
-	}
-	if len(inner) == 0 {
-		delete(s.m, a)
-	}
-	s.mu.Unlock()
-}
-
-func pruneDead(ids []FactID, dead map[FactID]bool) []FactID {
-	out := ids[:0]
-	for _, id := range ids {
-		if !dead[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

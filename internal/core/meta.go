@@ -86,7 +86,7 @@ type FactInfo struct {
 	Time Interval
 }
 
-// SetInfo attaches metadata to a fact. Unknown or dead fact IDs are
+// SetInfo attaches metadata to a fact. Unknown fact IDs are
 // ignored (reported via the return value). For bulk assertion with
 // metadata, prefer AddBatchMeta, which applies the metadata in the same
 // fact-log critical section as the insert.

@@ -163,14 +163,3 @@ func TestSetConfidenceAndTime(t *testing.T) {
 		t.Error("bad ids should fail")
 	}
 }
-
-func TestInfoGoneAfterRemove(t *testing.T) {
-	st := NewStore()
-	tr := rdf.T("a", "p", "b")
-	id := st.Add(tr)
-	st.SetConfidence(id, 0.3)
-	st.Remove(tr)
-	if _, ok := st.Info(id); ok {
-		t.Error("Info of removed fact should fail")
-	}
-}

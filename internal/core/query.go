@@ -42,7 +42,8 @@ func PIRI(iri string) PatternTerm { return PatternTerm{Const: rdf.NewIRI(iri)} }
 func PTerm(t rdf.Term) PatternTerm { return PatternTerm{Const: t} }
 
 // ParsePatternTerm parses "?x" as a variable, "<iri>" or a bare token as an
-// IRI, and a double-quoted string as a plain literal.
+// IRI, and a double-quoted string as a plain literal. The empty IRI "<>"
+// is an error.
 func ParsePatternTerm(s string) (PatternTerm, error) {
 	s = strings.TrimSpace(s)
 	switch {
@@ -53,6 +54,10 @@ func ParsePatternTerm(s string) (PatternTerm, error) {
 			return PatternTerm{}, fmt.Errorf("core: empty variable name")
 		}
 		return PVar(s[1:]), nil
+	case s == "<>":
+		// The empty IRI is the zero term, which a pattern reads as a
+		// wildcard: accepted, "?s p <>" would match every object.
+		return PatternTerm{}, fmt.Errorf("core: empty IRI <>")
 	case strings.HasPrefix(s, "<") && strings.HasSuffix(s, ">"):
 		return PIRI(s[1 : len(s)-1]), nil
 	case strings.HasPrefix(s, `"`) || strings.HasSuffix(s, `"`):
@@ -162,11 +167,9 @@ func (st *Store) QueryFunc(ctx context.Context, patterns []Pattern, limit int, f
 }
 
 // PatternEstimate returns the planner's cost probe for one pattern: the
-// index-cardinality upper bound on its matches under binding b. Variables
-// bound in b count as constants, genuinely unbound variables as
-// wildcards; tombstoned facts still sitting in postings are counted until
-// compaction prunes them. A zero estimate is exact — the pattern cannot
-// match.
+// exact number of its matches under binding b, read from index posting
+// sizes. Variables bound in b count as constants, genuinely unbound
+// variables as wildcards.
 func (st *Store) PatternEstimate(p Pattern, b Binding) int {
 	m := st.Compile([]Pattern{p})
 	row := make([]rdf.Term, len(m.vars))
@@ -220,8 +223,8 @@ func (st *Store) Compile(patterns []Pattern, seeded ...Var) *Matcher {
 func (m *Matcher) Vars() []Var { return m.vars }
 
 // probe is the planner's cost probe: the dictionary IDs p reads under row
-// (0 for a position that is free) and the index-cardinality upper bound
-// on its matches. A term the dictionary has never seen costs 0: nothing
+// (0 for a position that is free) and the exact number of its matches,
+// read from index posting sizes. A term the dictionary has never seen costs 0: nothing
 // can match.
 func (m *Matcher) probe(p *slotPattern, row []rdf.Term) (ids [3]ID, cost int) {
 	for j, ps := range p {
@@ -248,7 +251,7 @@ func (m *Matcher) probe(p *slotPattern, row []rdf.Term) (ids [3]ID, cost int) {
 // step the engine probes the index posting sizes every remaining pattern
 // would read under the row so far and executes the cheapest pattern next.
 // A pattern that estimates to zero matches prunes its branch immediately
-// — estimates are upper bounds — so constants the dictionary has never
+// — estimates are exact counts — so constants the dictionary has never
 // seen short-circuit the whole conjunction.
 func (m *Matcher) Match(ctx context.Context, row []rdf.Term, limit int, fn func(row []rdf.Term) bool) error {
 	r := matchRun{m: m, ctx: ctx, row: row, limit: limit, fn: fn}

@@ -128,6 +128,7 @@ func TestParsePatternTerm(t *testing.T) {
 		{`"Steve Jobs"`, "", "", "Steve Jobs", false},
 		{"?", "", "", "", true},
 		{"", "", "", "", true},
+		{"<>", "", "", "", true}, // the zero term, a wildcard
 	}
 	for _, c := range cases {
 		got, err := ParsePatternTerm(c.in)
@@ -296,15 +297,17 @@ func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
 			patterns: []Pattern{{S: PVar("x"), P: PVar("r"), O: PVar("y")}, {S: PVar("y"), P: PIRI("likes"), O: PVar("y")}}},
 		{name: "seeded with a term the store has never seen", seed: Binding{"y": rdf.NewIRI("nobody")},
 			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}}},
-		{name: "a fact removed between two steps",
+		{name: "a fact added between two steps",
 			patterns: []Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}},
 			onRow: func(st *Store, n int) {
-				if n == 1 { // the first row is a1/b1/c1; take the other branch's second step away
-					st.Remove(rdf.T("b2", "q", "c2"))
+				if n == 1 { // the first row is a1/b1/c1, and step one has run
+					st.Add(rdf.T("b2", "q", "c3")) // the other branch's second step probes after this
+					st.Add(rdf.T("a3", "p", "b1")) // step one does not probe again
 				}
 			},
-			want: func(st *Store) []Binding { // the answer over what is left, which still holds row 1
-				return bruteForce(st.All(), []Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}})
+			want: func(*Store) []Binding { // the world plus the fact the later step sees
+				return bruteForce(append(slices.Clone(world), rdf.T("b2", "q", "c3")),
+					[]Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}})
 			}},
 	} {
 		st := NewStore()
@@ -405,6 +408,16 @@ func TestParsePatternTermQuoteErrors(t *testing.T) {
 	got, err := ParsePatternTerm(`"ok"`)
 	if err != nil || !got.Const.IsLiteral() || got.Const.Value != "ok" {
 		t.Errorf(`ParsePatternTerm("ok") = %v, %v`, got, err)
+	}
+}
+
+// "<>" is the zero term, the wildcard: as a constant it would turn
+// "?s kb:p <>" into "?s kb:p ?anything".
+func TestParsePatternRejectsEmptyIRI(t *testing.T) {
+	for _, line := range []string{"?s kb:p <>", "<> kb:p ?o", "?s <> ?o ."} {
+		if p, err := ParsePattern(line); err == nil {
+			t.Errorf("ParsePattern(%q) = %+v, want an error", line, p)
+		}
 	}
 }
 
@@ -520,9 +533,9 @@ func TestQueryFuncCompletionBeatsCancellation(t *testing.T) {
 	}
 }
 
-func TestQueryFactRemovedBetweenJoinPatterns(t *testing.T) {
-	// A fact removed after the first pattern matched it must not survive
-	// into rows produced by later patterns of the same join.
+func TestQueryFactAddedBetweenJoinPatterns(t *testing.T) {
+	// A fact added while a join runs is seen by a later pattern's probe,
+	// and not by a pattern whose step has already run.
 	st := NewStore()
 	st.Add(rdf.T("jobs", "founded", "apple"))
 	st.Add(rdf.T("gates", "founded", "microsoft"))
@@ -534,17 +547,25 @@ func TestQueryFactRemovedBetweenJoinPatterns(t *testing.T) {
 		{S: PVar("c"), P: PIRI("locatedIn"), O: PVar("city")},
 	}, 0, func(b Binding) bool {
 		rows = append(rows, b)
-		// After the first emitted row, retract the other branch's
-		// location fact so its join partner disappears mid-query.
-		st.Remove(rdf.T("apple", "locatedIn", "cupertino"))
-		st.Remove(rdf.T("microsoft", "locatedIn", "redmond"))
+		if len(rows) == 1 {
+			// The founded step ran first (a tie goes to the first
+			// pattern); the microsoft branch has yet to probe locatedIn.
+			st.Add(rdf.T("microsoft", "locatedIn", "bellevue"))
+			st.Add(rdf.T("wozniak", "founded", "apple"))
+		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Errorf("got %d rows, want 1 (second branch's fact was removed mid-join): %v", len(rows), rows)
+	got := renderBindings(rows)
+	want := []string{
+		"c=<apple> city=<cupertino> p=<jobs>",
+		"c=<microsoft> city=<bellevue> p=<gates>",
+		"c=<microsoft> city=<redmond> p=<gates>",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows = %q, want %q", got, want)
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 func (st *Store) ReifyFact(id FactID) ([]rdf.Triple, error) {
 	t, ok := st.Fact(id)
 	if !ok {
-		return nil, fmt.Errorf("core: reify: no live fact %d", id)
+		return nil, fmt.Errorf("core: reify: no fact %d", id)
 	}
 	info, _ := st.Info(id)
 	node := rdf.NewBlank(fmt.Sprintf("f%d", id))
@@ -55,7 +55,7 @@ func (st *Store) ReifyFact(id FactID) ([]rdf.Triple, error) {
 	return out, nil
 }
 
-// ReifyAll renders every live fact (optionally only those matching the
+// ReifyAll renders every fact (optionally only those matching the
 // pattern) as reified triples.
 func (st *Store) ReifyAll(pattern rdf.Triple) []rdf.Triple {
 	var out []rdf.Triple

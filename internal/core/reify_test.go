@@ -56,11 +56,6 @@ func TestReifyFactErrors(t *testing.T) {
 	if _, err := st.ReifyFact(FactID(7)); err == nil {
 		t.Error("reifying a missing fact should fail")
 	}
-	id := st.Add(rdf.T("a", "p", "b"))
-	st.RemoveFact(id)
-	if _, err := st.ReifyFact(id); err == nil {
-		t.Error("reifying a tombstoned fact should fail")
-	}
 }
 
 func TestReifyRoundTrip(t *testing.T) {

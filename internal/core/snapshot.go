@@ -62,7 +62,7 @@ func (st *Store) SaveShards(ws []io.Writer, shardOf func(rdf.Triple) int) error 
 	if len(ws) == 0 {
 		return fmt.Errorf("core: save: no shard writers")
 	}
-	_, ets, infos := st.log.snapshot()
+	ets, infos := st.log.snapshot()
 	bws := make([]*bufio.Writer, len(ws))
 	crcs := make([]hash.Hash32, len(ws))
 	counts := make([]int, len(ws))

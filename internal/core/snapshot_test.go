@@ -53,21 +53,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotSkipsTombstones(t *testing.T) {
-	st := NewStore()
-	st.Add(rdf.T("a", "p", "b"))
-	st.Add(rdf.T("a", "p", "c"))
-	st.Remove(rdf.T("a", "p", "b"))
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st2 := NewStore()
-	if n, err := st2.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 1 {
-		t.Fatalf("Load = %d, %v", n, err)
-	}
-}
-
 // sealed wraps fact, meta and comment lines the way a writer other than
 // Save would have to: under the v3 header, over a computed trailer.
 func sealed(lines string) string {
@@ -95,6 +80,9 @@ func TestLoadErrors(t *testing.T) {
 		{"bad end", "<a> <p> <b> .\n#!meta 0.5 0 y src\n"},
 		{"short meta", "<a> <p> <b> .\n#!meta 0.5\n"},
 		{"bad triple", "<a> <p>\n"},
+		// Stored, the zero term would be a wildcard: "?s kb:p ?o . ?s kb:q ?z"
+		// would bind ?s to it and then match both kb:q facts.
+		{"empty IRI", "<> <kb:p> <kb:a> .\n<kb:x> <kb:q> <kb:b> .\n<kb:y> <kb:q> <kb:c> .\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,8 +90,9 @@ func TestLoadErrors(t *testing.T) {
 			if _, err := readSnapshot(strings.NewReader(in), nil); err != nil {
 				t.Fatalf("integrity pass over %q: %v", in, err)
 			}
-			if n, err := NewStore().Load(strings.NewReader(in)); err == nil || n != 0 {
-				t.Errorf("Load(%q) = %d, %v; want 0 and an error", in, n, err)
+			st := NewStore()
+			if n, err := st.Load(strings.NewReader(in)); err == nil || n != 0 || st.Len() != 0 {
+				t.Errorf("Load(%q) = %d, %v, leaving %d facts; want 0, an error and an empty store", in, n, err, st.Len())
 			}
 		})
 	}
@@ -272,9 +261,10 @@ func TestLoadNoTrailingNewline(t *testing.T) {
 	}
 }
 
-// Save must produce a consistent, loadable view while writers churn the
-// store: every snapshot taken mid-write has to contain all stable facts
-// and parse cleanly (run under -race in CI).
+// Save must produce a consistent, loadable view while writers add facts
+// and metadata: every snapshot taken mid-write has to contain all stable
+// facts, parse cleanly, and hold no fewer facts than the one before it
+// (run under -race in CI).
 func TestConcurrentSaveWithWriters(t *testing.T) {
 	st := NewStore()
 	var stable []rdf.Triple
@@ -283,36 +273,31 @@ func TestConcurrentSaveWithWriters(t *testing.T) {
 		st.Add(tr)
 		stable = append(stable, tr)
 	}
-	stop := make(chan struct{})
+	const batches = 400
 	var writers sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		writers.Add(1)
 		go func(g int) {
 			defer writers.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < batches; i++ {
 				batch := []rdf.Triple{
-					rdf.T(fmt.Sprintf("kb:churn%d_%d", g, i%20), "kb:rel", "kb:x"),
-					rdf.T(fmt.Sprintf("kb:churn%d_%d", g, i%20), "kb:rel", "kb:y"),
+					rdf.T(fmt.Sprintf("kb:new%d_%d", g, i), "kb:rel", "kb:x"),
+					rdf.T(fmt.Sprintf("kb:new%d_%d", g, i), "kb:rel", "kb:y"),
 				}
 				ids := st.AddBatch(batch)
-				st.SetInfo(ids[0], FactInfo{Confidence: 0.5, Source: "churn ", Time: Interval{1, 2}})
-				st.Remove(batch[0])
-				st.Remove(batch[1])
+				st.SetInfo(ids[0], FactInfo{Confidence: 0.5, Source: "new ", Time: Interval{1, 2}})
 			}
 		}(g)
 	}
+	last := 0
 	for round := 0; round < 20; round++ {
 		var buf bytes.Buffer
 		if err := st.Save(&buf); err != nil {
 			t.Fatalf("round %d: Save: %v", round, err)
 		}
 		loaded := NewStore()
-		if _, err := loaded.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		n, err := loaded.Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
 			t.Fatalf("round %d: snapshot does not load: %v", round, err)
 		}
 		for _, tr := range stable {
@@ -320,8 +305,11 @@ func TestConcurrentSaveWithWriters(t *testing.T) {
 				t.Fatalf("round %d: stable fact %v missing from snapshot", round, tr)
 			}
 		}
+		if n < last {
+			t.Fatalf("round %d: snapshot holds %d facts, the one before held %d", round, n, last)
+		}
+		last = n
 	}
-	close(stop)
 	writers.Wait()
 }
 

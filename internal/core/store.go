@@ -27,6 +27,11 @@
 // extraction pipelines; per-triple Add remains for incremental use.
 // Pattern enumeration is sorted by FactID, so batch and sequential
 // insertion of the same triples answer every query identically.
+//
+// The store is append-only, like the harvest-then-serve stores it stands
+// in for: a fact once asserted is never retracted. Every posting therefore
+// holds only facts that are in the store, and the planner's estimates are
+// exact counts.
 package core
 
 import (
@@ -42,9 +47,9 @@ import (
 // "no term" / wildcard.
 type ID uint32
 
-// FactID identifies one asserted triple inside a Store. FactIDs are dense
-// and start at 0; they stay stable for the lifetime of the store (facts
-// are tombstoned, not compacted, on removal).
+// FactID identifies one asserted triple inside a Store. FactIDs are dense,
+// start at 0 and follow insertion order; a FactID names the same fact for
+// the lifetime of the store.
 type FactID uint32
 
 // NoFact is returned by lookups that find no fact.
@@ -54,9 +59,10 @@ type encTriple struct {
 	s, p, o ID
 }
 
-// Store is an in-memory knowledge base. It is safe for concurrent use:
-// point operations (Add, Remove, FactOf, ...) are atomic, and a fact is
-// visible to every read path once the call that asserted it returns.
+// Store is an in-memory, append-only knowledge base: facts are added,
+// never removed. It is safe for concurrent use: point operations (Add,
+// FactOf, SetInfo, ...) are atomic, and a fact is visible to every read
+// path once the call that asserted it returns.
 //
 // The zero value is not usable; call NewStore.
 type Store struct {
@@ -70,7 +76,7 @@ type Store struct {
 	pos permIndex
 	osp permIndex
 
-	// writeGen counts every mutation (insert or tombstone). It backs
+	// writeGen counts every write that inserts a fact. It backs
 	// PatternGen for patterns no index stripe can vouch for (full scans,
 	// patterns naming terms the dictionary has never seen).
 	writeGen atomic.Uint64
@@ -97,9 +103,11 @@ func (st *Store) lookup(t rdf.Term) (ID, bool) {
 	return st.dict.lookup(t)
 }
 
-// Add asserts a triple and returns its FactID. Adding an existing live
-// triple is idempotent and returns the original FactID.
+// Add asserts a triple and returns its FactID. Adding an existing triple
+// is idempotent and returns the original FactID. Add panics if a term of
+// t is the zero rdf.Term, which patterns read as a wildcard.
 func (st *Store) Add(t rdf.Triple) FactID {
+	mustHaveTerms(t)
 	et := encTriple{st.dict.intern(t.S), st.dict.intern(t.P), st.dict.intern(t.O)}
 	id, isNew := st.log.add(et)
 	if isNew {
@@ -116,7 +124,8 @@ func (st *Store) Add(t rdf.Triple) FactID {
 // lock acquisition (FactIDs assigned in input order), and index insertions
 // are grouped per stripe. Duplicate triples — within the batch or against
 // the store — reuse their existing FactID, exactly like repeated Add
-// calls.
+// calls. Like Add, it panics on a zero-valued term, before it changes
+// anything.
 func (st *Store) AddBatch(ts []rdf.Triple) []FactID {
 	return st.addBatch(ts, nil)
 }
@@ -124,7 +133,7 @@ func (st *Store) AddBatch(ts []rdf.Triple) []FactID {
 // AddBatchMeta is AddBatch plus per-fact metadata: infos[i] is attached to
 // ts[i] in the same fact-log critical section (overwriting existing
 // metadata on duplicates, like SetInfo). infos must have the same length
-// as ts.
+// as ts, and no term may be zero-valued; AddBatchMeta panics otherwise.
 func (st *Store) AddBatchMeta(ts []rdf.Triple, infos []FactInfo) []FactID {
 	if len(infos) != len(ts) {
 		panic(fmt.Sprintf("core: AddBatchMeta: %d triples but %d infos", len(ts), len(infos)))
@@ -144,6 +153,7 @@ func (st *Store) addBatch(ts []rdf.Triple, infos []*FactInfo) []FactID {
 	// Layer 1: intern all terms, grouped by dictionary shard.
 	terms := make([]rdf.Term, 3*n)
 	for i, t := range ts {
+		mustHaveTerms(t)
 		terms[3*i], terms[3*i+1], terms[3*i+2] = t.S, t.P, t.O
 	}
 	termIDs := make([]ID, 3*n)
@@ -184,46 +194,16 @@ func (st *Store) addBatch(ts []rdf.Triple, infos []*FactInfo) []FactID {
 	return ids
 }
 
-// Remove retracts a triple. It reports whether the triple was present.
-// The fact's ID is tombstoned; indexes drop it lazily during queries,
-// compacting a posting list once most of it resolves dead.
-func (st *Store) Remove(t rdf.Triple) bool {
-	s, ok1 := st.dict.lookup(t.S)
-	p, ok2 := st.dict.lookup(t.P)
-	o, ok3 := st.dict.lookup(t.O)
-	if !ok1 || !ok2 || !ok3 {
-		return false
+// mustHaveTerms panics if a term of t is the zero rdf.Term: stored, it
+// would be indistinguishable from the wildcard every pattern reads it as.
+func mustHaveTerms(t rdf.Triple) {
+	if t.S.IsZero() || t.P.IsZero() || t.O.IsZero() {
+		panic(fmt.Sprintf("core: triple %v has an empty term", t))
 	}
-	et := encTriple{s, p, o}
-	if !st.log.remove(et) {
-		return false
-	}
-	st.bumpTombstoneGens(et)
-	return true
-}
-
-// RemoveFact retracts the fact with the given ID, reporting whether it was
-// live.
-func (st *Store) RemoveFact(id FactID) bool {
-	et, ok := st.log.removeFact(id)
-	if !ok {
-		return false
-	}
-	st.bumpTombstoneGens(et)
-	return true
-}
-
-// bumpTombstoneGens records that a tombstone changed the matches of every
-// pattern any of the three permutations could answer for this triple.
-func (st *Store) bumpTombstoneGens(et encTriple) {
-	st.spo.bumpGen(et.s)
-	st.pos.bumpGen(et.p)
-	st.osp.bumpGen(et.o)
-	st.writeGen.Add(1)
 }
 
 // WriteGen returns the store-wide write generation: a counter that
-// advances on every insert and every tombstone. A pattern result computed
+// advances on every write that inserts a fact. A pattern result computed
 // at generation g is still valid iff the generations guarding the pattern
 // (PatternGen) are unchanged.
 func (st *Store) WriteGen() uint64 {
@@ -243,13 +223,13 @@ const genFallbackTag = uint64(1) << 63
 // (zero-valued terms are wildcards): the generation of the index stripe
 // MatchFunc would read the pattern from. Every write that can change the
 // pattern's matches bumps this generation — an insert bumps the stripes of
-// all three of its leading terms, and so does a tombstone — so a cached
-// result for the pattern is valid as long as one atomic load returns the
-// generation observed before it was computed. Patterns that resolve to no
-// single stripe (full scans, patterns naming unknown terms) fall back to
-// the store-wide WriteGen, tagged with genFallbackTag so the fallback can
-// never compare equal to a stripe generation once a later write interns
-// the pattern's terms; tagged values invalidate on any write.
+// all three of its leading terms — so a cached result for the pattern is
+// valid as long as one atomic load returns the generation observed before
+// it was computed. Patterns that resolve to no single stripe (full scans,
+// patterns naming unknown terms) fall back to the store-wide WriteGen,
+// tagged with genFallbackTag so the fallback can never compare equal to a
+// stripe generation once a later write interns the pattern's terms;
+// tagged values invalidate on any write.
 func (st *Store) PatternGen(pattern rdf.Triple) uint64 {
 	s, ok := st.lookup(pattern.S)
 	if !ok {
@@ -275,10 +255,10 @@ func (st *Store) PatternGen(pattern rdf.Triple) uint64 {
 	}
 }
 
-// EstimateMatches returns a cheap upper bound on the number of live facts
-// matching the pattern, read from posting-list sizes without touching the
-// fact log (tombstones not yet compacted away are counted). The query
-// planner orders joins by these estimates; they are also useful for
+// EstimateMatches returns the number of facts matching the pattern, read
+// from posting-list sizes without touching the fact log. The count is
+// exact: Match returns as many facts unless a write lands in between. The
+// query planner orders joins by these estimates; they are also useful for
 // admission decisions in serving layers.
 func (st *Store) EstimateMatches(pattern rdf.Triple) int {
 	s, ok := st.lookup(pattern.S)
@@ -338,8 +318,8 @@ func (st *Store) FactOf(t rdf.Triple) (FactID, bool) {
 	return st.log.factOf(encTriple{s, p, o})
 }
 
-// Fact returns the triple for a FactID; ok is false for tombstoned or
-// out-of-range IDs.
+// Fact returns the triple for a FactID; ok is false for an ID the store
+// has not assigned.
 func (st *Store) Fact(id FactID) (rdf.Triple, bool) {
 	et, ok := st.log.get(id)
 	if !ok {
@@ -352,7 +332,7 @@ func (st *Store) decode(et encTriple) rdf.Triple {
 	return rdf.Triple{S: st.dict.term(et.s), P: st.dict.term(et.p), O: st.dict.term(et.o)}
 }
 
-// Len returns the number of live facts.
+// Len returns the number of facts.
 func (st *Store) Len() int {
 	return st.log.len()
 }
@@ -362,7 +342,7 @@ func (st *Store) TermCount() int {
 	return st.dict.count()
 }
 
-// Match returns every live fact matching the pattern. Zero-valued terms
+// Match returns every fact matching the pattern. Zero-valued terms
 // (rdf.Term{}) act as wildcards. Results are in fact-insertion order.
 func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 	var out []rdf.Triple
@@ -373,7 +353,7 @@ func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 	return out
 }
 
-// MatchFunc streams every live fact matching the pattern to fn in
+// MatchFunc streams every fact matching the pattern to fn in
 // fact-insertion order, stopping early if fn returns false. fn runs with
 // no store locks held, so it may freely call back into the store.
 func (st *Store) MatchFunc(pattern rdf.Triple, fn func(FactID, rdf.Triple) bool) {
@@ -397,66 +377,44 @@ func (st *Store) MatchFunc(pattern rdf.Triple, fn func(FactID, rdf.Triple) bool)
 	}
 }
 
-// matchEnc gathers the live facts matching the encoded pattern (0 =
-// wildcard), sorted by FactID. Candidate IDs are collected from the
-// narrowest index, then filtered against tombstones in one fact-log pass.
-// When more than half of a large copied-out posting resolves dead, the
-// posting is compacted in place so churned stripes do not grow — and slow
-// down — without bound.
+// matchEnc gathers the facts matching the encoded pattern (0 = wildcard),
+// sorted by FactID: the candidate IDs are copied from the narrowest index
+// and their triples fetched in one fact-log pass.
 func (st *Store) matchEnc(s, p, o ID) ([]FactID, []encTriple) {
 	var cand []FactID
-	var compact func(dead map[FactID]bool)
 	switch {
 	case s != 0 && p != 0 && o != 0:
-		id, ok := st.log.factOf(encTriple{s, p, o})
-		if !ok {
-			return nil, nil
-		}
-		et, ok := st.log.get(id)
+		et := encTriple{s, p, o}
+		id, ok := st.log.factOf(et)
 		if !ok {
 			return nil, nil
 		}
 		return []FactID{id}, []encTriple{et}
 	case s != 0 && p != 0:
 		cand = st.spo.pair(s, p, nil)
-		compact = func(dead map[FactID]bool) { st.spo.compactPair(s, p, dead) }
 	case s != 0 && o != 0:
 		cand = st.osp.pair(o, s, nil)
-		compact = func(dead map[FactID]bool) { st.osp.compactPair(o, s, dead) }
 	case s != 0:
 		cand = st.spo.lead(s, nil)
-		compact = func(dead map[FactID]bool) { st.spo.compactLead(s, dead) }
 	case p != 0 && o != 0:
 		cand = st.pos.pair(p, o, nil)
-		compact = func(dead map[FactID]bool) { st.pos.compactPair(p, o, dead) }
 	case p != 0:
 		cand = st.pos.lead(p, nil)
-		compact = func(dead map[FactID]bool) { st.pos.compactLead(p, dead) }
 	case o != 0:
 		cand = st.osp.lead(o, nil)
-		compact = func(dead map[FactID]bool) { st.osp.compactLead(o, dead) }
 	default:
-		return st.log.scan()
+		ets := st.log.scan()
+		ids := make([]FactID, len(ets))
+		for i := range ids {
+			ids[i] = FactID(i)
+		}
+		return ids, ets
 	}
 	if len(cand) == 0 {
 		return nil, nil
 	}
-	total := len(cand)
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	live, ets, dead := st.log.resolve(cand)
-	// Tombstone-ratio-triggered compaction: once the majority of a big
-	// copied-out posting resolves dead, prune those IDs from the posting.
-	// Tombstoned FactIDs never revive (a re-added triple gets a fresh ID),
-	// so a dead set computed here stays exact even if writers append to
-	// the posting before the compaction takes the stripe lock.
-	if len(dead)*2 > total && total >= compactMinPostings {
-		deadSet := make(map[FactID]bool, len(dead))
-		for _, id := range dead {
-			deadSet[id] = true
-		}
-		compact(deadSet)
-	}
-	return live, ets
+	return cand, st.log.resolve(cand)
 }
 
 // Objects returns the distinct objects of facts (s, p, ?).
@@ -488,9 +446,9 @@ func (st *Store) Subjects(p, o string) []rdf.Term {
 	return out
 }
 
-// Predicates returns the distinct predicates used by live facts, sorted.
+// Predicates returns the distinct predicates in use, sorted.
 func (st *Store) Predicates() []rdf.Term {
-	_, ets := st.log.scan()
+	ets := st.log.scan()
 	seen := make(map[ID]bool)
 	var out []rdf.Term
 	for _, et := range ets {
@@ -503,9 +461,9 @@ func (st *Store) Predicates() []rdf.Term {
 	return out
 }
 
-// All returns every live triple in fact-insertion order.
+// All returns every triple in fact-insertion order.
 func (st *Store) All() []rdf.Triple {
-	_, ets := st.log.scan()
+	ets := st.log.scan()
 	out := make([]rdf.Triple, len(ets))
 	for i, et := range ets {
 		out[i] = st.decode(et)
@@ -516,7 +474,7 @@ func (st *Store) All() []rdf.Triple {
 // Stats summarizes store contents; useful for the kbbuild tool and the
 // scaling experiments.
 type Stats struct {
-	Facts      int // live facts
+	Facts      int // asserted facts
 	Terms      int // dictionary size
 	Predicates int // distinct predicates in use
 	Entities   int // distinct IRI subjects
@@ -524,7 +482,7 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (st *Store) Stats() Stats {
-	_, ets := st.log.scan()
+	ets := st.log.scan()
 	subjects := make(map[ID]bool)
 	preds := make(map[ID]bool)
 	for _, et := range ets {

@@ -52,46 +52,34 @@ func TestAddBatchReturnsIDsInOrder(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
+// A zero-valued term is the wildcard every pattern reads it as, so no
+// write path stores one: each panics, and AddBatch before it changes
+// anything.
+func TestAddRefusesZeroTerm(t *testing.T) {
 	st := NewStore()
-	tr := rdf.T("a", "p", "b")
-	id := st.Add(tr)
-	if !st.Remove(tr) {
-		t.Fatal("Remove should report true")
+	st.Add(rdf.T("kb:a", "kb:p", "kb:b"))
+	zero := []rdf.Triple{
+		{P: rdf.NewIRI("kb:p"), O: rdf.NewIRI("kb:a")},
+		{S: rdf.NewIRI("kb:a"), O: rdf.NewIRI("kb:b")},
+		{S: rdf.NewIRI("kb:a"), P: rdf.NewIRI("kb:p")},
 	}
-	if st.Has(tr) || st.Len() != 0 {
-		t.Error("fact still visible after Remove")
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
 	}
-	if st.Remove(tr) {
-		t.Error("second Remove should report false")
+	for _, tr := range zero {
+		panics(fmt.Sprintf("Add(%v)", tr), func() { st.Add(tr) })
+		batch := []rdf.Triple{rdf.T("kb:c", "kb:p", "kb:d"), tr}
+		panics(fmt.Sprintf("AddBatch(.., %v)", tr), func() { st.AddBatch(batch) })
+		panics(fmt.Sprintf("AddBatchMeta(.., %v)", tr), func() { st.AddBatchMeta(batch, make([]FactInfo, 2)) })
 	}
-	if _, ok := st.Fact(id); ok {
-		t.Error("tombstoned fact should not resolve")
-	}
-	if st.Remove(rdf.T("never", "seen", "terms")) {
-		t.Error("removing unknown terms should report false")
-	}
-	// Re-adding after removal works and yields a fresh ID.
-	id2 := st.Add(tr)
-	if id2 == id {
-		t.Error("re-added fact should get a fresh id")
-	}
-	if !st.Has(tr) {
-		t.Error("fact should be back")
-	}
-}
-
-func TestRemoveFact(t *testing.T) {
-	st := NewStore()
-	id := st.Add(rdf.T("a", "p", "b"))
-	if !st.RemoveFact(id) {
-		t.Fatal("RemoveFact should succeed")
-	}
-	if st.RemoveFact(id) {
-		t.Error("double RemoveFact should fail")
-	}
-	if st.RemoveFact(FactID(999)) {
-		t.Error("out-of-range RemoveFact should fail")
+	if st.Len() != 1 || st.TermCount() != 3 {
+		t.Errorf("after the refused writes: %d facts, %d terms; want 1 and 3", st.Len(), st.TermCount())
 	}
 }
 
@@ -132,20 +120,6 @@ func TestMatchAllPatternShapes(t *testing.T) {
 	}
 }
 
-func TestMatchSkipsTombstones(t *testing.T) {
-	st := NewStore()
-	addFixture(st)
-	st.Remove(rdf.T("jobs", "founded", "next"))
-	got := st.Match(rdf.Triple{S: rdf.NewIRI("jobs"), P: rdf.NewIRI("founded")})
-	if len(got) != 1 || got[0].O.Value != "apple" {
-		t.Errorf("Match after remove = %v", got)
-	}
-	all := st.Match(rdf.Triple{})
-	if len(all) != 4 {
-		t.Errorf("full scan returned %d, want 4", len(all))
-	}
-}
-
 func TestMatchFuncEarlyStop(t *testing.T) {
 	st := NewStore()
 	addFixture(st)
@@ -174,10 +148,10 @@ func TestObjectsSubjectsPredicates(t *testing.T) {
 	if len(preds) != 3 {
 		t.Errorf("Predicates = %v", preds)
 	}
-	st.Remove(rdf.TL("jobs", "label", "Steve Jobs"))
+	st.Add(rdf.T("apple", "locatedIn", "cupertino"))
 	preds = st.Predicates()
-	if len(preds) != 2 {
-		t.Errorf("Predicates after remove = %v", preds)
+	if len(preds) != 4 {
+		t.Errorf("Predicates after an add = %v", preds)
 	}
 }
 

@@ -29,17 +29,16 @@
 // The cache never observes writes and writers never take cache locks.
 // Instead, the store exports monotonic write generations
 // (core.Store.PatternGen): every index stripe carries a counter that is
-// bumped by each insertion into the stripe and by each tombstone whose
-// fact the stripe indexes, and a store-wide counter (WriteGen) backs the
-// patterns no single stripe can vouch for (full scans, patterns naming
-// terms the dictionary has never interned). Fallback values are tagged
+// bumped by each insertion into the stripe (the store is append-only, so
+// an insertion is the only write), and a store-wide counter (WriteGen)
+// backs the patterns no single stripe can vouch for (full scans, patterns
+// naming terms the dictionary has never interned). Fallback values are tagged
 // (high bit set) so they occupy a value domain disjoint from stripe
 // generations: a generation recorded while a pattern's term was unknown
 // can never compare equal to the stripe generation the pattern reads
 // after a write interns the term. Because an insert bumps the stripes of
-// all three of its leading terms — and a tombstone does too — any write
-// that can change the matches of a pattern necessarily advances that
-// pattern's generation.
+// all three of its leading terms, any write that can change the matches
+// of a pattern necessarily advances that pattern's generation.
 //
 // A cache entry therefore records, for each pattern of its query, the
 // pattern's generation observed *before* evaluation (CaptureGens). A hit

@@ -110,12 +110,11 @@ func WriteAll(w io.Writer, triples []Triple) error {
 	return nw.Flush()
 }
 
-// ParseTriple parses a single N-Triples statement line (with or without the
-// trailing " .").
 // ParseTerm parses one term in N-Triples syntax — the format Term.String
 // produces — so serialized terms (IRIs, plain/lang-tagged/typed literals,
 // blank nodes) round-trip through a single string. Trailing content after
-// the term is an error.
+// the term is an error, and so is the empty IRI "<>": an accepted term is
+// never the zero Term.
 func ParseTerm(s string) (Term, error) {
 	p := &parser{in: s}
 	t, err := p.term()
@@ -129,6 +128,8 @@ func ParseTerm(s string) (Term, error) {
 	return t, nil
 }
 
+// ParseTriple parses a single N-Triples statement line (with or without the
+// trailing " ."). Like ParseTerm, it rejects the empty IRI "<>".
 func ParseTriple(line string) (Triple, error) {
 	p := &parser{in: line}
 	s, err := p.term()
@@ -188,6 +189,10 @@ func (p *parser) iri() (Term, error) {
 	end := strings.IndexByte(p.in[p.pos:], '>')
 	if end < 0 {
 		return Term{}, fmt.Errorf("unterminated IRI")
+	}
+	if end == 1 {
+		// "<>" would be the zero Term, which the store reads as a wildcard.
+		return Term{}, fmt.Errorf("empty IRI")
 	}
 	iri := p.in[p.pos+1 : p.pos+end]
 	p.pos += end + 1

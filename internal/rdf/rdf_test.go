@@ -159,6 +159,10 @@ func TestParseTripleErrors(t *testing.T) {
 		"_: <p> <o> .",
 		`<s> <p> "x"@ .`,
 		"? <p> <o> .",
+		"<> <p> <o> .", // the empty IRI is the zero Term
+		"<s> <> <o> .",
+		"<s> <p> <> .",
+		`<s> <p> "x"^^<> .`,
 	}
 	for _, in := range bad {
 		if _, err := ParseTriple(in); err == nil {
@@ -316,4 +320,30 @@ func tripleID(r *rand.Rand) string {
 		b[i] = chars[r.Intn(len(chars))]
 	}
 	return string(b)
+}
+
+// FuzzParseTerm: ParseTerm never panics, never returns the zero Term, and
+// a term it accepts parses back to itself from its String form — the
+// round trip the /bind wire and the snapshot format rely on.
+func FuzzParseTerm(f *testing.F) {
+	for _, seed := range []string{
+		"<kb:jobs>", "<>", "< >", "<a b>", "_:b1", "_:", "_", `"x"`, `""`, `"two  spaces "`,
+		`"café"@fr`, `"x"@`, `"1955-02-24"^^<xsd:date>`, `"x"^^<>`, `"x"^^<dt`, `"a \"quoted\" \\ word"`,
+		`"tab\tnew\nline"`, `"trailing\`, `"x" `, ` <a>`, `<a> <b>`, "\"\r\x8c\"", "<\xff>",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		term, err := ParseTerm(s)
+		if err != nil {
+			return
+		}
+		if term.IsZero() {
+			t.Fatalf("ParseTerm(%q) returned the zero Term", s)
+		}
+		back, err := ParseTerm(term.String())
+		if err != nil || back != term {
+			t.Fatalf("ParseTerm(%q) = %#v, whose String %q parses to %#v, %v", s, term, term.String(), back, err)
+		}
+	})
 }

@@ -25,7 +25,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -89,10 +88,6 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	terms := make([]rdf.Term, len(req.Cells))
 	for i, cell := range req.Cells {
 		t, err := rdf.ParseTerm(cell)
-		if err == nil && t.IsZero() {
-			// The zero term is the matcher's wildcard, never a binding.
-			err = errors.New("empty IRI")
-		}
 		if err != nil {
 			WriteJSON(w, http.StatusBadRequest, ErrorResponse{fmt.Sprintf("bad term %q in row %d: %v", cell, i/len(req.Vars), err)})
 			return

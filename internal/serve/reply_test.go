@@ -201,7 +201,8 @@ func TestQueryShiftedVariableNamesAreDistinctQueries(t *testing.T) {
 }
 
 // A write that touches a stripe the query reads makes the next reply a
-// fresh answer, for an Add and for a Remove alike.
+// fresh answer, which the reply after it serves from the cache; adding a
+// fact the store already holds writes nothing.
 func TestQueryReplyFollowsWrites(t *testing.T) {
 	st := testStore()
 	srv := newTestServer(st, time.Second)
@@ -217,14 +218,11 @@ func TestQueryReplyFollowsWrites(t *testing.T) {
 	checkReply(t, srv, st, join, 0, true)
 	st.Add(rdf.T("kb:ive", "kb:founded", "kb:apple"))
 	checkReply(t, srv, st, join, 0, false)
+	checkReply(t, srv, st, join, 0, true)
+	st.Add(rdf.T("kb:ive", "kb:founded", "kb:apple")) // already stored: not a write
+	checkReply(t, srv, st, join, 0, true)
 	if n := count(); n != 4 {
 		t.Errorf("after the add: %d rows, want 4", n)
-	}
-	st.Remove(rdf.T("kb:gates", "kb:founded", "kb:microsoft"))
-	checkReply(t, srv, st, join, 0, false)
-	checkReply(t, srv, st, join, 0, true)
-	if n := count(); n != 3 {
-		t.Errorf("after the remove: %d rows, want 3", n)
 	}
 }
 

@@ -88,10 +88,9 @@ type QueryResponse struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// EstimateResponse is the POST /estimate reply: the planner's
-// index-cardinality upper bound for each requested pattern on this
-// shard's store (core.Store.EstimateMatches). A zero is exact — the
-// pattern cannot match here.
+// EstimateResponse is the POST /estimate reply: the planner's count of
+// each requested pattern's matches on this shard's store, read from index
+// posting sizes (core.Store.EstimateMatches). The count is exact.
 type EstimateResponse struct {
 	Estimates []int `json:"estimates"`
 }
@@ -544,8 +543,8 @@ func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit in
 	return e, nil
 }
 
-// handleEstimate serves the router's planning probe: per-pattern
-// index-cardinality upper bounds, with unbound variables as wildcards.
+// handleEstimate serves the router's planning probe: per-pattern match
+// counts from index posting sizes, with unbound variables as wildcards.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	req, patterns := DecodePatterns(w, r)
 	if req == nil {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,13 +153,13 @@ func TestServerEstimate(t *testing.T) {
 	if len(resp.Estimates) != 3 {
 		t.Fatalf("estimates = %v, want 3 entries", resp.Estimates)
 	}
-	// Estimates are upper bounds: founded has 3 matches, the apple lookup
-	// one, and a never-seen predicate is exactly zero.
-	if resp.Estimates[0] < 3 {
-		t.Errorf("founded estimate = %d, want >= 3", resp.Estimates[0])
+	// Estimates are exact counts: founded has 3 matches, the apple lookup
+	// one, and a never-seen predicate none.
+	if resp.Estimates[0] != 3 {
+		t.Errorf("founded estimate = %d, want 3", resp.Estimates[0])
 	}
-	if resp.Estimates[1] < 1 {
-		t.Errorf("apple estimate = %d, want >= 1", resp.Estimates[1])
+	if resp.Estimates[1] != 1 {
+		t.Errorf("apple estimate = %d, want 1", resp.Estimates[1])
 	}
 	if resp.Estimates[2] != 0 {
 		t.Errorf("unknown-predicate estimate = %d, want 0", resp.Estimates[2])
@@ -227,64 +229,73 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
-// Concurrent requests against a store that keeps mutating: handlers and
-// the cache must be race-clean, and every answer must be a possible state
-// (3 stable join rows plus at most one transient chain).
+// Concurrent requests while a writer adds a bounded number of
+// (founder, company, city) chains: handlers and the reply cache must be
+// race-clean, every answer must hold at least the chains complete before
+// the request and at most those begun by its end, and no reader may ever
+// see fewer rows than it saw before.
 func TestServerConcurrentQueriesWithWriter(t *testing.T) {
 	st := testStore()
 	srv := NewServer(st, Options{Timeout: time.Second})
-	stop := make(chan struct{})
+	const chains = 200
+	// testStore contributes 3 rows; each chain adds one once both of its
+	// facts are in.
+	var begun, done atomic.Int64
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			co := fmt.Sprintf("kb:startup%d", i%5)
+		for i := 0; i < chains; i++ {
+			co := fmt.Sprintf("kb:startup%d", i)
+			begun.Add(1)
 			st.Add(rdf.T("kb:founder", "kb:founded", co))
 			st.Add(rdf.T(co, "kb:locatedIn", "kb:garage"))
-			st.Remove(rdf.T("kb:founder", "kb:founded", co))
-			st.Remove(rdf.T(co, "kb:locatedIn", "kb:garage"))
+			done.Add(1)
+			runtime.Gosched()
 		}
 	}()
+	const join = `{"patterns": ["?p kb:founded ?c", "?c kb:locatedIn ?city"]}`
+	query := func() (QueryResponse, error) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(join)))
+		var resp QueryResponse
+		if rec.Code != http.StatusOK {
+			return resp, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		return resp, json.Unmarshal(rec.Body.Bytes(), &resp)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			last := 0
 			for r := 0; r < 150; r++ {
-				req := httptest.NewRequest(http.MethodPost, "/query",
-					strings.NewReader(`{"patterns": ["?p kb:founded ?c", "?c kb:locatedIn ?city"]}`))
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					errs <- fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
-					return
-				}
-				var resp QueryResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				lo := 3 + int(done.Load())
+				resp, err := query()
+				if err != nil {
 					errs <- err
 					return
 				}
-				if resp.Count < 3 || resp.Count > 4 {
-					errs <- fmt.Errorf("impossible row count %d", resp.Count)
+				hi := 3 + int(begun.Load())
+				if n := resp.Count; n < lo || n > hi || n < last {
+					errs <- fmt.Errorf("request %d: %d rows (cached %v), want %d..%d and at least the %d seen before", r, n, resp.Cached, lo, hi, last)
 					return
 				}
+				last = resp.Count
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
 	writerWG.Wait()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+	if resp, err := query(); err != nil || resp.Count != 3+chains {
+		t.Errorf("after the writes: %d rows (%v), want %d", resp.Count, err, 3+chains)
 	}
 }
 
@@ -305,6 +316,7 @@ func TestServerErrorEnvelopes(t *testing.T) {
 		{"not json at all", "/query", `<html>`, http.StatusBadRequest, ""},
 		{"oversized body", "/query", oversized, http.StatusBadRequest, "too large"},
 		{"bad pattern", "/query", `{"patterns": ["too few"]}`, http.StatusBadRequest, ""},
+		{"empty IRI", "/query", `{"patterns": ["?s kb:p <>"]}`, http.StatusBadRequest, "empty IRI"},
 		{"estimate malformed", "/estimate", `}{`, http.StatusBadRequest, ""},
 		{"misspelt limit", "/query", `{"patterns": ["?p kb:founded ?c"], "limt": 1}`, http.StatusBadRequest, "limt"},
 		{"second JSON value", "/query", `{"patterns": ["?p kb:founded ?c"]} {"patterns": []}`, http.StatusBadRequest, "after"},

@@ -314,8 +314,8 @@ func checkWireTerm(s string) error {
 	if t.Kind == rdf.Literal {
 		canonical = t.String() == s
 	}
-	if !canonical || t.IsZero() {
-		return errors.New("not a canonical non-empty term")
+	if !canonical {
+		return errors.New("not a canonical term")
 	}
 	return nil
 }

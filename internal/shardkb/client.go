@@ -715,8 +715,8 @@ func (c *Client) Pattern(ctx context.Context, p core.Pattern, limit int) (*Resul
 // estimates — the scatter-aware analogue of core.Store.EstimateMatches
 // the router orders joins by. Shard failures follow the partial policy:
 // by default the call fails; with AllowPartial the failed shard's
-// contribution is simply missing (estimates stay upper bounds of the
-// reachable data).
+// contribution is simply missing (estimates count the reachable shards'
+// matches only).
 func (c *Client) Estimates(ctx context.Context, patterns []core.Pattern) ([]int, error) {
 	lines := make([]string, len(patterns))
 	for i, p := range patterns {

@@ -37,7 +37,8 @@ import (
 
 // KB is the knowledge base: a dictionary-encoded triple store with
 // SPO/POS/OSP indexes, per-fact confidence/provenance/temporal metadata,
-// taxonomy operations, and a conjunctive query engine.
+// taxonomy operations, and a conjunctive query engine. It is append-only:
+// facts are added, never removed.
 type KB = core.Store
 
 // Triple is one subject-predicate-object statement.
