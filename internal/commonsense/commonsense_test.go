@@ -61,18 +61,6 @@ func TestExtractParts(t *testing.T) {
 	}
 }
 
-func TestAggregateProperties(t *testing.T) {
-	facts := []PropertyFact{
-		{Concept: "apple", Property: "red"},
-		{Concept: "apple", Property: "red"},
-		{Concept: "apple", Property: "sweet"},
-	}
-	agg := AggregateProperties(facts)
-	if len(agg["apple"]) != 2 || agg["apple"][0].Property != "red" || agg["apple"][0].Count != 2 {
-		t.Errorf("aggregate = %+v", agg)
-	}
-}
-
 func buildRuleStore() *core.Store {
 	st := core.NewStore()
 	// Symmetric relation: marriedTo.
@@ -175,32 +163,6 @@ func TestMineRulesOnSyntheticWorld(t *testing.T) {
 	}
 	if !foundSym {
 		t.Error("marriedTo symmetry rule missing")
-	}
-}
-
-func TestApplyRule(t *testing.T) {
-	st := core.NewStore()
-	st.Add(rdf.T("a", "kb:marriedTo", "b")) // missing inverse
-	st.Add(rdf.T("c", "kb:marriedTo", "d"))
-	st.Add(rdf.T("d", "kb:marriedTo", "c")) // complete couple
-	rule := Rule{Kind: "inv", Body: []string{"kb:marriedTo"}, Head: "kb:marriedTo"}
-	preds := ApplyRule(st, rule)
-	if len(preds) != 1 {
-		t.Fatalf("predictions = %v", preds)
-	}
-	if preds[0].S.Value != "b" || preds[0].O.Value != "a" {
-		t.Errorf("prediction = %v", preds[0])
-	}
-}
-
-func TestApplyChainRule(t *testing.T) {
-	st := core.NewStore()
-	st.Add(rdf.T("p", "kb:worksAt", "c"))
-	st.Add(rdf.T("c", "kb:locatedIn", "city"))
-	rule := Rule{Kind: "chain", Body: []string{"kb:worksAt", "kb:locatedIn"}, Head: "kb:worksIn"}
-	preds := ApplyRule(st, rule)
-	if len(preds) != 1 || preds[0].S.Value != "p" || preds[0].O.Value != "city" {
-		t.Errorf("predictions = %v", preds)
 	}
 }
 

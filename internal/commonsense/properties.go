@@ -7,7 +7,6 @@
 package commonsense
 
 import (
-	"sort"
 	"strings"
 
 	"kbharvest/internal/text"
@@ -158,37 +157,4 @@ func isLowerAlpha(w string) bool {
 		}
 	}
 	return true
-}
-
-// AggregateProperties folds extracted facts into a concept -> properties
-// map with counts (repeated evidence ranks properties).
-func AggregateProperties(facts []PropertyFact) map[string][]PropertyCount {
-	counts := map[string]map[string]int{}
-	for _, f := range facts {
-		if counts[f.Concept] == nil {
-			counts[f.Concept] = map[string]int{}
-		}
-		counts[f.Concept][f.Property]++
-	}
-	out := map[string][]PropertyCount{}
-	for concept, props := range counts {
-		var list []PropertyCount
-		for p, n := range props {
-			list = append(list, PropertyCount{Property: p, Count: n})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Count != list[j].Count {
-				return list[i].Count > list[j].Count
-			}
-			return list[i].Property < list[j].Property
-		})
-		out[concept] = list
-	}
-	return out
-}
-
-// PropertyCount is one ranked property.
-type PropertyCount struct {
-	Property string
-	Count    int
 }

@@ -216,52 +216,3 @@ func isBuiltin(iri string) bool {
 	}
 	return false
 }
-
-// ApplyRule materializes a rule's predictions not yet in the store —
-// the inference step that turns mined rules into new candidate facts.
-func ApplyRule(st *core.Store, r Rule) []rdf.Triple {
-	bodyPairs := map[pair]bool{}
-	collect := func(rel string, invert bool) map[pair]bool {
-		out := map[pair]bool{}
-		st.MatchFunc(rdf.Triple{P: rdf.NewIRI(rel)}, func(_ core.FactID, t rdf.Triple) bool {
-			if t.S.IsIRI() && t.O.IsIRI() {
-				if invert {
-					out[pair{t.O.Value, t.S.Value}] = true
-				} else {
-					out[pair{t.S.Value, t.O.Value}] = true
-				}
-			}
-			return true
-		})
-		return out
-	}
-	switch r.Kind {
-	case "impl":
-		bodyPairs = collect(r.Body[0], false)
-	case "inv":
-		bodyPairs = collect(r.Body[0], true)
-	case "chain":
-		r1 := collect(r.Body[0], false)
-		r2 := collect(r.Body[1], false)
-		bySubj := map[string][]string{}
-		for p := range r2 {
-			bySubj[p.x] = append(bySubj[p.x], p.y)
-		}
-		for p := range r1 {
-			for _, y := range bySubj[p.y] {
-				if y != p.x {
-					bodyPairs[pair{p.x, y}] = true
-				}
-			}
-		}
-	}
-	var preds []rdf.Triple
-	for p := range bodyPairs {
-		t := rdf.T(p.x, r.Head, p.y)
-		if !st.Has(t) {
-			preds = append(preds, t)
-		}
-	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i].Compare(preds[j]) < 0 })
-	return preds
-}

@@ -43,7 +43,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := st.Add(stressTriple(w, i))
 				if i%3 == 0 {
-					st.SetConfidence(id, 0.5)
+					st.SetInfo(id, FactInfo{Confidence: 0.5})
 				}
 			}
 		}(w)

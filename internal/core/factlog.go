@@ -156,21 +156,3 @@ func (l *factLog) info(id FactID) (FactInfo, bool) {
 	}
 	return FactInfo{Confidence: 1, Time: Always}, true
 }
-
-// update mutates a fact's metadata in place via fn, creating the entry
-// from the given default if absent.
-func (l *factLog) update(id FactID, def FactInfo, fn func(*FactInfo)) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if int(id) >= len(l.triples) {
-		return false
-	}
-	m, ok := l.meta[id]
-	if !ok {
-		cp := def
-		m = &cp
-		l.meta[id] = m
-	}
-	fn(m)
-	return true
-}

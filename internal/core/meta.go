@@ -36,12 +36,6 @@ func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Begin <= o.End && o.Begin <= iv.End
 }
 
-// Intersect returns the overlap of two intervals; ok is false if disjoint.
-func (iv Interval) Intersect(o Interval) (Interval, bool) {
-	r := Interval{Begin: max(iv.Begin, o.Begin), End: min(iv.End, o.End)}
-	return r, r.Valid()
-}
-
 // Union returns the smallest interval covering both.
 func (iv Interval) Union(o Interval) Interval {
 	return Interval{Begin: min(iv.Begin, o.Begin), End: max(iv.End, o.End)}
@@ -98,33 +92,4 @@ func (st *Store) SetInfo(id FactID, info FactInfo) bool {
 // report confidence 1 and the Always interval.
 func (st *Store) Info(id FactID) (FactInfo, bool) {
 	return st.log.info(id)
-}
-
-// SetConfidence updates only the confidence of a fact, preserving other
-// metadata.
-func (st *Store) SetConfidence(id FactID, c float64) bool {
-	return st.log.update(id, FactInfo{Confidence: c, Time: Always}, func(m *FactInfo) {
-		m.Confidence = c
-	})
-}
-
-// SetTime updates only the temporal scope of a fact.
-func (st *Store) SetTime(id FactID, iv Interval) bool {
-	return st.log.update(id, FactInfo{Confidence: 1, Time: iv}, func(m *FactInfo) {
-		m.Time = iv
-	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -27,7 +27,7 @@ func TestIntervalBasics(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlapIntersectUnion(t *testing.T) {
+func TestIntervalOverlapUnion(t *testing.T) {
 	a := Interval{0, 10}
 	b := Interval{5, 15}
 	c := Interval{11, 20}
@@ -36,13 +36,6 @@ func TestIntervalOverlapIntersectUnion(t *testing.T) {
 	}
 	if a.Overlaps(c) {
 		t.Error("a and c should not overlap")
-	}
-	got, ok := a.Intersect(b)
-	if !ok || got != (Interval{5, 10}) {
-		t.Errorf("Intersect = %v, %v", got, ok)
-	}
-	if _, ok := a.Intersect(c); ok {
-		t.Error("disjoint Intersect should report false")
 	}
 	if u := a.Union(c); u != (Interval{0, 20}) {
 		t.Errorf("Union = %v", u)
@@ -69,32 +62,27 @@ func TestIntervalPropertiesQuick(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		a, b := gen(r), gen(r)
-		// Overlap symmetric and consistent with Intersect.
+		// Overlap symmetric, and true exactly when some day lies in both.
 		if a.Overlaps(b) != b.Overlaps(a) {
 			t.Fatalf("overlap asymmetric: %v %v", a, b)
 		}
-		iv, ok := a.Intersect(b)
-		if ok != a.Overlaps(b) {
-			t.Fatalf("intersect/overlap disagree: %v %v", a, b)
+		if shared := max(a.Begin, b.Begin) <= min(a.End, b.End); a.Overlaps(b) != shared {
+			t.Fatalf("Overlaps(%v, %v) = %v", a, b, a.Overlaps(b))
 		}
-		if ok {
-			// Intersection contained in both; union contains both.
-			if iv.Begin < a.Begin || iv.End > a.End || iv.Begin < b.Begin || iv.End > b.End {
-				t.Fatalf("intersection %v not contained in %v,%v", iv, a, b)
-			}
-		}
+		// The union contains both.
 		u := a.Union(b)
 		if u.Begin > a.Begin || u.End < a.End || u.Begin > b.Begin || u.End < b.End {
 			t.Fatalf("union %v does not contain %v,%v", u, a, b)
 		}
 	}
-	// quick.Check on Contains within intersection.
+	// quick.Check: a day in both intervals means they overlap, and a day
+	// in either lies in their union.
 	f := func(x int16) bool {
 		a := Interval{-100, 200}
-		b := Interval{0, 300}
-		iv, _ := a.Intersect(b)
+		b := Interval{150, 300}
 		d := int(x)
-		return iv.Contains(d) == (a.Contains(d) && b.Contains(d))
+		return (!a.Contains(d) || !b.Contains(d) || a.Overlaps(b)) &&
+			a.Union(b).Contains(d) == (a.Contains(d) || b.Contains(d))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -132,34 +120,5 @@ func TestSetInfo(t *testing.T) {
 	got, _ = st.Info(id)
 	if got.Time != Always {
 		t.Errorf("zero interval should normalize to Always, got %v", got.Time)
-	}
-}
-
-func TestSetConfidenceAndTime(t *testing.T) {
-	st := NewStore()
-	id := st.Add(rdf.T("a", "p", "b"))
-	if !st.SetConfidence(id, 0.4) {
-		t.Fatal("SetConfidence failed")
-	}
-	got, _ := st.Info(id)
-	if got.Confidence != 0.4 || got.Time != Always {
-		t.Errorf("after SetConfidence: %+v", got)
-	}
-	if !st.SetTime(id, Interval{1, 2}) {
-		t.Fatal("SetTime failed")
-	}
-	got, _ = st.Info(id)
-	if got.Confidence != 0.4 || got.Time != (Interval{1, 2}) {
-		t.Errorf("after SetTime: %+v", got)
-	}
-	// Set time first on a fresh fact.
-	id2 := st.Add(rdf.T("a", "p", "c"))
-	st.SetTime(id2, Interval{3, 4})
-	got, _ = st.Info(id2)
-	if got.Confidence != 1 {
-		t.Errorf("SetTime should preserve default confidence, got %+v", got)
-	}
-	if st.SetConfidence(FactID(999), 0.1) || st.SetTime(FactID(999), Always) {
-		t.Error("bad ids should fail")
 	}
 }

@@ -68,60 +68,3 @@ func (st *Store) ReifyAll(pattern rdf.Triple) []rdf.Triple {
 	})
 	return out
 }
-
-// LoadReified reconstructs facts-with-metadata from reified triples (the
-// inverse of ReifyAll): triples are grouped by their blank-node root and
-// asserted into the store. Returns the number of facts loaded; groups
-// missing any of subject/predicate/object are skipped and counted in
-// incomplete.
-func (st *Store) LoadReified(triples []rdf.Triple) (loaded, incomplete int) {
-	type desc struct {
-		s, p, o             rdf.Term
-		haveS, haveP, haveO bool
-		info                FactInfo
-	}
-	groups := map[string]*desc{}
-	order := []string{}
-	get := func(node string) *desc {
-		d, ok := groups[node]
-		if !ok {
-			d = &desc{info: FactInfo{Confidence: 1, Time: Always}}
-			groups[node] = d
-			order = append(order, node)
-		}
-		return d
-	}
-	for _, t := range triples {
-		if !t.S.IsBlank() {
-			continue
-		}
-		d := get(t.S.Value)
-		switch t.P.Value {
-		case ReifySubject:
-			d.s, d.haveS = t.O, true
-		case ReifyPredicate:
-			d.p, d.haveP = t.O, true
-		case ReifyObject:
-			d.o, d.haveO = t.O, true
-		case ReifyConfidence:
-			fmt.Sscanf(t.O.Value, "%g", &d.info.Confidence)
-		case ReifySource:
-			d.info.Source = t.O.Value
-		case ReifyBegin:
-			fmt.Sscanf(t.O.Value, "%d", &d.info.Time.Begin)
-		case ReifyEnd:
-			fmt.Sscanf(t.O.Value, "%d", &d.info.Time.End)
-		}
-	}
-	for _, node := range order {
-		d := groups[node]
-		if !d.haveS || !d.haveP || !d.haveO {
-			incomplete++
-			continue
-		}
-		id := st.Add(rdf.Triple{S: d.s, P: d.p, O: d.o})
-		st.SetInfo(id, d.info)
-		loaded++
-	}
-	return loaded, incomplete
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"kbharvest/internal/rdf"
@@ -20,7 +21,7 @@ func TestReifyFact(t *testing.T) {
 	}
 	byPred := map[string]rdf.Term{}
 	for _, tr := range ts {
-		if !tr.S.IsBlank() {
+		if tr.S.Kind != rdf.Blank {
 			t.Errorf("reified triple not rooted at blank node: %v", tr)
 		}
 		byPred[tr.P.Value] = tr.O
@@ -76,36 +77,34 @@ func TestReifyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2 := NewStore()
-	loaded, incomplete := st2.LoadReified(parsed)
-	if loaded != 2 || incomplete != 0 {
-		t.Fatalf("loaded=%d incomplete=%d", loaded, incomplete)
+	if len(parsed) != len(reified) {
+		t.Fatalf("%d triples parsed back, %d written", len(parsed), len(reified))
 	}
-	gotID, ok := st2.FactOf(rdf.T("kb:a", "kb:worksAt", "kb:x"))
-	if !ok {
-		t.Fatal("fact lost in round trip")
+	for i := range parsed {
+		if !parsed[i].Equal(reified[i]) {
+			t.Errorf("triple %d: parsed %v, wrote %v", i, parsed[i], reified[i])
+		}
 	}
-	info, _ := st2.Info(gotID)
-	if info.Confidence != 0.7 || info.Source != "s1" || info.Time != (Interval{10, 20}) {
-		t.Errorf("meta after round trip: %+v", info)
+	// Each fact's description, read back, names the fact and its metadata.
+	desc := map[string]map[string]rdf.Term{}
+	for _, tr := range parsed {
+		if desc[tr.S.Value] == nil {
+			desc[tr.S.Value] = map[string]rdf.Term{}
+		}
+		desc[tr.S.Value][tr.P.Value] = tr.O
+	}
+	if len(desc) != 2 {
+		t.Fatalf("%d fact nodes, want 2: %v", len(desc), desc)
+	}
+	f1 := desc[fmt.Sprintf("f%d", id1)]
+	if f1[ReifySubject].Value != "kb:a" || f1[ReifyObject].Value != "kb:x" || f1[ReifyConfidence].Value != "0.7" ||
+		f1[ReifySource].Value != "s1" || f1[ReifyBegin].Value != "10" || f1[ReifyEnd].Value != "20" {
+		t.Errorf("fact 1 after round trip: %v", f1)
 	}
 	// Language-tagged literal object preserved.
-	if !st2.Has(rdf.Triple{S: rdf.NewIRI("kb:a"), P: rdf.NewIRI("kb:label"), O: rdf.NewLangLiteral("A", "en")}) {
-		t.Error("literal fact lost")
-	}
-}
-
-func TestLoadReifiedIncompleteGroups(t *testing.T) {
-	st := NewStore()
-	triples := []rdf.Triple{
-		{S: rdf.NewBlank("f1"), P: rdf.NewIRI(ReifySubject), O: rdf.NewIRI("a")},
-		{S: rdf.NewBlank("f1"), P: rdf.NewIRI(ReifyPredicate), O: rdf.NewIRI("p")},
-		// missing object
-		{S: rdf.NewIRI("not-blank"), P: rdf.NewIRI(ReifySubject), O: rdf.NewIRI("x")},
-	}
-	loaded, incomplete := st.LoadReified(triples)
-	if loaded != 0 || incomplete != 1 {
-		t.Errorf("loaded=%d incomplete=%d", loaded, incomplete)
+	f2 := desc[fmt.Sprintf("f%d", id2)]
+	if !f2[ReifyObject].Equal(rdf.NewLangLiteral("A", "en")) || f2[ReifyConfidence].Value != "0.9" {
+		t.Errorf("fact 2 after round trip: %v", f2)
 	}
 }
 

@@ -19,11 +19,6 @@ func (st *Store) AddType(entity, class string) FactID {
 	return st.Add(rdf.T(entity, rdf.RDFType, class))
 }
 
-// AddSubclass asserts (sub rdfs:subClassOf super).
-func (st *Store) AddSubclass(sub, super string) FactID {
-	return st.Add(rdf.T(sub, rdf.RDFSSubClassOf, super))
-}
-
 // DirectTypes returns the directly asserted classes of an entity.
 func (st *Store) DirectTypes(entity string) []string {
 	return iriValues(st.Objects(entity, rdf.RDFType))
@@ -116,59 +111,6 @@ func (st *Store) Instances(class string) []string {
 		}
 	}
 	return sortedSet(seen)
-}
-
-// Classes returns every term that appears as a class (object of rdf:type
-// or either side of rdfs:subClassOf), sorted.
-func (st *Store) Classes() []string {
-	seen := make(map[string]bool)
-	st.MatchFunc(rdf.Triple{P: rdf.NewIRI(rdf.RDFType)}, func(_ FactID, t rdf.Triple) bool {
-		if t.O.IsIRI() {
-			seen[t.O.Value] = true
-		}
-		return true
-	})
-	st.MatchFunc(rdf.Triple{P: rdf.NewIRI(rdf.RDFSSubClassOf)}, func(_ FactID, t rdf.Triple) bool {
-		if t.S.IsIRI() {
-			seen[t.S.Value] = true
-		}
-		if t.O.IsIRI() {
-			seen[t.O.Value] = true
-		}
-		return true
-	})
-	return sortedSet(seen)
-}
-
-// LowestCommonAncestors returns the most specific classes that subsume
-// both a and b (considering each entity's full type set). Used as a
-// semantic-relatedness signal.
-func (st *Store) LowestCommonAncestors(a, b string) []string {
-	ta := make(map[string]bool)
-	for _, c := range st.Types(a) {
-		ta[c] = true
-	}
-	common := make(map[string]bool)
-	for _, c := range st.Types(b) {
-		if ta[c] {
-			common[c] = true
-		}
-	}
-	// Drop any common class that has a common strict subclass.
-	lowest := make(map[string]bool)
-	for c := range common {
-		isLowest := true
-		for _, sub := range st.Subclasses(c) {
-			if common[sub] {
-				isLowest = false
-				break
-			}
-		}
-		if isLowest {
-			lowest[c] = true
-		}
-	}
-	return sortedSet(lowest)
 }
 
 func iriValues(ts []rdf.Term) []string {

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"kbharvest/internal/rdf"
 )
 
 // buildTaxonomy creates the small class hierarchy used across these tests:
@@ -16,12 +18,12 @@ import (
 //	    company
 func buildTaxonomy() *Store {
 	st := NewStore()
-	st.AddSubclass("person", "entity")
-	st.AddSubclass("scientist", "person")
-	st.AddSubclass("physicist", "scientist")
-	st.AddSubclass("entrepreneur", "person")
-	st.AddSubclass("organization", "entity")
-	st.AddSubclass("company", "organization")
+	st.Add(rdf.T("person", rdf.RDFSSubClassOf, "entity"))
+	st.Add(rdf.T("scientist", rdf.RDFSSubClassOf, "person"))
+	st.Add(rdf.T("physicist", rdf.RDFSSubClassOf, "scientist"))
+	st.Add(rdf.T("entrepreneur", rdf.RDFSSubClassOf, "person"))
+	st.Add(rdf.T("organization", rdf.RDFSSubClassOf, "entity"))
+	st.Add(rdf.T("company", rdf.RDFSSubClassOf, "organization"))
 	st.AddType("einstein", "physicist")
 	st.AddType("jobs", "entrepreneur")
 	st.AddType("curie", "physicist")
@@ -86,9 +88,9 @@ func TestSuperSubclasses(t *testing.T) {
 
 func TestSubclassCycleTolerated(t *testing.T) {
 	st := NewStore()
-	st.AddSubclass("a", "b")
-	st.AddSubclass("b", "c")
-	st.AddSubclass("c", "a") // cycle
+	st.Add(rdf.T("a", rdf.RDFSSubClassOf, "b"))
+	st.Add(rdf.T("b", rdf.RDFSSubClassOf, "c"))
+	st.Add(rdf.T("c", rdf.RDFSSubClassOf, "a")) // cycle
 	got := st.Superclasses("a")
 	// Must terminate; a's supers are b, c (and a itself is excluded).
 	if len(got) != 2 {
@@ -114,30 +116,5 @@ func TestInstances(t *testing.T) {
 	}
 	if got := st.Instances("entity"); len(got) != 4 {
 		t.Errorf("Instances(entity) = %v", got)
-	}
-}
-
-func TestClasses(t *testing.T) {
-	st := buildTaxonomy()
-	got := st.Classes()
-	want := []string{"company", "entity", "entrepreneur", "organization", "person", "physicist", "scientist"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Classes = %v, want %v", got, want)
-	}
-}
-
-func TestLowestCommonAncestors(t *testing.T) {
-	st := buildTaxonomy()
-	if got := st.LowestCommonAncestors("einstein", "curie"); !reflect.DeepEqual(got, []string{"physicist"}) {
-		t.Errorf("LCA(einstein,curie) = %v", got)
-	}
-	if got := st.LowestCommonAncestors("einstein", "jobs"); !reflect.DeepEqual(got, []string{"person"}) {
-		t.Errorf("LCA(einstein,jobs) = %v", got)
-	}
-	if got := st.LowestCommonAncestors("einstein", "apple"); !reflect.DeepEqual(got, []string{"entity"}) {
-		t.Errorf("LCA(einstein,apple) = %v", got)
-	}
-	if got := st.LowestCommonAncestors("einstein", "unknown"); len(got) != 0 {
-		t.Errorf("LCA with unknown = %v", got)
 	}
 }

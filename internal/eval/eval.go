@@ -6,7 +6,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -52,15 +51,6 @@ func SetPRF(predicted, gold map[string]bool) PRF {
 	return Score(tp, fp, fn)
 }
 
-// SliceSet converts a string slice to a set.
-func SliceSet(ss []string) map[string]bool {
-	m := make(map[string]bool, len(ss))
-	for _, s := range ss {
-		m[s] = true
-	}
-	return m
-}
-
 func (p PRF) String() string {
 	return fmt.Sprintf("P=%.3f R=%.3f F1=%.3f (tp=%d fp=%d fn=%d)",
 		p.Precision, p.Recall, p.F1, p.TP, p.FP, p.FN)
@@ -89,29 +79,6 @@ func PrecisionAtK(ranked []string, gold map[string]bool, k int) float64 {
 		}
 	}
 	return float64(hit) / float64(k)
-}
-
-// MacroF1 averages F1 over per-class scores.
-func MacroF1(scores []PRF) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range scores {
-		sum += s.F1
-	}
-	return sum / float64(len(scores))
-}
-
-// MicroPRF pools counts over per-class scores.
-func MicroPRF(scores []PRF) PRF {
-	tp, fp, fn := 0, 0, 0
-	for _, s := range scores {
-		tp += s.TP
-		fp += s.FP
-		fn += s.FN
-	}
-	return Score(tp, fp, fn)
 }
 
 // Table renders aligned experiment tables.
@@ -195,17 +162,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts rows by the numeric or lexical value of column idx.
-func (t *Table) SortRowsBy(idx int) {
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		var a, b float64
-		an, aerr := fmt.Sscanf(t.Rows[i][idx], "%g", &a)
-		bn, berr := fmt.Sscanf(t.Rows[j][idx], "%g", &b)
-		if an == 1 && bn == 1 && aerr == nil && berr == nil {
-			return a < b
-		}
-		return t.Rows[i][idx] < t.Rows[j][idx]
-	})
 }

@@ -1,15 +1,101 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"kbharvest/internal/eval"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/E*.golden from this run's tables")
+
+var (
+	runsMu sync.Mutex
+	runs   = map[string][]*eval.Table{}
+)
+
+// tables runs experiment id once per GOMAXPROCS setting and hands every
+// test the same tables, so the shape tests and the golden check share one
+// run, and -cpu 1,2,4 runs each experiment at every width.
+func tables(id string) []*eval.Table {
+	runsMu.Lock()
+	defer runsMu.Unlock()
+	key := fmt.Sprintf("%s/%d", id, runtime.GOMAXPROCS(0))
+	if tabs, ok := runs[key]; ok {
+		return tabs
+	}
+	e, ok := ByID(id)
+	if !ok {
+		panic("no experiment " + id)
+	}
+	runs[key] = e.Run()
+	return runs[key]
+}
+
+// timingColumns head the cells that measure the machine rather than the
+// method; the golden files hold "~" there.
+var timingColumns = map[string]bool{"ms": true, "docs/s": true, "speedup": true}
+
+// goldenText renders tabs as benchrunner prints them, timing cells masked.
+func goldenText(tabs []*eval.Table) string {
+	var b strings.Builder
+	for i, tab := range tabs {
+		masked := eval.NewTable(tab.Title, tab.Headers...)
+		for _, row := range tab.Rows {
+			row = slices.Clone(row)
+			for c, h := range tab.Headers {
+				if timingColumns[h] && c < len(row) {
+					row[c] = "~"
+				}
+			}
+			masked.Rows = append(masked.Rows, row)
+		}
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(masked.String())
+	}
+	return b.String()
+}
+
+// Every non-timing cell of every experiment's tables is pinned in
+// testdata/<ID>.golden: a change to a number the paper's claims rest on
+// fails here. After a deliberate change, rewrite the files with
+// go test ./internal/experiments -update and review their diff.
+func TestGoldenTables(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			got := goldenText(tables(e.ID))
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (go test ./internal/experiments -update writes it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("tables differ from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
+		})
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 16 {
-		t.Fatalf("registry has %d experiments, want 16", len(all))
+	if len(all) != 15 {
+		t.Fatalf("registry has %d experiments, want 15", len(all))
 	}
 	for i, e := range all {
 		want := "E" + strconv.Itoa(i+1)
@@ -40,7 +126,7 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestE1Shape(t *testing.T) {
-	tabs := E1Taxonomy()
+	tabs := tables("E1")
 	if len(tabs) != 1 || len(tabs[0].Rows) != 4 {
 		t.Fatalf("E1 tables = %+v", tabs)
 	}
@@ -55,7 +141,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	tabs := E2SetExpansion()
+	tabs := tables("E2")
 	if len(tabs) != 2 {
 		t.Fatalf("E2 tables = %d", len(tabs))
 	}
@@ -70,7 +156,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tabs := E3Bootstrap()
+	tabs := tables("E3")
 	rows := tabs[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("E3 rows = %d", len(rows))
@@ -89,7 +175,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tabs := E4DistantSupervision()
+	tabs := tables("E4")
 	rows := tabs[0].Rows
 	if len(rows) != 4 {
 		t.Fatalf("E4 rows = %d", len(rows))
@@ -111,7 +197,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	tabs := E5FactorGraph()
+	tabs := tables("E5")
 	rows := tabs[0].Rows
 	indepP := parseCell(t, rows[0][2])
 	jointP := parseCell(t, rows[1][2])
@@ -121,7 +207,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tabs := E6Reasoning()
+	tabs := tables("E6")
 	rows := tabs[0].Rows
 	rawP := parseCell(t, rows[0][2])
 	walkP := parseCell(t, rows[2][2])
@@ -131,7 +217,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tabs := E7OpenIE()
+	tabs := tables("E7")
 	rows := tabs[0].Rows
 	// Unconstrained yields more, constrained is more precise.
 	yieldNone := parseCell(t, rows[0][1])
@@ -151,7 +237,7 @@ func TestE7Shape(t *testing.T) {
 // count — has to produce the same candidate keys with the same counts,
 // and those counts have to add up to the same number of emissions.
 func TestE8Shape(t *testing.T) {
-	tabs := E8MapReduce()
+	tabs := tables("E8")
 	if len(tabs) != 1 {
 		t.Fatalf("E8 tables = %d", len(tabs))
 	}
@@ -175,7 +261,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tabs := E9SequenceMining()
+	tabs := tables("E9")
 	rows := tabs[0].Rows
 	// Lower support -> more patterns.
 	first := parseCell(t, rows[0][2])
@@ -189,7 +275,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tabs := E10Temporal()
+	tabs := tables("E10")
 	if len(tabs[0].Rows) == 0 {
 		t.Fatal("E10 empty")
 	}
@@ -201,7 +287,7 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	tabs := E11Multilingual()
+	tabs := tables("E11")
 	for _, row := range tabs[0].Rows {
 		if p := parseCell(t, row[2]); p < 0.85 {
 			t.Errorf("E11 precision %v in row %v", p, row)
@@ -210,7 +296,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	tabs := E12RuleMining()
+	tabs := tables("E12")
 	if len(tabs) != 3 || len(tabs[1].Rows) == 0 {
 		t.Fatal("E12 missing tables")
 	}
@@ -233,7 +319,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 func TestE13Shape(t *testing.T) {
-	tabs := E13NED()
+	tabs := tables("E13")
 	rows := tabs[0].Rows
 	prior := parseCell(t, rows[0][2])
 	ctx := parseCell(t, rows[1][2])
@@ -247,7 +333,7 @@ func TestE13Shape(t *testing.T) {
 }
 
 func TestE14Shape(t *testing.T) {
-	tabs := E14Linkage()
+	tabs := tables("E14")
 	rows := tabs[0].Rows
 	fullPairs := parseCell(t, rows[0][1])
 	blockedPairs := parseCell(t, rows[1][1])
@@ -271,7 +357,7 @@ func TestE14Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	tabs := E15BrandTracking()
+	tabs := tables("E15")
 	rows := tabs[0].Rows
 	stringAcc := parseCell(t, rows[0][2])
 	nedAcc := parseCell(t, rows[1][2])
@@ -284,20 +370,5 @@ func TestE15Shape(t *testing.T) {
 	}
 	if len(tabs[1].Rows) != 2 {
 		t.Errorf("E15b should track 2 lines: %v", tabs[1].Rows)
-	}
-}
-
-// Without injected faults every query must answer, at every shard and
-// replica width; the faulted rows are seeded but their values are the
-// experiment's finding, not an invariant.
-func TestE16Shape(t *testing.T) {
-	rows := E16FaultTolerance()[0].Rows
-	if len(rows) != 12 {
-		t.Fatalf("E16 rows = %d, want 2 shard counts x 2 replica counts x 3 fault rates", len(rows))
-	}
-	for _, row := range rows {
-		if parseCell(t, row[2]) == 0 && parseCell(t, row[4]) != 1 {
-			t.Errorf("E16 availability %s with no faults injected: %v", row[4], row)
-		}
 	}
 }

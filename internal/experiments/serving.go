@@ -8,10 +8,11 @@ import (
 
 // ServingWorkload builds the serving store and a skewed query mix over
 // it: two-pattern joins plus single-pattern lookups across the world's
-// relations, the shapes a QA front-end issues. It backs E16 and is
-// exported so the kbrouter tests can cross-check scatter/gather answers
-// against the same suite on a single merged store. (Serving speed itself
-// is measured by bench/, not here.)
+// relations, the shapes a QA front-end issues. No experiment runs it:
+// it is exported so the kbrouter tests can cross-check scatter/gather
+// answers against the same suite on a single merged store, and shardkb's
+// fault test draws its point lookups from the store. (Serving speed
+// itself is measured by bench/, not here.)
 func ServingWorkload(seed int64) (*core.Store, [][]core.Pattern) {
 	w, _ := standardWorld(seed)
 	st := core.NewStore()

@@ -38,9 +38,6 @@ func (g *Graph) AddVariable(name string) int {
 	return len(g.names) - 1
 }
 
-// NumVariables returns the variable count.
-func (g *Graph) NumVariables() int { return len(g.names) }
-
 // Name returns a variable's name.
 func (g *Graph) Name(v int) string { return g.names[v] }
 
@@ -83,27 +80,6 @@ func (g *Graph) AddPrior(v int, pTrue float64) error {
 func (g *Graph) AddMutex(a, b int, weight float64) error {
 	return g.AddFactor([]int{a, b}, func(vals []bool) float64 {
 		if vals[0] && vals[1] {
-			return -weight
-		}
-		return 0
-	})
-}
-
-// AddSupport rewards both variables being true by weight (corroborating
-// evidence, e.g. infobox and sentence extraction agreeing).
-func (g *Graph) AddSupport(a, b int, weight float64) error {
-	return g.AddFactor([]int{a, b}, func(vals []bool) float64 {
-		if vals[0] && vals[1] {
-			return weight
-		}
-		return 0
-	})
-}
-
-// AddImplication softly encodes a -> b: penalizes a=true, b=false.
-func (g *Graph) AddImplication(a, b int, weight float64) error {
-	return g.AddFactor([]int{a, b}, func(vals []bool) float64 {
-		if vals[0] && !vals[1] {
 			return -weight
 		}
 		return 0
@@ -171,46 +147,6 @@ func (g *Graph) Gibbs(burnin, iterations int, seed int64) []float64 {
 		}
 	}
 	return marg
-}
-
-// MAP runs iterated conditional modes (greedy coordinate ascent) from the
-// all-prior-favored start and returns an approximate MAP assignment.
-func (g *Graph) MAP(maxSweeps int) []bool {
-	n := len(g.names)
-	state := make([]bool, n)
-	scratch := make([]bool, 8)
-	score := func(v int, val bool) float64 {
-		s := 0.0
-		for _, fi := range g.adj[v] {
-			f := g.factors[fi]
-			if cap(scratch) < len(f.vars) {
-				scratch = make([]bool, len(f.vars))
-			}
-			vals := scratch[:len(f.vars)]
-			for i, fv := range f.vars {
-				vals[i] = state[fv]
-				if fv == v {
-					vals[i] = val
-				}
-			}
-			s += f.logPot(vals)
-		}
-		return s
-	}
-	for sweepNo := 0; sweepNo < maxSweeps; sweepNo++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			want := score(v, true) > score(v, false)
-			if state[v] != want {
-				state[v] = want
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return state
 }
 
 func sigmoid(x float64) float64 {

@@ -60,7 +60,12 @@ func TestSupportLiftsBoth(t *testing.T) {
 	b := g.AddVariable("b")
 	g.AddPrior(a, 0.5)
 	g.AddPrior(b, 0.8)
-	g.AddSupport(a, b, 3)
+	g.AddFactor([]int{a, b}, func(v []bool) float64 { // support: reward both true
+		if v[0] && v[1] {
+			return 3
+		}
+		return 0
+	})
 	marg := g.Gibbs(200, 4000, 4)
 	if marg[a] < 0.6 {
 		t.Errorf("supported variable should rise above its prior: %v", marg[a])
@@ -73,31 +78,15 @@ func TestImplication(t *testing.T) {
 	b := g.AddVariable("b")
 	g.AddPrior(a, 0.9)
 	g.AddPrior(b, 0.3)
-	g.AddImplication(a, b, 5)
+	g.AddFactor([]int{a, b}, func(v []bool) float64 { // a -> b: penalise a && !b
+		if v[0] && !v[1] {
+			return -5
+		}
+		return 0
+	})
 	marg := g.Gibbs(200, 4000, 5)
 	if marg[b] < 0.5 {
 		t.Errorf("implication should lift consequent: %v", marg[b])
-	}
-}
-
-func TestMAPAgreesWithStrongPriors(t *testing.T) {
-	g := NewGraph()
-	a := g.AddVariable("a")
-	b := g.AddVariable("b")
-	c := g.AddVariable("c")
-	g.AddPrior(a, 0.95)
-	g.AddPrior(b, 0.05)
-	g.AddPrior(c, 0.7)
-	g.AddMutex(a, c, 10)
-	state := g.MAP(20)
-	if !state[a] {
-		t.Error("a should be true in MAP")
-	}
-	if state[b] {
-		t.Error("b should be false in MAP")
-	}
-	if state[c] {
-		t.Error("c should lose the mutex against a")
 	}
 }
 
@@ -130,7 +119,8 @@ func TestGibbsDeterministicPerSeed(t *testing.T) {
 func TestNamesAndCounts(t *testing.T) {
 	g := NewGraph()
 	v := g.AddVariable("fact(a,b)")
-	if g.NumVariables() != 1 || g.Name(v) != "fact(a,b)" {
+	w := g.AddVariable("fact(a,c)")
+	if v != 0 || w != 1 || g.Name(v) != "fact(a,b)" || g.Name(w) != "fact(a,c)" {
 		t.Error("bookkeeping wrong")
 	}
 }
@@ -149,7 +139,12 @@ func TestJointBeatsIndependentOnCorrelatedCandidates(t *testing.T) {
 	g.AddPrior(a, 0.55)
 	g.AddPrior(b, 0.6)
 	g.AddPrior(c, 0.9)
-	g.AddSupport(a, c, 4)
+	g.AddFactor([]int{a, c}, func(v []bool) float64 { // C corroborates A
+		if v[0] && v[1] {
+			return 4
+		}
+		return 0
+	})
 	g.AddMutex(b, c, 4)
 	marg := g.Gibbs(200, 4000, 6)
 	// Independent thresholding at 0.5 accepts both A and B. Joint

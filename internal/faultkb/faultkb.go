@@ -2,11 +2,11 @@
 // an HTTP reverse proxy (and a client-side RoundTripper) that injects
 // the failure modes real infrastructure produces — added latency, error
 // statuses, dropped connections, and truncated response bodies — on a
-// deterministic schedule. The shardkb/kbrouter fault tests stand a
-// faultkb proxy in front of each kbserve replica to prove that retries,
-// hedging, and circuit breakers absorb replica failures, and the E16
-// experiment uses it to measure availability and tail latency under
-// controlled fault rates.
+// deterministic schedule. It is a test harness: the shardkb/kbrouter
+// fault tests stand a faultkb proxy in front of each kbserve replica to
+// prove that retries, hedging, and circuit breakers absorb replica
+// failures, and to pin the availability a tier keeps at controlled fault
+// rates.
 //
 // An Injector decides, per request, which fault (if any) to apply. The
 // decision comes from the current Plan — either set directly (SetPlan,

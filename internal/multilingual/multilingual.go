@@ -25,14 +25,6 @@ func Labels(st *core.Store, entity string) map[string]string {
 	return out
 }
 
-// AddLabel asserts a language-tagged label.
-func AddLabel(st *core.Store, entity, label, lang string) core.FactID {
-	return st.Add(rdf.Triple{
-		S: rdf.NewIRI(entity), P: rdf.NewIRI(rdf.RDFSLabel),
-		O: rdf.NewLangLiteral(label, lang),
-	})
-}
-
 // translitPairs are substring substitutions that cost little when
 // comparing names across orthographies (the systematic sound shifts the
 // synthetic languages — and many real ones — apply).
@@ -89,21 +81,11 @@ func levenshtein(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 // Named is one entity with a name in some language.
@@ -155,15 +137,4 @@ func Align(src, dst []Named, minSim float64) []Alignment {
 		out = append(out, Alignment{Src: src[c.si].ID, Dst: dst[c.di].ID, Score: c.score})
 	}
 	return out
-}
-
-// AssertSameAs writes alignments into a store as owl:sameAs links.
-func AssertSameAs(st *core.Store, aligns []Alignment) int {
-	n := 0
-	for _, a := range aligns {
-		id := st.Add(rdf.T(a.Src, rdf.OWLSameAs, a.Dst))
-		st.SetConfidence(id, a.Score)
-		n++
-	}
-	return n
 }

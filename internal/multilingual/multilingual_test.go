@@ -10,8 +10,8 @@ import (
 
 func TestLabelsRoundTrip(t *testing.T) {
 	st := core.NewStore()
-	AddLabel(st, "kb:Alice", "Alice Foo", "en")
-	AddLabel(st, "kb:Alice", "Alize Fou", "fr")
+	st.Add(rdf.Triple{S: rdf.NewIRI("kb:Alice"), P: rdf.NewIRI(rdf.RDFSLabel), O: rdf.NewLangLiteral("Alice Foo", "en")})
+	st.Add(rdf.Triple{S: rdf.NewIRI("kb:Alice"), P: rdf.NewIRI(rdf.RDFSLabel), O: rdf.NewLangLiteral("Alize Fou", "fr")})
 	st.Add(rdf.TL("kb:Alice", rdf.RDFSLabel, "untagged")) // no lang -> ignored
 	labels := Labels(st, "kb:Alice")
 	if len(labels) != 2 || labels["en"] != "Alice Foo" || labels["fr"] != "Alize Fou" {
@@ -116,21 +116,5 @@ func TestAlignSyntheticEditions(t *testing.T) {
 	}
 	if recall < 0.8 {
 		t.Errorf("alignment recall = %.3f", recall)
-	}
-}
-
-func TestAssertSameAs(t *testing.T) {
-	st := core.NewStore()
-	n := AssertSameAs(st, []Alignment{{Src: "en:1", Dst: "de:1", Score: 0.9}})
-	if n != 1 {
-		t.Fatalf("asserted %d", n)
-	}
-	id, ok := st.FactOf(rdf.T("en:1", rdf.OWLSameAs, "de:1"))
-	if !ok {
-		t.Fatal("sameAs link missing")
-	}
-	info, _ := st.Info(id)
-	if info.Confidence != 0.9 {
-		t.Errorf("confidence = %v", info.Confidence)
 	}
 }

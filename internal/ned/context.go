@@ -150,17 +150,3 @@ func (r *Relatedness) Score(a, b string) float64 {
 	}
 	return score
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -98,18 +98,6 @@ func (d *Dictionary) Candidates(surface string) []Candidate {
 	return d.cands[normSurface(surface)]
 }
 
-// Ambiguity returns the number of surface forms with more than one
-// candidate — the quantity that makes NED non-trivial.
-func (d *Dictionary) Ambiguity() (surfaces, ambiguous int) {
-	for _, c := range d.cands {
-		surfaces++
-		if len(c) > 1 {
-			ambiguous++
-		}
-	}
-	return
-}
-
 // DetectedMention is one dictionary hit in free text.
 type DetectedMention struct {
 	Start, End int

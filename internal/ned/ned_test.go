@@ -43,9 +43,11 @@ func TestDictionaryAmbiguity(t *testing.T) {
 	b.Observe("shared", "e1", 1)
 	b.Observe("shared", "e2", 1)
 	d := b.Build()
-	surfaces, ambiguous := d.Ambiguity()
-	if surfaces != 2 || ambiguous != 1 {
-		t.Errorf("ambiguity = %d/%d", ambiguous, surfaces)
+	if n := len(d.Candidates("unique")); n != 1 {
+		t.Errorf("unique surface has %d candidates, want 1", n)
+	}
+	if n := len(d.Candidates("shared")); n != 2 {
+		t.Errorf("shared surface has %d candidates, want 2", n)
 	}
 }
 

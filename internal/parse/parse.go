@@ -37,18 +37,10 @@ const (
 	LabelNum       = "num"       // numeric modifier
 	LabelCc        = "cc"        // coordinating conjunction
 	LabelConj      = "conj"      // conjunct
-	LabelCop       = "cop"       // copula
 	LabelAttr      = "attr"      // predicate nominal ("X is a Y")
 	LabelPunct     = "punct"
 	LabelDep       = "dep" // unresolved attachment
 )
-
-// Arc is one dependency: token Dep is governed by token Head with Label.
-type Arc struct {
-	Head  int // index into the token slice; Root (-1) for the root
-	Dep   int
-	Label string
-}
 
 // Tree is a parsed sentence: the tagged tokens plus one arc per token.
 type Tree struct {
@@ -57,36 +49,6 @@ type Tree struct {
 	Heads []int
 	// Labels[i] is the dependency label of token i.
 	Labels []string
-}
-
-// Arcs returns the arc list form of the tree.
-func (t *Tree) Arcs() []Arc {
-	out := make([]Arc, len(t.Heads))
-	for i := range t.Heads {
-		out[i] = Arc{Head: t.Heads[i], Dep: i, Label: t.Labels[i]}
-	}
-	return out
-}
-
-// RootIndex returns the index of the root token, or -1 for empty trees.
-func (t *Tree) RootIndex() int {
-	for i, h := range t.Heads {
-		if h == Root {
-			return i
-		}
-	}
-	return -1
-}
-
-// Children returns the dependents of token i in order.
-func (t *Tree) Children(i int) []int {
-	var out []int
-	for d, h := range t.Heads {
-		if h == i {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // ChildWithLabel returns the first dependent of i carrying the label, or
@@ -455,9 +417,4 @@ func attachLeftovers(t *Tree, fallbackHead int) {
 			}
 		}
 	}
-}
-
-// ParseSentence tokenizes, tags, and parses a raw sentence.
-func ParseSentence(sentence string) *Tree {
-	return Parse(text.Tag(text.Tokenize(sentence)))
 }

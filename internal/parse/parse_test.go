@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func find(t *Tree, word string) int {
 }
 
 func TestParseSVO(t *testing.T) {
-	tr := ParseSentence("Steve Jobs founded Apple")
+	tr := Parse(text.Tag(text.Tokenize("Steve Jobs founded Apple")))
 	v := find(tr, "founded")
 	subj := find(tr, "Jobs")
 	obj := find(tr, "Apple")
@@ -38,7 +39,7 @@ func TestParseSVO(t *testing.T) {
 }
 
 func TestParsePassive(t *testing.T) {
-	tr := ParseSentence("Apple was founded by Steve Jobs")
+	tr := Parse(text.Tag(text.Tokenize("Apple was founded by Steve Jobs")))
 	v := find(tr, "founded")
 	was := find(tr, "was")
 	apple := find(tr, "Apple")
@@ -62,7 +63,7 @@ func TestParsePassive(t *testing.T) {
 }
 
 func TestParsePrepositionalAttachment(t *testing.T) {
-	tr := ParseSentence("Jobs founded Apple in Cupertino")
+	tr := Parse(text.Tag(text.Tokenize("Jobs founded Apple in Cupertino")))
 	in := find(tr, "in")
 	cup := find(tr, "Cupertino")
 	if tr.Heads[cup] != in || tr.Labels[cup] != LabelPobj {
@@ -74,7 +75,7 @@ func TestParsePrepositionalAttachment(t *testing.T) {
 }
 
 func TestParseCopula(t *testing.T) {
-	tr := ParseSentence("Jobs is an entrepreneur")
+	tr := Parse(text.Tag(text.Tokenize("Jobs is an entrepreneur")))
 	is := find(tr, "is")
 	attr := find(tr, "entrepreneur")
 	if tr.Heads[is] != Root {
@@ -86,7 +87,7 @@ func TestParseCopula(t *testing.T) {
 }
 
 func TestParseNPInternals(t *testing.T) {
-	tr := ParseSentence("The famous entrepreneur created a small company")
+	tr := Parse(text.Tag(text.Tokenize("The famous entrepreneur created a small company")))
 	the := find(tr, "The")
 	famous := find(tr, "famous")
 	ent := find(tr, "entrepreneur")
@@ -99,7 +100,7 @@ func TestParseNPInternals(t *testing.T) {
 }
 
 func TestParseConjunction(t *testing.T) {
-	tr := ParseSentence("Jobs founded Apple and NeXT")
+	tr := Parse(text.Tag(text.Tokenize("Jobs founded Apple and NeXT")))
 	apple := find(tr, "Apple")
 	next := find(tr, "NeXT")
 	and := find(tr, "and")
@@ -115,8 +116,8 @@ func TestParseConjunction(t *testing.T) {
 }
 
 func TestParseNoVerb(t *testing.T) {
-	tr := ParseSentence("The quick brown fox")
-	root := tr.RootIndex()
+	tr := Parse(text.Tag(text.Tokenize("The quick brown fox")))
+	root := slices.Index(tr.Heads, Root)
 	if root == -1 {
 		t.Fatalf("no root:\n%s", tr)
 	}
@@ -127,7 +128,7 @@ func TestParseNoVerb(t *testing.T) {
 
 func TestParseEmpty(t *testing.T) {
 	tr := Parse(nil)
-	if len(tr.Heads) != 0 || tr.RootIndex() != -1 {
+	if len(tr.Tokens) != 0 || len(tr.Heads) != 0 || len(tr.Labels) != 0 {
 		t.Errorf("empty parse wrong: %+v", tr)
 	}
 }
@@ -142,7 +143,7 @@ func TestSingleRoot(t *testing.T) {
 		"!",
 	}
 	for _, s := range sentences {
-		tr := ParseSentence(s)
+		tr := Parse(text.Tag(text.Tokenize(s)))
 		roots := 0
 		for i := range tr.Heads {
 			if tr.Heads[i] == Root {
@@ -162,7 +163,7 @@ func TestTreeIsAcyclic(t *testing.T) {
 		"The famous company released a new phone in January",
 	}
 	for _, s := range sentences {
-		tr := ParseSentence(s)
+		tr := Parse(text.Tag(text.Tokenize(s)))
 		for i := range tr.Heads {
 			seen := map[int]bool{}
 			j := i
@@ -178,7 +179,7 @@ func TestTreeIsAcyclic(t *testing.T) {
 }
 
 func TestPath(t *testing.T) {
-	tr := ParseSentence("Steve Jobs founded Apple")
+	tr := Parse(text.Tag(text.Tokenize("Steve Jobs founded Apple")))
 	subj := find(tr, "Jobs")
 	obj := find(tr, "Apple")
 	p := tr.Path(subj, obj)
@@ -195,7 +196,7 @@ func TestPath(t *testing.T) {
 }
 
 func TestPathPassive(t *testing.T) {
-	tr := ParseSentence("Apple was founded by Steve Jobs")
+	tr := Parse(text.Tag(text.Tokenize("Apple was founded by Steve Jobs")))
 	a := find(tr, "Apple")
 	j := find(tr, "Jobs")
 	p := tr.Path(a, j)
@@ -205,11 +206,19 @@ func TestPathPassive(t *testing.T) {
 }
 
 func TestChildrenAndChildWithLabel(t *testing.T) {
-	tr := ParseSentence("Steve Jobs founded Apple")
+	tr := Parse(text.Tag(text.Tokenize("Steve Jobs founded Apple")))
 	v := find(tr, "founded")
-	kids := tr.Children(v)
-	if len(kids) != 2 {
-		t.Errorf("Children = %v\n%s", kids, tr)
+	kids := 0
+	for _, h := range tr.Heads {
+		if h == v {
+			kids++
+		}
+	}
+	if kids != 2 {
+		t.Errorf("founded has %d children, want 2\n%s", kids, tr)
+	}
+	if got := tr.ChildWithLabel(v, LabelNsubj); got == -1 || tr.Tokens[got].Text != "Jobs" {
+		t.Errorf("ChildWithLabel(nsubj) = %d", got)
 	}
 	if got := tr.ChildWithLabel(v, LabelDobj); got == -1 || tr.Tokens[got].Text != "Apple" {
 		t.Errorf("ChildWithLabel(dobj) = %d", got)
@@ -220,14 +229,14 @@ func TestChildrenAndChildWithLabel(t *testing.T) {
 }
 
 func TestArcs(t *testing.T) {
-	tr := ParseSentence("Jobs founded Apple")
-	arcs := tr.Arcs()
-	if len(arcs) != 3 {
-		t.Fatalf("arcs = %v", arcs)
+	tr := Parse(text.Tag(text.Tokenize("Jobs founded Apple")))
+	// One arc per token: a head (Root or a token index) and a label.
+	if len(tr.Heads) != 3 || len(tr.Labels) != 3 {
+		t.Fatalf("heads %v labels %v for 3 tokens", tr.Heads, tr.Labels)
 	}
-	for _, a := range arcs {
-		if a.Dep < 0 || a.Dep >= 3 {
-			t.Errorf("bad arc %+v", a)
+	for dep, head := range tr.Heads {
+		if head != Root && (head < 0 || head >= 3 || head == dep) || tr.Labels[dep] == "" {
+			t.Errorf("bad arc %d <-%s- %d", dep, tr.Labels[dep], head)
 		}
 	}
 }
@@ -243,7 +252,7 @@ func TestParseRobustnessOnArbitraryText(t *testing.T) {
 		"Über die Brücke 42 , 7 %",
 	}
 	for _, s := range inputs {
-		tr := ParseSentence(s)
+		tr := Parse(text.Tag(text.Tokenize(s)))
 		for i, h := range tr.Heads {
 			if h != Root && (h < 0 || h >= len(tr.Heads)) {
 				t.Errorf("%q: head out of range at %d", s, i)
@@ -255,7 +264,7 @@ func TestParseRobustnessOnArbitraryText(t *testing.T) {
 func TestParseTaggedDirectly(t *testing.T) {
 	tagged := text.Tag(text.Tokenize("Jobs founded Apple"))
 	tr := Parse(tagged)
-	if tr.RootIndex() == -1 {
+	if slices.Index(tr.Heads, Root) == -1 {
 		t.Error("no root")
 	}
 }

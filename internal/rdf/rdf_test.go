@@ -36,13 +36,13 @@ func TestTermConstructors(t *testing.T) {
 }
 
 func TestTermPredicates(t *testing.T) {
-	if !NewIRI("a").IsIRI() || NewIRI("a").IsLiteral() || NewIRI("a").IsBlank() {
+	if !NewIRI("a").IsIRI() || NewIRI("a").IsLiteral() {
 		t.Error("IRI predicates wrong")
 	}
 	if !NewLiteral("a").IsLiteral() || NewLiteral("a").IsIRI() {
 		t.Error("literal predicates wrong")
 	}
-	if !NewBlank("a").IsBlank() {
+	if b := NewBlank("a"); b.IsIRI() || b.IsLiteral() {
 		t.Error("blank predicate wrong")
 	}
 	if !(Term{}).IsZero() {

@@ -87,9 +87,6 @@ func (t Term) IsIRI() bool { return t.Kind == IRI }
 // IsLiteral reports whether the term is a literal of any flavor.
 func (t Term) IsLiteral() bool { return t.Kind == Literal }
 
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == Blank }
-
 // IsZero reports whether the term is the zero value (empty IRI), which is
 // used as a wildcard in triple patterns.
 func (t Term) IsZero() bool {

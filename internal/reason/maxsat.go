@@ -10,7 +10,6 @@ package reason
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Lit is one literal: variable index, possibly negated.
@@ -174,16 +173,4 @@ func (p *Problem) SolveExhaustive() (Solution, error) {
 		}
 	}
 	return best, nil
-}
-
-// TrueVars lists the names of variables assigned true, sorted.
-func (p *Problem) TrueVars(s Solution) []string {
-	var out []string
-	for v, val := range s.Values {
-		if val {
-			out = append(out, p.names[v])
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -95,24 +95,6 @@ func TestExhaustiveTooLarge(t *testing.T) {
 	}
 }
 
-func TestTrueVars(t *testing.T) {
-	p := NewProblem()
-	a := p.AddVar("fact-a")
-	p.AddVar("fact-b")
-	p.AddSoft(1, Lit{Var: a})
-	sol := p.SolveGreedy()
-	names := p.TrueVars(sol)
-	found := false
-	for _, n := range names {
-		if n == "fact-a" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("TrueVars = %v", names)
-	}
-}
-
 func cand(s, p, o string, conf float64) extract.Candidate {
 	return extract.Candidate{S: s, P: p, O: o, Confidence: conf}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kbharvest/internal/core"
+	"kbharvest/internal/experiments"
 	"kbharvest/internal/faultkb"
 	"kbharvest/internal/rdf"
 	"kbharvest/internal/serve"
@@ -16,15 +17,18 @@ import (
 // startReplicatedShards is startReplicatedTier over testTriples.
 func startReplicatedShards(t *testing.T, n, r int) ([]string, [][]*faultkb.Injector) {
 	t.Helper()
-	return startReplicatedTier(t, testTriples(), n, r)
+	return startReplicatedTier(t, testTriples(), n, r, testSeeds)
 }
+
+// testSeeds seeds the injector of replica j of shard i.
+func testSeeds(i, j int) int64 { return int64(100*i + j) }
 
 // startReplicatedTier partitions triples across n shards, stands r
 // replicas behind each (all serving the same partition), and fronts every
-// replica with a faultkb proxy. Returns the tier as New takes it — one
-// "|"-joined string of proxy URLs per shard — and the injector for each
-// replica, indexed [shard][replica].
-func startReplicatedTier(t *testing.T, triples []rdf.Triple, n, r int) ([]string, [][]*faultkb.Injector) {
+// replica with a faultkb proxy seeded by seed(shard, replica). Returns
+// the tier as New takes it — one "|"-joined string of proxy URLs per
+// shard — and the injector for each replica, indexed [shard][replica].
+func startReplicatedTier(t *testing.T, triples []rdf.Triple, n, r int, seed func(shard, replica int) int64) ([]string, [][]*faultkb.Injector) {
 	t.Helper()
 	stores := make([]*core.Store, n)
 	for i := range stores {
@@ -41,7 +45,7 @@ func startReplicatedTier(t *testing.T, triples []rdf.Triple, n, r int) ([]string
 			h := serve.NewServer(stores[i], serve.Options{Timeout: time.Second})
 			backend := httptest.NewServer(h)
 			t.Cleanup(backend.Close)
-			in := faultkb.New(int64(100*i + j))
+			in := faultkb.New(seed(i, j))
 			proxy := httptest.NewServer(faultkb.NewProxy(backend.URL, in, nil))
 			t.Cleanup(proxy.Close)
 			urls[j] = proxy.URL
@@ -268,5 +272,69 @@ func TestMaxBodyBytes(t *testing.T) {
 	}
 	if st := c.Stats(); st.Retries != 0 {
 		t.Errorf("oversized reply was retried %d times; it is not transient", st.Retries)
+	}
+}
+
+// Availability under injected faults, at every shard and replica width
+// of a small tier: 200 point lookups (one per distinct subject of the
+// serving workload) at fault rates 0, 5 % and 20 %, split evenly between
+// connection drops and 500s, with fast retries and no breakers so the
+// grid measures only how far the retry budget stretches redundancy. The
+// injectors are seeded and the lookups sequential, so every count is
+// exact: with one replica a fault that outlasts the retry budget reaches
+// the caller; with two, retries fail over and every lookup answers.
+func TestAvailabilityUnderInjectedFaults(t *testing.T) {
+	merged, _ := experiments.ServingWorkload(119)
+	triples := merged.All()
+	var points []core.Pattern
+	seen := map[string]bool{}
+	for _, tr := range triples {
+		if !seen[tr.S.Value] {
+			seen[tr.S.Value] = true
+			points = append(points, core.Pattern{S: core.PTerm(tr.S), P: core.PVar("p"), O: core.PVar("o")})
+		}
+		if len(points) == 200 {
+			break
+		}
+	}
+	rates := []float64{0, 0.05, 0.20}
+	// want[shards, replicas] holds, per fault rate, the lookups answered
+	// and the retries spent.
+	type cell struct{ answered, retries int }
+	want := map[[2]int][]cell{
+		{1, 1}: {{200, 0}, {200, 10}, {191, 38}},
+		{1, 2}: {{200, 0}, {200, 10}, {200, 50}},
+		{4, 1}: {{200, 0}, {199, 10}, {196, 36}},
+		{4, 2}: {{200, 0}, {200, 13}, {200, 48}},
+	}
+	ctx := context.Background()
+	for _, n := range []int{1, 4} {
+		for _, r := range []int{1, 2} {
+			groups, injectors := startReplicatedTier(t, triples, n, r, func(i, j int) int64 { return int64(1000 + 10*i + j) })
+			c := mustClient(t, groups, Options{
+				Timeout:   5 * time.Second,
+				RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+				BreakerThreshold: -1,
+			})
+			for k, rate := range rates {
+				for _, shard := range injectors {
+					for _, in := range shard {
+						in.SetPlan(faultkb.Plan{DropRate: rate / 2, ErrorRate: rate / 2})
+					}
+				}
+				before := c.Stats().Retries
+				got := cell{}
+				for _, q := range points {
+					if _, err := c.Pattern(ctx, q, 0); err == nil {
+						got.answered++
+					}
+				}
+				got.retries = int(c.Stats().Retries - before)
+				if w := want[[2]int{n, r}][k]; got != w {
+					t.Errorf("%d shards x %d replicas at %.0f%% faults: %d/%d answered with %d retries, want %d with %d",
+						n, r, 100*rate, got.answered, len(points), got.retries, w.answered, w.retries)
+				}
+			}
+		}
 	}
 }

@@ -237,7 +237,7 @@ func TestBindStepFaultPolicies(t *testing.T) {
 	patterns := parsePatterns(t, "?p <kb:founded> ?c", "?c <kb:locatedIn> ?city")
 	exact := bindingStrings(mergedStore(world).Query(patterns))
 	for _, lax := range []bool{false, true} {
-		groups, injectors := startReplicatedTier(t, world, 2, 1)
+		groups, injectors := startReplicatedTier(t, world, 2, 1, testSeeds)
 		// Shard 1 answers its /estimate, then drops everything: the
 		// failure lands on the first bind step.
 		injectors[1][0].SetScript([]faultkb.Step{{N: 1}, {N: 1, Plan: faultkb.Plan{DropRate: 1}}})
@@ -269,7 +269,7 @@ func TestBindStepFailsOverToSiblingReplica(t *testing.T) {
 	world := joinWorld()
 	patterns := parsePatterns(t, "?p <kb:bornIn> <kb:city3>", "?p <kb:worksAt> ?c", "?c <kb:locatedIn> ?w")
 	exact := bindingStrings(mergedStore(world).Query(patterns))
-	groups, injectors := startReplicatedTier(t, world, 2, 2)
+	groups, injectors := startReplicatedTier(t, world, 2, 2, testSeeds)
 	for _, group := range injectors {
 		// Whatever this replica is asked first succeeds; then it is dead.
 		group[0].SetScript([]faultkb.Step{{N: 1}, {N: 1, Plan: faultkb.Plan{DropRate: 1}}})

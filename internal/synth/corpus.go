@@ -75,19 +75,6 @@ func (tb *textBuilder) entity(e *Entity, ambig float64) {
 	})
 }
 
-// ambigMention forces an alias mention (used to guarantee hard NED cases).
-func (tb *textBuilder) ambigMention(e *Entity) {
-	surface := e.Name
-	if len(e.Aliases) > 0 {
-		surface = e.Aliases[0]
-	}
-	start := tb.b.Len()
-	tb.b.WriteString(surface)
-	tb.mentions = append(tb.mentions, Mention{
-		Start: start, End: tb.b.Len(), Surface: surface, Entity: e.ID,
-	})
-}
-
 // CorpusOptions tune the article renderer.
 type CorpusOptions struct {
 	// NoiseRate is the probability that an article gains a corrupted

@@ -16,7 +16,7 @@ import (
 
 // Post is one timestamped social-media message.
 type Post struct {
-	Day      int // day number (see temporal.Epoch)
+	Day      int // day number since 1900-01-01 (temporal.Date.DayNum)
 	Text     string
 	Mentions []Mention // gold product mentions
 }

@@ -65,21 +65,6 @@ func Expand(seeds []string, lists []ItemList, minSeedHits int) []Candidate {
 	return out
 }
 
-// ParseLists extracts bullet lists ("* item" lines) from page text.
-func ParseLists(source, pageText string) []ItemList {
-	var items []string
-	for _, line := range strings.Split(pageText, "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "* ") {
-			items = append(items, strings.TrimSpace(line[2:]))
-		}
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	return []ItemList{{Source: source, Items: items}}
-}
-
 // HearstFact is one (class, instance) pair extracted by a Hearst pattern.
 type HearstFact struct {
 	ClassNoun string // singular

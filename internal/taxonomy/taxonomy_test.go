@@ -244,17 +244,6 @@ func TestExpandOnSyntheticLists(t *testing.T) {
 	}
 }
 
-func TestParseLists(t *testing.T) {
-	pageText := "Notable physicists:\n* Alice Foo\n* Bob Bar\nFooter text\n"
-	lists := ParseLists("url", pageText)
-	if len(lists) != 1 || len(lists[0].Items) != 2 || lists[0].Items[0] != "Alice Foo" {
-		t.Errorf("lists = %+v", lists)
-	}
-	if got := ParseLists("url", "no lists here"); got != nil {
-		t.Errorf("expected nil, got %+v", got)
-	}
-}
-
 func TestExtractHearst(t *testing.T) {
 	body := "Physicists such as Marie Curie, Albert Einstein, and Niels Bohr shaped modern science. " +
 		"Many companies, including Acme Systems and Globex Corporation, attracted attention. " +
@@ -323,11 +312,4 @@ func hasSuper(w *synth.World, class, noun string) bool {
 		}
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,9 +18,6 @@ type Date struct {
 	Day   int // 1..31, or 0 if unknown
 }
 
-// Epoch is the calendar date of day number 0.
-var Epoch = Date{Year: 1900, Month: 1, Day: 1}
-
 // civilToDays converts a full y/m/d to days since 1970-01-01 using the
 // standard proleptic-Gregorian algorithm, then shifts to the 1900 epoch.
 func civilToDays(y, m, d int) int {
@@ -63,8 +60,9 @@ func daysToCivil(day int) (y, m, d int) {
 	return yy, m, d
 }
 
-// DayNum converts the date to a day number since Epoch. Missing month/day
-// resolve to the earliest covered day (January / the 1st).
+// DayNum converts the date to a day number since 1900-01-01 (day 0).
+// Missing month/day resolve to the earliest covered day (January / the
+// 1st).
 func (d Date) DayNum() int {
 	m, dd := d.Month, d.Day
 	if m == 0 {
@@ -105,9 +103,6 @@ func FromDay(day int) Date {
 	y, m, d := daysToCivil(day)
 	return Date{Year: y, Month: m, Day: d}
 }
-
-// IsFull reports whether year, month, and day are all present.
-func (d Date) IsFull() bool { return d.Year != 0 && d.Month != 0 && d.Day != 0 }
 
 // String renders ISO-style: "2007-01-09", "2007-01", or "2007".
 func (d Date) String() string {

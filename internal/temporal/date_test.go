@@ -6,8 +6,12 @@ import (
 )
 
 func TestEpochIsDayZero(t *testing.T) {
-	if got := Epoch.DayNum(); got != 0 {
-		t.Errorf("Epoch day = %d, want 0", got)
+	epoch := Date{Year: 1900, Month: 1, Day: 1}
+	if got := epoch.DayNum(); got != 0 {
+		t.Errorf("1900-01-01 is day %d, want 0", got)
+	}
+	if got := FromDay(0); got != epoch {
+		t.Errorf("day 0 is %v, want %v", got, epoch)
 	}
 }
 
@@ -33,7 +37,7 @@ func TestRoundTripQuick(t *testing.T) {
 	f := func(n uint32) bool {
 		day := int(n % 100000) // ~273 years
 		d := FromDay(day)
-		return d.DayNum() == day && d.Valid() && d.IsFull()
+		return d.DayNum() == day && d.Valid() && d.Month != 0 && d.Day != 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -55,22 +55,6 @@ func (c Chunk) Text() string {
 	return string(b)
 }
 
-// HeadNoun returns the rightmost noun token of an NP chunk ("computer
-// pioneers" -> "pioneers"), or "" for other chunks. Head nouns drive the
-// Wikipedia category analysis in the taxonomy module (§2).
-func (c Chunk) HeadNoun() string {
-	if c.Kind != ChunkNP {
-		return ""
-	}
-	for i := len(c.Tokens) - 1; i >= 0; i-- {
-		switch c.Tokens[i].Tag {
-		case TagNN, TagNNS, TagNNP:
-			return c.Tokens[i].Text
-		}
-	}
-	return ""
-}
-
 // IsProper reports whether an NP chunk consists of proper nouns (an entity
 // mention candidate rather than a concept).
 func (c Chunk) IsProper() bool {
@@ -172,16 +156,4 @@ func isVerbTag(t string) bool {
 		return true
 	}
 	return false
-}
-
-// NounPhrases returns the NP chunks of a raw sentence — the entity
-// candidates open IE taps into.
-func NounPhrases(sentence string) []Chunk {
-	var nps []Chunk
-	for _, c := range ChunkSentence(Tag(Tokenize(sentence))) {
-		if c.Kind == ChunkNP {
-			nps = append(nps, c)
-		}
-	}
-	return nps
 }

@@ -1,6 +1,7 @@
 package text
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -64,20 +65,6 @@ func TestChunkVerbGroupWithAdverb(t *testing.T) {
 	}
 }
 
-func TestChunkHeadNoun(t *testing.T) {
-	cs := chunksOf("American computer pioneers")
-	if len(cs) == 0 || cs[0].Kind != ChunkNP {
-		t.Fatalf("chunks = %+v", cs)
-	}
-	if got := cs[0].HeadNoun(); got != "pioneers" {
-		t.Errorf("HeadNoun = %q, want %q", got, "pioneers")
-	}
-	vp := Chunk{Kind: ChunkVP}
-	if vp.HeadNoun() != "" {
-		t.Error("VP HeadNoun should be empty")
-	}
-}
-
 func TestChunkIsProper(t *testing.T) {
 	cs := chunksOf("Steve Jobs met the engineer")
 	var proper, common *Chunk
@@ -120,10 +107,9 @@ func TestChunkOffsets(t *testing.T) {
 }
 
 func TestNounPhrases(t *testing.T) {
-	nps := NounPhrases("Tim Cook leads Apple and Satya Nadella leads Microsoft.")
-	if len(nps) != 4 {
-		texts := npTexts(nps)
-		t.Errorf("NounPhrases = %v", texts)
+	nps := npTexts(chunksOf("Tim Cook leads Apple and Satya Nadella leads Microsoft."))
+	if want := []string{"Tim Cook", "Apple", "Satya Nadella", "Microsoft"}; !slices.Equal(nps, want) {
+		t.Errorf("noun phrases = %q, want %q", nps, want)
 	}
 }
 

@@ -71,16 +71,6 @@ func Tokenize(s string) []Token {
 	return out
 }
 
-// Words returns just the token texts.
-func Words(s string) []string {
-	toks := Tokenize(s)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
-	}
-	return out
-}
-
 func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' || r == '-' || r == '_'
 }

@@ -2,30 +2,31 @@ package text
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestTokenizeBasic(t *testing.T) {
-	got := Words("Steve Jobs founded Apple in 1976.")
-	want := []string{"Steve", "Jobs", "founded", "Apple", "in", "1976", "."}
+	got := Tokenize("Steve Jobs founded Apple in 1976.")
+	want := []Token{{"Steve", 0, 5}, {"Jobs", 6, 10}, {"founded", 11, 18}, {"Apple", 19, 24}, {"in", 25, 27}, {"1976", 28, 32}, {".", 32, 33}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Words = %v, want %v", got, want)
+		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
 func TestTokenizePunctuationAndHyphens(t *testing.T) {
-	got := Words("state-of-the-art, isn't it?")
-	want := []string{"state-of-the-art", ",", "isn't", "it", "?"}
+	got := Tokenize("state-of-the-art, isn't it?")
+	want := []Token{{"state-of-the-art", 0, 16}, {",", 16, 17}, {"isn't", 18, 23}, {"it", 24, 26}, {"?", 26, 27}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Words = %v, want %v", got, want)
+		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
 }
 
 func TestTokenizeDottedAbbreviation(t *testing.T) {
-	got := Words("He moved to the U.S. in 1990.")
-	if !contains(got, "U.S.") {
+	got := Tokenize("He moved to the U.S. in 1990.")
+	if !slices.Contains(got, Token{"U.S.", 16, 20}) {
 		t.Errorf("expected dotted abbreviation token, got %v", got)
 	}
 }
@@ -40,8 +41,8 @@ func TestTokenizeOffsets(t *testing.T) {
 }
 
 func TestTokenizeUnicode(t *testing.T) {
-	got := Words("Über München—great city")
-	if !contains(got, "Über") || !contains(got, "München") {
+	got := Tokenize("Über München—great city")
+	if !slices.Contains(got, Token{"Über", 0, 5}) || !slices.Contains(got, Token{"München", 6, 14}) {
 		t.Errorf("unicode words lost: %v", got)
 	}
 }
