@@ -32,7 +32,6 @@ import (
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/eval"
-	"kbharvest/internal/ingest"
 	"kbharvest/internal/pipeline"
 	"kbharvest/internal/rdf"
 	"kbharvest/internal/shardkb"
@@ -104,7 +103,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "world scale factor")
 	seed := flag.Int64("seed", 42, "generation seed")
 	workers := flag.Int("workers", 0, "extraction parallelism (0 = all cores)")
-	queueDepth := flag.Int("ingest-queue", 0, "write-behind ingest queue depth in batches (0 = default)")
 	noReason := flag.Bool("no-reason", false, "disable consistency reasoning")
 	reify := flag.String("reify", "", "also export SPOTL-style reified facts (metadata as triples) to this path")
 	check := flag.Bool("check", false, "reload the written snapshot and verify the fact count round-trips")
@@ -121,8 +119,8 @@ func main() {
 	}
 
 	// Ctrl-C cancels the pipeline run cleanly instead of killing the
-	// process mid-write: the stage loop, map-reduce workers, and the
-	// write-behind ingest queue are all context-aware.
+	// process mid-write: the stage loop and the map-reduce workers are
+	// context-aware.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -131,7 +129,6 @@ func main() {
 	opt.Seed = *seed
 	opt.Workers = *workers
 	opt.Reason = !*noReason
-	opt.Ingest = ingest.Options{QueueDepth: *queueDepth}
 
 	res, err := pipeline.Run(ctx, opt)
 	if err != nil {

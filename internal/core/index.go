@@ -17,7 +17,10 @@ import (
 // facts filed under its key and its length is an exact match count.
 // Postings are held behind pointers (map[ID]*posting) so appending to an
 // existing posting list costs one map access instead of an access plus a
-// re-assignment.
+// re-assignment. Beside its postings, each leading ID keeps the exact
+// number of facts filed under it, updated by the same put, so both of the
+// planner's counts — under (lead, second) and under lead alone — are one
+// map read, however many second IDs a hub predicate or object has.
 //
 // Each stripe additionally carries a write generation counter, bumped on
 // every insertion into the stripe. The counter lets the result cache
@@ -35,10 +38,18 @@ const (
 
 type posting struct{ ids []FactID }
 
+// leadPostings is what a stripe files under one leading ID: its postings
+// by second ID, and n, the sum of their lengths. It is a map value, not a
+// pointer, so a lead costs no allocation of its own.
+type leadPostings struct {
+	n      int
+	second map[ID]*posting
+}
+
 type indexStripe struct {
 	mu  sync.RWMutex
 	gen atomic.Uint64
-	m   map[ID]map[ID]*posting // leading -> second -> facts
+	m   map[ID]leadPostings
 }
 
 type permIndex struct {
@@ -47,7 +58,7 @@ type permIndex struct {
 
 func (p *permIndex) init() {
 	for i := range p.stripes {
-		p.stripes[i].m = make(map[ID]map[ID]*posting)
+		p.stripes[i].m = make(map[ID]leadPostings)
 	}
 }
 
@@ -58,17 +69,18 @@ func stripeOf(lead ID) uint32 {
 }
 
 func (st *indexStripe) put(a, b ID, f FactID) {
-	inner, ok := st.m[a]
-	if !ok {
-		inner = make(map[ID]*posting)
-		st.m[a] = inner
+	l := st.m[a]
+	if l.second == nil {
+		l.second = make(map[ID]*posting)
 	}
-	pl, ok := inner[b]
+	pl, ok := l.second[b]
 	if !ok {
 		pl = &posting{}
-		inner[b] = pl
+		l.second[b] = pl
 	}
 	pl.ids = append(pl.ids, f)
+	l.n++
+	st.m[a] = l
 }
 
 // insert adds one fact under (a, b). One stripe lock acquisition.
@@ -112,7 +124,7 @@ func (p *permIndex) insertBatch(entries []idxEntry) {
 func (p *permIndex) pair(a, b ID, buf []FactID) []FactID {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
-	if pl, ok := s.m[a][b]; ok {
+	if pl, ok := s.m[a].second[b]; ok {
 		buf = append(buf, pl.ids...)
 	}
 	s.mu.RUnlock()
@@ -124,35 +136,32 @@ func (p *permIndex) pair(a, b ID, buf []FactID) []FactID {
 func (p *permIndex) lead(a ID, buf []FactID) []FactID {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
-	for _, pl := range s.m[a] {
+	for _, pl := range s.m[a].second {
 		buf = append(buf, pl.ids...)
 	}
 	s.mu.RUnlock()
 	return buf
 }
 
-// pairCount returns the posting length under (a, b): the exact number of
-// facts filed there.
+// pairCount returns the posting length under (a, b), the exact number of
+// facts filed there: one read of the lead's postings map.
 func (p *permIndex) pairCount(a, b ID) int {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
 	n := 0
-	if pl, ok := s.m[a][b]; ok {
+	if pl, ok := s.m[a].second[b]; ok {
 		n = len(pl.ids)
 	}
 	s.mu.RUnlock()
 	return n
 }
 
-// leadCount returns the total posting length under leading term a: the
-// exact number of facts whose leading term is a.
+// leadCount returns the exact number of facts whose leading term is a:
+// one map read of the total put keeps beside the lead's postings.
 func (p *permIndex) leadCount(a ID) int {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.RLock()
-	n := 0
-	for _, pl := range s.m[a] {
-		n += len(pl.ids)
-	}
+	n := s.m[a].n
 	s.mu.RUnlock()
 	return n
 }

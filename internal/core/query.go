@@ -167,16 +167,16 @@ func (st *Store) QueryFunc(ctx context.Context, patterns []Pattern, limit int, f
 }
 
 // PatternEstimate returns the planner's cost probe for one pattern: the
-// exact number of its matches under binding b, read from index posting
-// sizes. Variables bound in b count as constants, genuinely unbound
-// variables as wildcards.
+// exact number of its matches under binding b, one index map read.
+// Variables bound in b count as constants, genuinely unbound variables as
+// wildcards.
 func (st *Store) PatternEstimate(p Pattern, b Binding) int {
 	m := st.Compile([]Pattern{p})
-	row := make([]rdf.Term, len(m.vars))
+	var ids [3]ID // one pattern has at most three slots
 	for i, v := range m.vars {
-		row[i] = b[v]
+		ids[i] = st.idOf(b[v])
 	}
-	_, cost := m.probe(&m.pats[0], row)
+	_, cost := m.probe(&m.pats[0], ids[:len(m.vars)])
 	return cost
 }
 
@@ -186,6 +186,11 @@ func (st *Store) PatternEstimate(p Pattern, b Binding) int {
 // bound yet". It is the store's only join executor: QueryFunc runs it from
 // an empty row, and kbserve's /bind runs a one-pattern Matcher once per
 // binding row a join step sends, seeding the slots that row binds.
+//
+// Planning works on dictionary IDs, never on terms: Compile resolves the
+// constants, Match resolves the seeded slots once, and a slot a join step
+// binds takes the ID the step read from the index. The store is
+// append-only, so an ID once resolved never changes.
 type Matcher struct {
 	st   *Store
 	vars []Var
@@ -195,17 +200,35 @@ type Matcher struct {
 // slotPattern is a compiled pattern: subject, predicate, object.
 type slotPattern [3]struct {
 	konst rdf.Term // the position's constant when slot < 0
+	id    ID       // konst's ID (see Store.idOf), resolved by Compile
 	slot  int
 }
 
-// Compile resolves the patterns' variables to slots: the seeded variables
-// first, in the order given, then the others in order of first occurrence.
+// unknownID stands for a term the dictionary had not interned when it was
+// resolved. A real ID equals it only at shard 15's (2^28-1)st term, the
+// end of the 32-bit ID space.
+const unknownID = ^ID(0)
+
+// idOf is the ID the matcher reads a term as: 0 for the zero term (a
+// wildcard, or an unbound slot), unknownID for a term never interned.
+func (st *Store) idOf(t rdf.Term) ID {
+	id, ok := st.lookup(t)
+	if !ok {
+		return unknownID
+	}
+	return id
+}
+
+// Compile resolves the patterns' variables to slots — the seeded variables
+// first, in the order given, then the others in order of first occurrence
+// — and their constants to dictionary IDs.
 func (st *Store) Compile(patterns []Pattern, seeded ...Var) *Matcher {
 	m := &Matcher{st: st, vars: append([]Var(nil), seeded...), pats: make([]slotPattern, len(patterns))}
 	for i, p := range patterns {
 		for j, pt := range [3]PatternTerm{p.S, p.P, p.O} {
 			m.pats[i][j].konst, m.pats[i][j].slot = pt.Const, -1
 			if pt.Var == "" {
+				m.pats[i][j].id = st.idOf(pt.Const)
 				continue
 			}
 			slot := slices.Index(m.vars, pt.Var)
@@ -222,20 +245,23 @@ func (st *Store) Compile(patterns []Pattern, seeded ...Var) *Matcher {
 // Vars returns the variable of each slot of the rows Match works on.
 func (m *Matcher) Vars() []Var { return m.vars }
 
-// probe is the planner's cost probe: the dictionary IDs p reads under row
-// (0 for a position that is free) and the exact number of its matches,
-// read from index posting sizes. A term the dictionary has never seen costs 0: nothing
-// can match.
-func (m *Matcher) probe(p *slotPattern, row []rdf.Term) (ids [3]ID, cost int) {
+// probe is the planner's cost probe: the dictionary IDs p reads under the
+// ID row (0 for a position that is free) and the exact number of its
+// matches, one index map read. A term the dictionary has never seen costs
+// 0: nothing can match. Only a constant still unknown at Compile is looked
+// up again, since a write may have interned it since.
+func (m *Matcher) probe(p *slotPattern, rowIDs []ID) (ids [3]ID, cost int) {
 	for j, ps := range p {
-		t := ps.konst
+		id := ps.id
 		if ps.slot >= 0 {
-			t = row[ps.slot]
+			id = rowIDs[ps.slot]
+		} else if id == unknownID {
+			id = m.st.idOf(ps.konst)
 		}
-		var ok bool
-		if ids[j], ok = m.st.lookup(t); !ok {
+		if id == unknownID {
 			return ids, 0
 		}
+		ids[j] = id
 	}
 	return ids, m.st.estimateEnc(ids[0], ids[1], ids[2])
 }
@@ -248,11 +274,12 @@ func (m *Matcher) probe(p *slotPattern, row []rdf.Term) (ids [3]ID, cost int) {
 // in which case the context's error is returned.
 //
 // Join order is cardinality-driven and chosen per branch: before each
-// step the engine probes the index posting sizes every remaining pattern
-// would read under the row so far and executes the cheapest pattern next.
-// A pattern that estimates to zero matches prunes its branch immediately
-// — estimates are exact counts — so constants the dictionary has never
-// seen short-circuit the whole conjunction.
+// step the engine probes every remaining pattern's exact match count under
+// the row so far — one index map read each — and executes the cheapest
+// pattern next. A pattern that estimates to zero matches prunes its branch
+// immediately, so constants the dictionary has never seen short-circuit
+// the whole conjunction. The terms row's seeded slots are resolved to IDs
+// once, here: a seeded term interned by a write during Match is not seen.
 func (m *Matcher) Match(ctx context.Context, row []rdf.Term, limit int, fn func(row []rdf.Term) bool) error {
 	r := matchRun{m: m, ctx: ctx, row: row, limit: limit, fn: fn}
 	var few [4]*slotPattern // keeps the usual conjunction's order off the heap
@@ -260,10 +287,15 @@ func (m *Matcher) Match(ctx context.Context, row []rdf.Term, limit int, fn func(
 	for i := range m.pats {
 		rest = append(rest, &m.pats[i])
 	}
+	var fewIDs [8]ID // the ID row, off the heap for up to eight slots
+	rowIDs := fewIDs[:0]
+	for _, t := range row {
+		rowIDs = append(rowIDs, m.st.idOf(t))
+	}
 	// step returns false only when cut short: by fn/limit (stopped) or by
 	// cancellation. A context expiring after the traversal already
 	// completed must not discard the fully-computed result.
-	if !r.step(rest) && !r.stopped {
+	if !r.step(rest, rowIDs) && !r.stopped {
 		return ctx.Err()
 	}
 	return nil
@@ -281,8 +313,10 @@ type matchRun struct {
 }
 
 // step extends the row by the cheapest pattern of rest and recurses on the
-// others; false halts the traversal.
-func (r *matchRun) step(rest []*slotPattern) bool {
+// others; false halts the traversal. rowIDs[i] is the dictionary ID of
+// r.row[i] (0 while unbound). It is a parameter, not a field of r, so that
+// it can stay on Match's stack.
+func (r *matchRun) step(rest []*slotPattern, rowIDs []ID) bool {
 	if r.ctx.Err() != nil {
 		return false
 	}
@@ -296,10 +330,10 @@ func (r *matchRun) step(rest []*slotPattern) bool {
 	}
 	st := r.m.st
 	best, bestCost := 0, int(^uint(0)>>1)
-	var ids [3]ID
+	var pids [3]ID
 	for i, p := range rest {
-		if cand, cost := r.m.probe(p, r.row); cost < bestCost {
-			best, bestCost, ids = i, cost, cand
+		if cand, cost := r.m.probe(p, rowIDs); cost < bestCost {
+			best, bestCost, pids = i, cost, cand
 		}
 	}
 	if bestCost == 0 {
@@ -310,12 +344,12 @@ func (r *matchRun) step(rest []*slotPattern) bool {
 	rest[0], rest[best] = rest[best], rest[0]
 	p := rest[0]
 	ok := true
-	_, ets := st.matchEnc(ids[0], ids[1], ids[2])
+	_, ets := st.matchEnc(pids[0], pids[1], pids[2])
 match:
 	for _, et := range ets {
 		got := [3]ID{et.s, et.p, et.o}
 		for j, ps := range p {
-			if ids[j] != 0 || ps.slot < 0 {
+			if pids[j] != 0 || ps.slot < 0 {
 				continue // a constant, a wildcard, or a slot bound before this step
 			}
 			for k := range p[:j] {
@@ -323,15 +357,15 @@ match:
 					continue match // a variable repeated in the pattern met two terms
 				}
 			}
-			r.row[ps.slot] = st.dict.term(got[j])
+			r.row[ps.slot], rowIDs[ps.slot] = st.dict.term(got[j]), got[j]
 		}
-		if ok = r.step(rest[1:]); !ok {
+		if ok = r.step(rest[1:], rowIDs); !ok {
 			break
 		}
 	}
 	for j, ps := range p {
-		if ids[j] == 0 && ps.slot >= 0 {
-			r.row[ps.slot] = rdf.Term{}
+		if pids[j] == 0 && ps.slot >= 0 {
+			r.row[ps.slot], rowIDs[ps.slot] = rdf.Term{}, 0
 		}
 	}
 	rest[0], rest[best] = rest[best], rest[0]

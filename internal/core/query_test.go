@@ -272,6 +272,7 @@ func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
 		limit    int
 		seed     Binding                   // slots bound before the match, as /bind seeds them
 		stopAt   int                       // fn returns false at this row (0 = never)
+		before   func(st *Store)           // runs between Compile and Match
 		onRow    func(st *Store, n int)    // runs inside fn
 		want     func(st *Store) []Binding // nil: brute force over the store as built
 	}{
@@ -297,6 +298,34 @@ func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
 			patterns: []Pattern{{S: PVar("x"), P: PVar("r"), O: PVar("y")}, {S: PVar("y"), P: PIRI("likes"), O: PVar("y")}}},
 		{name: "seeded with a term the store has never seen", seed: Binding{"y": rdf.NewIRI("nobody")},
 			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}}},
+		{name: "a never-seen seeded term read only by the second pattern", seed: Binding{"z": rdf.NewIRI("nobody")},
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}, {S: PVar("y"), P: PIRI("likes"), O: PVar("z")}}},
+		{name: "a never-seen seeded term in a slot no pattern reads",
+			seed:     Binding{"y": rdf.NewIRI("b"), "u": rdf.NewIRI("nobody")},
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}},
+			want: func(*Store) []Binding { // the rows with y = b, each carrying the seeded u
+				var out []Binding
+				for _, b := range bruteForce(world, []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PVar("y")}}) {
+					if b["y"] == rdf.NewIRI("b") {
+						b["u"] = rdf.NewIRI("nobody")
+						out = append(out, b)
+					}
+				}
+				return out
+			}},
+		{name: "a constant unknown at Compile and interned before Match",
+			patterns: []Pattern{{S: PVar("x"), P: PIRI("knows"), O: PIRI("newcomer")}, {S: PVar("x"), P: PIRI("likes"), O: PVar("y")}},
+			before:   func(st *Store) { st.Add(rdf.T("a", "knows", "newcomer")) },
+			want: func(*Store) []Binding {
+				return bruteForce(append(slices.Clone(world), rdf.T("a", "knows", "newcomer")),
+					[]Pattern{{S: PVar("x"), P: PIRI("knows"), O: PIRI("newcomer")}, {S: PVar("x"), P: PIRI("likes"), O: PVar("y")}})
+			}},
+		{name: "all-constant ASK that holds",
+			patterns: []Pattern{{S: PIRI("a"), P: PIRI("likes"), O: PIRI("b")}, {S: PIRI("knows"), P: PIRI("likes"), O: PIRI("c")}}},
+		{name: "all-constant ASK that fails",
+			patterns: []Pattern{{S: PIRI("a"), P: PIRI("likes"), O: PIRI("b")}, {S: PIRI("a"), P: PIRI("likes"), O: PIRI("c")}}},
+		{name: "all-constant ASK naming a never-seen term",
+			patterns: []Pattern{{S: PIRI("a"), P: PIRI("likes"), O: PIRI("nobody")}}},
 		{name: "a fact added between two steps",
 			patterns: []Pattern{{S: PVar("a"), P: PIRI("p"), O: PVar("b")}, {S: PVar("b"), P: PIRI("q"), O: PVar("c")}},
 			onRow: func(st *Store, n int) {
@@ -319,6 +348,9 @@ func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
 			seeded = append(seeded, v)
 		}
 		m := st.Compile(tc.patterns, seeded...)
+		if tc.before != nil {
+			tc.before(st)
+		}
 		row := make([]rdf.Term, len(m.Vars()))
 		for i, v := range seeded {
 			row[i] = tc.seed[v]
@@ -383,6 +415,32 @@ func TestSlotMatcherEdgesAgreeWithBruteForce(t *testing.T) {
 		if len(rows) != cut {
 			t.Errorf("%s: %d rows, want %d of %d", tc.name, len(rows), cut, len(want))
 		}
+	}
+}
+
+// /bind compiles its pattern once per request and matches it once per
+// binding row: a constant the store first sees between two rows is found
+// from the next row on.
+func TestMatcherFindsConstantInternedBetweenMatches(t *testing.T) {
+	st := NewStore()
+	st.Add(rdf.T("a", "knows", "b"))
+	m := st.Compile([]Pattern{{S: PVar("x"), P: PIRI("knows"), O: PIRI("newcomer")}}, "x")
+	count := func(x string) int {
+		n := 0
+		if err := m.Match(context.Background(), []rdf.Term{rdf.NewIRI(x)}, 0, func([]rdf.Term) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := count("a"); n != 0 {
+		t.Fatalf("before the write: %d rows, want 0", n)
+	}
+	st.Add(rdf.T("a", "knows", "newcomer"))
+	if n := count("a"); n != 1 {
+		t.Errorf("after the write: %d rows for a, want 1", n)
+	}
+	if n := count("b"); n != 0 {
+		t.Errorf("after the write: %d rows for b, want 0", n)
 	}
 }
 

@@ -15,7 +15,9 @@
 //   - index stripes (index.go): each index permutation (spo/pos/osp) is
 //     split into 16 stripes keyed by leading ID, so writers with
 //     different leading terms never contend and readers only hold a
-//     stripe lock while copying fact IDs out.
+//     stripe lock while copying fact IDs out. Each leading ID keeps its
+//     exact fact count beside its postings, so every match count the
+//     planner asks for is one map read.
 //   - fact log (factlog.go): the dense FactID-ordered triple log with the
 //     exact-match dedup index and per-fact metadata, with short critical
 //     sections.
@@ -30,12 +32,14 @@
 //
 // The store is append-only, like the harvest-then-serve stores it stands
 // in for: a fact once asserted is never retracted. Every posting therefore
-// holds only facts that are in the store, and the planner's estimates are
-// exact counts.
+// holds only facts that are in the store, the planner's estimates are
+// exact counts, and a term's dictionary ID never changes — so the join
+// executor (query.go) resolves a query's constants once and plans on IDs.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -256,10 +260,11 @@ func (st *Store) PatternGen(pattern rdf.Triple) uint64 {
 }
 
 // EstimateMatches returns the number of facts matching the pattern, read
-// from posting-list sizes without touching the fact log. The count is
-// exact: Match returns as many facts unless a write lands in between. The
-// query planner orders joins by these estimates; they are also useful for
-// admission decisions in serving layers.
+// from the index's counts — one map read once the terms are looked up —
+// without touching postings. The count is exact: Match returns as many
+// facts unless a write lands in between. The query planner orders joins
+// by these estimates; they are also useful for admission decisions in
+// serving layers.
 func (st *Store) EstimateMatches(pattern rdf.Triple) int {
 	s, ok := st.lookup(pattern.S)
 	if !ok {
@@ -276,7 +281,8 @@ func (st *Store) EstimateMatches(pattern rdf.Triple) int {
 	return st.estimateEnc(s, p, o)
 }
 
-// estimateEnc is EstimateMatches over encoded IDs (0 = wildcard).
+// estimateEnc is EstimateMatches over encoded IDs (0 = wildcard): one map
+// read, and no term hashed.
 func (st *Store) estimateEnc(s, p, o ID) int {
 	switch {
 	case s != 0 && p != 0 && o != 0:
@@ -413,7 +419,7 @@ func (st *Store) matchEnc(s, p, o ID) ([]FactID, []encTriple) {
 	if len(cand) == 0 {
 		return nil, nil
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(cand)
 	return cand, st.log.resolve(cand)
 }
 

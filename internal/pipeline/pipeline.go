@@ -7,34 +7,32 @@
 // downstream analytics (§4) — run under one context.Context and are
 // timed and counted uniformly (see StageTiming).
 //
-// The write path is asynchronous: stages do not call the store's batch API
-// directly but emit facts through a write-behind ingest.Ingester, whose
-// dedicated drainer goroutines batch them into core.Store.AddBatchMeta.
-// Producers therefore never block on store lock acquisition (only on
-// queue backpressure), and stages that must observe earlier writes — the
-// reasoner reads the harvested taxonomy — get visibility from an explicit
-// Ingester.Flush at the end of each writing stage rather than a global
-// barrier. Extraction likewise streams: documents are fed to the
-// map-reduce job through a channel as they are rendered, never
-// materialized as one boxed input slice, and the sentence-level temporal
-// scope candidates are carried out of the extract stage so temporal
-// scoping does not re-run extraction.
+// The write path is one batch per writing stage, in a fixed order: the
+// taxonomy and assert stages each write their facts and metadata with one
+// core.Store.AddBatchMeta, and the labels stage with one AddBatch. FactIDs
+// therefore follow the stages' output order, so a seed builds the same
+// store — and Save writes the same snapshot, byte for byte — at any worker
+// count or GOMAXPROCS. A write is visible to the next stage when its call
+// returns; the reasoner reads the harvested taxonomy. Extraction streams:
+// documents are fed to the map-reduce job through a channel as they are
+// rendered, never materialized as one boxed input slice, and the
+// sentence-level temporal scope candidates are carried out of the extract
+// stage so temporal scoping does not re-run extraction.
 //
 // Cancelling the context makes Run return promptly with a context error:
-// the map-reduce workers, the ingest queue, and the stage loop all check
-// it.
+// the map-reduce workers and the stage loop both check it.
 package pipeline
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/extract"
 	"kbharvest/internal/extract/patterns"
-	"kbharvest/internal/ingest"
 	"kbharvest/internal/mapreduce"
 	"kbharvest/internal/ned"
 	"kbharvest/internal/rdf"
@@ -61,9 +59,6 @@ type Options struct {
 	Infoboxes bool
 	// Temporal toggles fact time-scoping.
 	Temporal bool
-	// Ingest tunes the write-behind ingestion layer (per-producer batch
-	// size, queue depth, drainer count). Zero value means defaults.
-	Ingest ingest.Options
 }
 
 // DefaultOptions enables every stage at default scale. Workers defaults to
@@ -112,7 +107,6 @@ type Result struct {
 type runState struct {
 	res *Result
 	opt Options
-	ing *ingest.Ingester
 
 	cands    []extract.Candidate
 	scopes   map[string][]core.Interval
@@ -129,8 +123,8 @@ type stage struct {
 }
 
 // Run executes the pipeline under ctx. Cancelling ctx aborts the run
-// promptly — between stages, between map-reduce records, and inside the
-// ingest queue — returning the context error.
+// promptly — between stages and between map-reduce records — returning
+// the context error.
 func Run(ctx context.Context, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -145,8 +139,7 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	res := &Result{KB: core.NewStore()}
-	st := &runState{res: res, opt: opt, ing: ingest.New(ctx, res.KB, opt.Ingest)}
-	defer st.ing.Close()
+	st := &runState{res: res, opt: opt}
 
 	stages := []stage{
 		{"generate", true, st.generate},
@@ -171,9 +164,6 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 		res.Timings = append(res.Timings, StageTiming{Stage: s.name, Duration: time.Since(t0), Items: n})
 	}
-	if err := st.ing.Close(); err != nil {
-		return nil, fmt.Errorf("pipeline: ingest: %w", err)
-	}
 	return res, nil
 }
 
@@ -184,9 +174,8 @@ func (st *runState) generate(context.Context) (int, error) {
 	return len(st.res.Corpus.Articles), nil
 }
 
-// taxonomy runs category analysis over the corpus and streams types and
-// subclass edges into the KB. It flushes the ingester before returning:
-// the reasoner's type checks read the harvested taxonomy.
+// taxonomy runs category analysis over the corpus and writes types, then
+// subclass edges, into the KB: the reasoner's type checks read them.
 func (st *runState) taxonomy(context.Context) (int, error) {
 	res := st.res
 	pages := make([]taxonomy.Page, 0, len(res.Corpus.Articles))
@@ -194,33 +183,21 @@ func (st *runState) taxonomy(context.Context) (int, error) {
 		pages = append(pages, taxonomy.Page{Subject: a.Subject, Categories: a.Categories})
 	}
 	typeFacts := taxonomy.HarvestTypes(pages)
-	// Same (entity, class) pair can arrive from several categories; keep
-	// the last, mirroring AddBatchMeta's last-wins metadata semantics
-	// deterministically even though batches drain concurrently.
-	last := make(map[string]int, len(typeFacts))
+	// The same (entity, class) pair can arrive from several categories;
+	// AddBatchMeta keeps the last one's metadata.
+	ts := make([]rdf.Triple, len(typeFacts))
+	infos := make([]core.FactInfo, len(typeFacts))
 	for i, tf := range typeFacts {
-		last[tf.Entity+"\x00"+tf.ClassNoun] = i
+		ts[i] = rdf.T(tf.Entity, rdf.RDFType, classIRI(tf.ClassNoun))
+		infos[i] = core.FactInfo{Confidence: 0.95, Source: "category:" + tf.Category, Time: core.Always}
 	}
-	p := st.ing.Producer()
-	for i, tf := range typeFacts {
-		if last[tf.Entity+"\x00"+tf.ClassNoun] != i {
-			continue
-		}
-		err := p.Emit(rdf.T(tf.Entity, rdf.RDFType, classIRI(tf.ClassNoun)),
-			core.FactInfo{Confidence: 0.95, Source: "category:" + tf.Category, Time: core.Always})
-		if err != nil {
-			return 0, err
-		}
-	}
+	res.KB.AddBatchMeta(ts, infos)
 	edges := taxonomy.InduceSubclasses(res.Corpus.CategoryParents)
-	ts := make([]rdf.Triple, 0, len(edges))
+	ts = ts[:0]
 	for _, e := range edges {
 		ts = append(ts, rdf.T(classIRI(e.Sub), rdf.RDFSSubClassOf, classIRI(e.Super)))
 	}
 	res.KB.AddBatch(ts)
-	if err := st.ing.Flush(); err != nil {
-		return 0, err
-	}
 	return len(typeFacts) + len(edges), nil
 }
 
@@ -276,40 +253,28 @@ func (st *runState) reason(context.Context) (int, error) {
 	return len(st.accepted), nil
 }
 
-// assert streams accepted candidates into the KB with provenance and
+// assert writes the accepted candidates into the KB with provenance and
 // (optionally) the temporal scope aggregated from the sentence-level
-// scopes collected during extraction, then flushes for visibility.
+// scopes collected during extraction.
 func (st *runState) assert(context.Context) (int, error) {
 	if !st.reasoned {
 		st.accepted = st.cands // reasoning disabled: accept everything
 	}
 	st.res.Accepted = len(st.accepted)
-	// The same fact key can be accepted twice (infobox + pattern). Keep
-	// the last occurrence's metadata — what one big AddBatchMeta would
-	// have done — so the final provenance does not depend on which
-	// drainer writes which batch first.
-	last := make(map[string]int, len(st.accepted))
+	// The same fact key can be accepted twice (infobox + pattern);
+	// AddBatchMeta keeps the last occurrence's metadata.
+	ts := make([]rdf.Triple, len(st.accepted))
+	infos := make([]core.FactInfo, len(st.accepted))
 	for i, c := range st.accepted {
-		last[c.Key()] = i
-	}
-	p := st.ing.Producer()
-	for i, c := range st.accepted {
-		if last[c.Key()] != i {
-			continue
-		}
-		info := core.FactInfo{Confidence: c.Confidence, Source: c.Source, Time: core.Always}
+		ts[i] = c.Triple()
+		infos[i] = core.FactInfo{Confidence: c.Confidence, Source: c.Source, Time: core.Always}
 		if ivs := st.scopes[c.Key()]; len(ivs) > 0 {
 			if iv, ok := temporal.AggregateScopes(ivs); ok {
-				info.Time = iv
+				infos[i].Time = iv
 			}
 		}
-		if err := p.Emit(c.Triple(), info); err != nil {
-			return 0, err
-		}
 	}
-	if err := st.ing.Flush(); err != nil {
-		return 0, err
-	}
+	st.res.KB.AddBatchMeta(ts, infos)
 	return len(st.accepted), nil
 }
 
@@ -322,11 +287,19 @@ func (st *runState) labels(context.Context) (int, error) {
 		n += len(e.Labels) + len(e.Aliases)
 	}
 	ts := make([]rdf.Triple, 0, n)
+	var langs []string
 	for _, e := range res.World.Entities {
-		for lang, name := range e.Labels {
+		// Labels is a map: sorted languages keep FactID order, and so
+		// which label a limited query answers, fixed for a seed.
+		langs = langs[:0]
+		for lang := range e.Labels {
+			langs = append(langs, lang)
+		}
+		sort.Strings(langs)
+		for _, lang := range langs {
 			ts = append(ts, rdf.Triple{
 				S: rdf.NewIRI(e.ID), P: rdf.NewIRI(rdf.RDFSLabel),
-				O: rdf.NewLangLiteral(name, lang),
+				O: rdf.NewLangLiteral(e.Labels[lang], lang),
 			})
 		}
 		for _, a := range e.Aliases {

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +14,6 @@ import (
 	"kbharvest/internal/eval"
 	"kbharvest/internal/extract"
 	"kbharvest/internal/extract/patterns"
-	"kbharvest/internal/ingest"
 	"kbharvest/internal/ned"
 	"kbharvest/internal/rdf"
 	"kbharvest/internal/reason"
@@ -194,6 +196,38 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// Two runs at one seed save the same snapshot byte for byte: one at the
+// test's GOMAXPROCS with four extraction workers, one at GOMAXPROCS 1 with
+// one worker (CI runs the test at -cpu 1,2,4). FactID order, metadata and
+// the CRC trailer are all fixed by the seed, and a limited query's answer
+// depends on FactID order.
+func TestRunSavesReproducibleSnapshots(t *testing.T) {
+	var snaps [2]bytes.Buffer
+	for i, cfg := range []struct{ procs, workers int }{{runtime.GOMAXPROCS(0), 4}, {1, 1}} {
+		opt := DefaultOptions()
+		opt.Seed, opt.Workers = 7, cfg.workers
+		prev := runtime.GOMAXPROCS(cfg.procs)
+		res, err := Run(context.Background(), opt)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.KB.Save(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		a, b := strings.Split(snaps[0].String(), "\n"), strings.Split(snaps[1].String(), "\n")
+		for i := range a {
+			if i >= len(b) || a[i] != b[i] {
+				t.Fatalf("same-seed snapshots differ (%d vs %d bytes) first at line %d:\n%s\n%s",
+					snaps[0].Len(), snaps[1].Len(), i+1, a[i], b[min(i, len(b)-1)])
+			}
+		}
+		t.Fatalf("same-seed snapshots differ: %d vs %d bytes", snaps[0].Len(), snaps[1].Len())
+	}
+}
+
 func TestDocsAdapter(t *testing.T) {
 	w := synth.Generate(synth.Config{
 		People: 10, Companies: 4, Cities: 4, Countries: 2,
@@ -365,8 +399,7 @@ func TestRunAcceptsWhatGreedyAccepts(t *testing.T) {
 
 	// The same stages by hand, up to the candidates the reasoner sees.
 	ref := &Result{KB: core.NewStore()}
-	st := &runState{res: ref, opt: opt, ing: ingest.New(ctx, ref.KB, opt.Ingest)}
-	defer st.ing.Close()
+	st := &runState{res: ref, opt: opt}
 	for _, stage := range []func(context.Context) (int, error){st.generate, st.taxonomy, st.extract} {
 		if _, err := stage(ctx); err != nil {
 			t.Fatal(err)

@@ -89,8 +89,8 @@ type QueryResponse struct {
 }
 
 // EstimateResponse is the POST /estimate reply: the planner's count of
-// each requested pattern's matches on this shard's store, read from index
-// posting sizes (core.Store.EstimateMatches). The count is exact.
+// each requested pattern's matches on this shard's store, read from the
+// index's per-key counts (core.Store.EstimateMatches). The count is exact.
 type EstimateResponse struct {
 	Estimates []int `json:"estimates"`
 }
@@ -544,7 +544,8 @@ func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit in
 }
 
 // handleEstimate serves the router's planning probe: per-pattern match
-// counts from index posting sizes, with unbound variables as wildcards.
+// counts from the index's per-key counts, with unbound variables as
+// wildcards.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	req, patterns := DecodePatterns(w, r)
 	if req == nil {

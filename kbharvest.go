@@ -85,8 +85,8 @@ func Build(opt BuildOptions) (*BuildResult, error) {
 }
 
 // BuildContext is Build bounded by a context: cancelling ctx aborts the
-// run promptly — the extraction workers and the write-behind ingest queue
-// are cancellation-aware — returning the context error.
+// run promptly — the stage loop and the extraction workers are
+// cancellation-aware — returning the context error.
 func BuildContext(ctx context.Context, opt BuildOptions) (*BuildResult, error) {
 	return pipeline.Run(ctx, opt)
 }
