@@ -295,6 +295,14 @@ func TestRouterMatchesNaiveEvaluator(t *testing.T) {
 		{"join with limit", mustPatterns(t, "?p <kb:worksAt> ?c", "?c <kb:locatedIn> ?city"), 7},
 		{"join with a limit above the answer", mustPatterns(t, "?p <kb:worksAt> ?c", "?c <kb:locatedIn> ?city"), 1000},
 		{"single pattern with limit", mustPatterns(t, "?p <kb:worksAt> ?c"), 5},
+		{"single pattern: point lookup", mustPatterns(t, "<kb:person3> <kb:worksAt> ?c"), 0},
+		{"single pattern: inbound", mustPatterns(t, "?s ?p <kb:co3>"), 0},
+		{"single pattern: ask true", mustPatterns(t, "<kb:person3> <kb:worksAt> <kb:co3>"), 0},
+		{"single pattern: ask false", mustPatterns(t, "<kb:person3> <kb:worksAt> <kb:co4>"), 0},
+		{"single pattern: repeated variable", mustPatterns(t, "?x <kb:knows> ?x"), 0},
+		{"single pattern: no match", mustPatterns(t, "?p <kb:worksAt> <kb:nowhere>"), 0},
+		{"single pattern: scan with a limit below its answer", mustPatterns(t, "?p <kb:bornIn> ?city"), 7},
+		{"single pattern: scan with a limit above its answer", mustPatterns(t, "?p <kb:bornIn> ?city"), 1000},
 	}
 
 	rng := rand.New(rand.NewSource(20231))

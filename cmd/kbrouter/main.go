@@ -1,14 +1,15 @@
 // Kbrouter is the scatter/gather front of the sharded serving tier. It
 // speaks the same /query JSON protocol as kbserve but answers from N
-// kbserve shards. A single pattern is either pinned to the one shard its
-// subject hashes to (a point lookup costs one RPC at any shard count) or
-// scattered to all shards concurrently. A multi-pattern conjunctive query
-// runs as a set-at-a-time bind join (internal/shardkb, Client.Join): one
-// /estimate round plans the order — connected patterns first, the summed
-// shard estimates within each class — and then every step sends all of
-// its distinct bindings in one POST /bind per shard, each binding only to
-// the shard that owns it when the step's subject is bound. A join costs
-// about shards x steps RPCs however many bindings flow through it.
+// kbserve shards, to which it sends only POST /bind and POST /estimate.
+// Every query runs as a set-at-a-time bind join (internal/shardkb,
+// Client.Join): one /estimate round plans the order — connected patterns
+// first, the summed shard estimates within each class — and then every
+// step sends all of its distinct bindings in one POST /bind per shard,
+// each binding only to the shard that owns it when the step's subject is
+// bound. A join costs about shards x (1 + steps) RPCs however many
+// bindings flow through it. A single pattern is a join of one step with
+// no /estimate round: pinned to the one shard its subject hashes to (a
+// point lookup costs one RPC at any shard count), or one /bind per shard.
 //
 // # Result cache
 //
@@ -32,7 +33,9 @@
 //
 // Shard order on the kbrouter command line must match the partition
 // indexes kbbuild wrote: shard i of the router is queried for exactly
-// the subjects that hash to partition i. Each comma-separated shard may
+// the subjects that hash to partition i. The router reaches a shard's
+// /bind, /estimate and /readyz only; a shard's /query and its reply
+// cache serve clients that talk to that kbserve directly. Each comma-separated shard may
 // list several replicas joined with "|" — kbserve processes loaded from
 // the same kb.i.nt — and the router rides out replica faults: transient
 // failures (connection errors, 5xx, timeouts) retry on another replica

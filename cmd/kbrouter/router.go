@@ -1,12 +1,13 @@
 package main
 
 // The router's HTTP shell: /query, /statsz, /healthz, /readyz. It holds
-// no query engine of its own. A single pattern goes to shardkb's
-// Client.Pattern (one pinned RPC or one scatter, answered from the
-// shards' result caches); a conjunction goes to Client.Join, the
-// set-at-a-time bind join that costs about shards x (1 + steps) RPCs.
+// no query engine of its own: every query goes to shardkb's Client.Join,
+// the set-at-a-time bind join that costs about shards x (1 + steps) RPCs.
+// A single pattern is a join of one step — one pinned RPC or one /bind
+// per shard, and no /estimate round — so the router sends its shards
+// only /bind and /estimate.
 //
-// In front of both sits the router's result cache, a qcache.LRU of
+// In front of it sits the router's result cache, a qcache.LRU of
 // encoded replies: the head serve.AppendRowsHead wrote, without the
 // "cached" and "took_us" members a hit writes afresh. An entry carries
 // the tier's Generation read before the evaluation that filled it and is
@@ -114,28 +115,7 @@ func (rt *router) evaluate(ctx context.Context, patterns []core.Pattern, limit i
 		ctx, cancel = context.WithTimeout(ctx, rt.timeout)
 		defer cancel()
 	}
-	// Both branches leave through serve's one /query encoder.
-	var (
-		vars, cells []string
-		n           int
-		partial     bool
-		err         error
-	)
-	if len(patterns) == 1 {
-		var res *shardkb.Result
-		if res, err = rt.client.Pattern(ctx, patterns[0], limit); err == nil {
-			vars, cells = serve.BindingCells(patterns, res.Bindings)
-			n, partial = len(res.Bindings), res.Partial
-		}
-	} else {
-		var rows shardkb.Rows
-		if rows, err = rt.client.Join(ctx, patterns, limit); err == nil {
-			for _, v := range rows.Vars {
-				vars = append(vars, string(v))
-			}
-			cells, n, partial = rows.Cells, rows.N, rows.Partial
-		}
-	}
+	rows, err := rt.client.Join(ctx, patterns, limit)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
 			// The request's deadline cut the shards off: answer 504 (or
@@ -144,8 +124,12 @@ func (rt *router) evaluate(ctx context.Context, patterns []core.Pattern, limit i
 		}
 		return e, false, err
 	}
-	e.head = serve.AppendRowsHead(nil, vars, cells, n)
-	return e, partial, nil
+	vars := make([]string, len(rows.Vars))
+	for i, v := range rows.Vars {
+		vars[i] = string(v)
+	}
+	e.head = serve.AppendRowsHead(nil, vars, rows.Cells, rows.N)
+	return e, rows.Partial, nil
 }
 
 // routerStatsz is the router's GET /statsz reply: router-level query

@@ -279,6 +279,30 @@ func TestRouterLimit(t *testing.T) {
 	}
 }
 
+// A client's limit beyond the /bind wire's 2^31-1 is still a valid query:
+// the single pattern and the join return every row, and no shard sees a
+// request it refuses, so every breaker stays closed however often the
+// query repeats.
+func TestRouterLimitAboveWireRange(t *testing.T) {
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{BreakerThreshold: 1})
+	for _, patterns := range []string{`"?p kb:founded ?c"`, `"?p kb:founded ?c", "?c kb:locatedIn ?city"`} {
+		// Each limit is a distinct cache key, so every query reaches the shards.
+		for _, limit := range []int64{1 << 31, 3000000000, 1 << 62} {
+			body := fmt.Sprintf(`{"patterns": [%s], "limit": %d}`, patterns, limit)
+			if rec, resp := postRouterQuery(t, rt, body); rec.Code != http.StatusOK || resp.Count != 3 || resp.Partial {
+				t.Fatalf("%s: status %d count %d partial %v, want 3 rows: %s", body, rec.Code, resp.Count, resp.Partial, rec.Body)
+			}
+		}
+	}
+	for i, sh := range rt.client.Stats().Shards {
+		for _, rep := range sh.Replicas {
+			if rep.Errors != 0 || rep.Breaker != "closed" {
+				t.Errorf("shard %d replica %s: %d errors, breaker %s", i, rep.URL, rep.Errors, rep.Breaker)
+			}
+		}
+	}
+}
+
 // The router shares kbserve's strict envelope: no patterns, a misspelt
 // field or a second JSON value is a 400, never a query answered without
 // it.

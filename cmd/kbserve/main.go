@@ -23,8 +23,9 @@
 //	               strings are literals. An all-constant query returns
 //	               {"ask": true|false} instead of rows.
 //	POST /estimate {"patterns": [...]} -> per-pattern index-cardinality bounds
-//	POST /bind     one pattern + positional binding rows -> each row's
-//	               matches (kbrouter's join step; see internal/serve/bind.go)
+//	POST /bind     one pattern + positional binding rows (+ a limit) ->
+//	               each row's matches: kbrouter's join step, and the only
+//	               query endpoint kbrouter uses (see internal/serve/bind.go)
 //	GET  /statsz   cache hit rate, query latency histogram, store stats
 //	GET  /healthz  liveness probe
 //	GET  /readyz   readiness: fact count + snapshot path; 503 while empty,

@@ -1,6 +1,8 @@
 package patterns
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,13 +215,14 @@ func TestBootstrapPrecisionRecallTradeoff(t *testing.T) {
 	for _, f := range w.FactsOf(synth.RelFounded) {
 		gold[Pair{f.S, f.O}] = true
 	}
+	// The first five gold pairs in (S, O) order: a fixed seed set, where
+	// map order drew a new one each run.
 	var seeds []Pair
 	for p := range gold {
 		seeds = append(seeds, p)
-		if len(seeds) == 5 {
-			break
-		}
 	}
+	slices.SortFunc(seeds, func(a, b Pair) int { return cmp.Or(strings.Compare(a.S, b.S), strings.Compare(a.O, b.O)) })
+	seeds = seeds[:5]
 	scoreAt := func(iters int) eval.PRF {
 		// Conservative dial: one new pattern per round, so round 1 is the
 		// single most reliable pattern and drift arrives only later.

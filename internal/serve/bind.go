@@ -17,10 +17,15 @@ package serve
 // Pattern terms are in kbquery syntax (core.ParsePatternTerm), cells in
 // N-Triples syntax (rdf.ParseTerm / rdf.Term.String). A row of zero
 // variables is the empty array, so the first step of a join is the same
-// operation with "vars": [] and "rows": [[]]. The pattern is compiled once
-// into the matcher /query runs (core.Matcher) with the request's variables
-// as its first slots, and each row seeds those slots: no per-row query, no
-// result-cache entry, no maps. bindwire.go holds the codec.
+// operation with "vars": [] and "rows": [[]], and a single pattern is a
+// join of that one step. An optional "limit": N in the request stops the
+// reply after N matches, counted across all rows (0 or no limit: all of
+// them); the router sets it on a join's last step only, since a row an
+// earlier step returns may still be filtered out. The pattern is compiled
+// once into the matcher /query runs (core.Matcher) with the request's
+// variables as its first slots, and each row seeds those slots: no
+// per-row query, no result-cache entry, no maps. bindwire.go holds the
+// codec.
 
 import (
 	"bytes"
@@ -106,7 +111,7 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	buf.from = append(buf.from, `,"from":[`...)
 	buf.rows = append(buf.rows[:0], `],"rows":[`...)
 	t0 := time.Now()
-	err = bind(ctx, m, terms, req.N, buf)
+	err = bind(ctx, m, terms, req.N, req.Limit, buf)
 	s.lat.Observe(time.Since(t0))
 	if err != nil {
 		WriteQueryError(w, err)
@@ -129,8 +134,9 @@ var bindBufs = sync.Pool{New: func() interface{} { return new(bindBuf) }}
 
 // bind runs the compiled pattern once per request row — n rows, row-major
 // in terms, filling the matcher's first slots — appending each match's row
-// index to buf.from and the terms of its other slots to buf.rows.
-func bind(ctx context.Context, m *core.Matcher, terms []rdf.Term, n int, buf *bindBuf) error {
+// index to buf.from and the terms of its other slots to buf.rows, until
+// limit matches are written (0 = all).
+func bind(ctx context.Context, m *core.Matcher, terms []rdf.Term, n, limit int, buf *bindBuf) error {
 	k := len(terms) / max(n, 1)
 	row := make([]rdf.Term, len(m.Vars()))
 	i, emitted := 0, 0
@@ -147,9 +153,9 @@ func bind(ctx context.Context, m *core.Matcher, terms []rdf.Term, n int, buf *bi
 			buf.rows = appendTermJSON(buf.rows, t)
 		}
 		buf.rows = append(buf.rows, ']')
-		return true
+		return limit == 0 || emitted < limit
 	}
-	for ; i < n; i++ {
+	for ; i < n && (limit == 0 || emitted < limit); i++ {
 		copy(row, terms[i*k:(i+1)*k])
 		if err := m.Match(ctx, row, 0, emit); err != nil {
 			return err

@@ -105,6 +105,34 @@ func TestBindSeedsEachRow(t *testing.T) {
 	}
 }
 
+// "limit" caps the matches of a whole request, counted across its rows in
+// order; 0, or no limit, returns them all.
+func TestBindLimitCapsMatchesAcrossRows(t *testing.T) {
+	srv := newTestServer(testStore(), time.Second)
+	const rows = `"vars":["c"],"rows":[["<kb:microsoft>"],["<kb:apple>"]]` // 1 match, then 2
+	for _, tc := range []struct {
+		limit string
+		from  []int
+	}{
+		{``, []int{0, 1, 1}},
+		{`"limit":0,`, []int{0, 1, 1}},
+		{`"limit":1,`, []int{0}},
+		{`"limit":2,`, []int{0, 1}},
+		{`"limit":3,`, []int{0, 1, 1}},
+		{`"limit":4,`, []int{0, 1, 1}},
+	} {
+		body := `{"pattern":["?p","kb:founded","?c"],` + tc.limit + rows + `}`
+		rec, resp := postBind(t, srv, body)
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d: %s", body, rec.Code, rec.Body.String())
+			continue
+		}
+		if !reflect.DeepEqual(resp.From, tc.from) || len(resp.Cells) != len(tc.from) {
+			t.Errorf("%s: from %v with %d cells, want from %v", body, resp.From, len(resp.Cells), tc.from)
+		}
+	}
+}
+
 // Every way a /bind request can be wrong answers with the JSON error
 // envelope and the status the rest of the protocol uses.
 func TestBindErrorEnvelopes(t *testing.T) {
@@ -117,7 +145,11 @@ func TestBindErrorEnvelopes(t *testing.T) {
 		{"malformed json", `{"pattern":[`, http.StatusBadRequest},
 		{"not an object", `[1,2]`, http.StatusBadRequest},
 		{"trailing content", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]]} x`, http.StatusBadRequest},
-		{"unknown key", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limit":3}`, http.StatusBadRequest},
+		{"unknown key", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limt":3}`, http.StatusBadRequest},
+		{"negative limit", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limit":-1}`, http.StatusBadRequest},
+		{"limit with a leading zero", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limit":01}`, http.StatusBadRequest},
+		{"fractional limit", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limit":1.5}`, http.StatusBadRequest},
+		{"limit as a string", `{"pattern":["?a","?b","?c"],"vars":[],"rows":[[]],"limit":"1"}`, http.StatusBadRequest},
 		{"two-term pattern", `{"pattern":["?a","?b"],"vars":[],"rows":[[]]}`, http.StatusBadRequest},
 		{"bad pattern term", `{"pattern":["?a","?","?c"],"vars":[],"rows":[[]]}`, http.StatusBadRequest},
 		{"row wider than vars", `{"pattern":["?c","kb:locatedIn","?city"],"vars":["c"],"rows":[["<kb:a>","<kb:b>"]]}`, http.StatusBadRequest},
@@ -223,7 +255,7 @@ func TestParseBindBodyMatchesEncodingJSON(t *testing.T) {
 		`{"rows":[["a` + "\n" + `b"]],"from":[0],"vars":["x"]}`, `{"rows":[["\u12"]],"from":[0],"vars":["x"]}`,
 		`{"rows":[["unterminated]],"from":[0],"vars":["x"]}`, `{"rows":[["a"],["b","c"]],"from":[0,1],"vars":["x"]}`,
 		`{"rows":[["a"]],"from":[0,1],"vars":["x"]}`, `{"rows":[["a"]],"from":[0],"vars":[]}`, `{"pattern":["a","b","c"],"vars":[],"from":[],"rows":[]}`,
-		`{"rows":"x"}`, `{"rows":[["a"]`, `null`,
+		`{"rows":"x"}`, `{"rows":[["a"]`, `null`, `{"vars":["x"],"from":[0],"rows":[["a"]],"limit":1}`,
 	} {
 		if resp, err := ParseBindResponse([]byte(bad)); err == nil {
 			t.Errorf("ParseBindResponse(%q) = %+v, want an error", bad, resp)
@@ -255,7 +287,7 @@ func TestParseBindBodyNeverPanics(t *testing.T) {
 }
 
 // The /bind body cursor never panics, and what it accepts encoding/json
-// accepts too, with the same pattern, vars, from and rows. The cursor
+// accepts too, with the same pattern, vars, from, limit and rows. The cursor
 // keeps the bytes of a string that is not UTF-8 (a term must cross a join
 // step unchanged) where encoding/json substitutes U+FFFD, so the values
 // are compared only for bodies that are valid UTF-8.
@@ -264,6 +296,7 @@ func FuzzParseBindBody(f *testing.F) {
 		`{"pattern":["?c","<kb:locatedIn>","?city"],"vars":["c"],"rows":[["<kb:apple>"],["<kb:microsoft>"]]}`,
 		`{"vars":["city"],"from":[0,1],"rows":[["<kb:cupertino>"],["<kb:redmond>"]]}`,
 		`{"pattern":["?p","<kb:founded>","?c"],"vars":[],"rows":[[]]}`,
+		`{"pattern":["?p","<kb:founded>","?c"],"vars":[],"limit":5,"rows":[[]]}`,
 		`{"vars":["x"],"from":[0,12],"rows":[["<kb:a\u00e9\ud83d\ude00>"],["\"x\\\"y\""]]}`,
 		`{"rows":[["\ud83dx"],["\ude00"]],"from":[0,0],"vars":["x"]}`,
 		` { "vars" : [ "x" ] , "rows" : [ [ "a" ] ] , "from" : [ 7 ] } `,
@@ -276,6 +309,7 @@ func FuzzParseBindBody(f *testing.F) {
 		Pattern []string   `json:"pattern"`
 		Vars    []string   `json:"vars"`
 		From    []int      `json:"from"`
+		Limit   int        `json:"limit"`
 		Rows    [][]string `json:"rows"`
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -300,7 +334,7 @@ func FuzzParseBindBody(f *testing.F) {
 				rows = append(rows, b.cells[i*b.width:(i+1)*b.width])
 			}
 		}
-		got := wire{Pattern: b.pattern, Vars: b.vars, From: b.from, Rows: rows}
+		got := wire{Pattern: b.pattern, Vars: b.vars, From: b.from, Limit: max(b.limit, 0), Rows: rows}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q:\n cursor        %#v\n encoding/json %#v", body, got, want)
 		}
@@ -310,8 +344,8 @@ func FuzzParseBindBody(f *testing.F) {
 // AppendRowsHead followed by AppendRowsTail must put on the wire what
 // encoding/json puts there for the QueryResponse holding the same
 // solutions, whether the rows come positional and unsorted (the router's
-// join) or as bindings flattened by BindingCells (kbserve, the router's
-// single-pattern branch).
+// join) or as bindings flattened by bindingCells (the binding form the
+// handlers used to encode).
 func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 	reply := func(vars, cells []string, n int, cached, partial bool) []byte {
 		return AppendRowsTail(AppendRowsHead(nil, vars, cells, n), cached, 42, partial)
@@ -371,7 +405,7 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 		if got := decode(reply(vars, cells, n, cached, partial)); !reflect.DeepEqual(got, want) {
 			t.Errorf("positional, n=%d:\n got  %+v\n want %+v", n, got, want)
 		}
-		sortedVars, sortedCells := BindingCells(pattern, bs)
+		sortedVars, sortedCells := bindingCells(pattern, bs)
 		if got := decode(reply(sortedVars, sortedCells, n, cached, partial)); !reflect.DeepEqual(got, want) {
 			t.Errorf("bindings, n=%d:\n got  %+v\n want %+v", n, got, want)
 		}
@@ -382,7 +416,7 @@ func TestAppendRowsResponseMatchesBuildQueryResponse(t *testing.T) {
 		if holds {
 			bs = []core.Binding{{}}
 		}
-		askVars, askCells := BindingCells(ask, bs)
+		askVars, askCells := bindingCells(ask, bs)
 		got := decode(reply(askVars, askCells, len(bs), holds, false))
 		if want := viaJSON(bs, false, holds, false); !reflect.DeepEqual(got, want) || got.Ask == nil || *got.Ask != holds {
 			t.Errorf("ask %v:\n got  %+v\n want %+v", holds, got, want)

@@ -23,6 +23,7 @@ type bindRequest struct {
 	Vars    []string  // the pattern's variables bound by the rows, one per column
 	Cells   []string  // N row-major rows of len(Vars) terms each
 	N       int       // row count, explicit because a zero-width row has no cells
+	Limit   int       // matches to return across all rows (0 = all)
 }
 
 // BindResponse is the decoded POST /bind reply: result row i extends
@@ -37,6 +38,7 @@ type BindResponse struct {
 type bindBody struct {
 	pattern, vars, cells []string
 	from                 []int // non-nil when the key was present
+	limit                int   // -1 when the key was absent
 	n, width             int
 }
 
@@ -55,7 +57,7 @@ func parseBindRequest(data []byte) (*bindRequest, error) {
 	if b.n > 0 && b.width != len(b.vars) {
 		return nil, fmt.Errorf("rows are %d wide for %d vars", b.width, len(b.vars))
 	}
-	req := &bindRequest{Vars: b.vars, Cells: b.cells, N: b.n}
+	req := &bindRequest{Vars: b.vars, Cells: b.cells, N: b.n, Limit: max(b.limit, 0)}
 	copy(req.Pattern[:], b.pattern)
 	return req, nil
 }
@@ -69,6 +71,9 @@ func ParseBindResponse(data []byte) (*BindResponse, error) {
 	if b.pattern != nil {
 		return nil, errors.New(`unexpected "pattern" in a reply`)
 	}
+	if b.limit >= 0 {
+		return nil, errors.New(`unexpected "limit" in a reply`)
+	}
 	if len(b.from) != b.n {
 		return nil, fmt.Errorf("%d from indexes for %d rows", len(b.from), b.n)
 	}
@@ -78,12 +83,12 @@ func ParseBindResponse(data []byte) (*BindResponse, error) {
 	return &BindResponse{Vars: b.vars, From: b.from, Cells: b.cells}, nil
 }
 
-// parseBindBody reads one JSON object with the keys pattern, vars, from
-// and rows, in any order. It is strict: unknown keys, ragged rows,
+// parseBindBody reads one JSON object with the keys pattern, vars, from,
+// limit and rows, in any order. It is strict: unknown keys, ragged rows,
 // trailing content and anything that is not the expected type are
 // errors, never panics.
 func parseBindBody(data []byte) (bindBody, error) {
-	var b bindBody
+	b := bindBody{limit: -1}
 	c := cursor{s: string(data)} // one copy; unescaped strings are slices of it
 	if !c.eat('{') {
 		return b, c.errorf("want an object")
@@ -106,6 +111,8 @@ func parseBindBody(data []byte) (bindBody, error) {
 			b.vars, err = c.strs(make([]string, 0, 3))
 		case "from":
 			b.from, err = c.ints()
+		case "limit":
+			b.limit, err = c.uint()
 		case "rows":
 			err = c.rows(&b)
 		default:
@@ -275,6 +282,26 @@ func (c *cursor) strs(dst []string) ([]string, error) {
 	return dst, err
 }
 
+// uint reads one non-negative integer of at most 2^31-1, in JSON's form:
+// no sign, no leading zero, no fraction or exponent.
+func (c *cursor) uint() (int, error) {
+	c.ws()
+	start, v := c.i, 0
+	for c.i < len(c.s) && c.s[c.i] >= '0' && c.s[c.i] <= '9' {
+		if v = v*10 + int(c.s[c.i]-'0'); v > math.MaxInt32 {
+			return 0, c.errorf("integer out of range")
+		}
+		c.i++
+	}
+	switch {
+	case c.i == start:
+		return 0, c.errorf("want a non-negative integer")
+	case c.s[start] == '0' && c.i > start+1:
+		return 0, c.errorf("leading zero")
+	}
+	return v, nil
+}
+
 // ints reads an array of non-negative integers; the result is non-nil.
 func (c *cursor) ints() ([]int, error) {
 	out := []int{}
@@ -282,22 +309,9 @@ func (c *cursor) ints() ([]int, error) {
 		out = make([]int, 0, strings.Count(c.s[c.i:c.i+end], ",")+1)
 	}
 	err := c.elems(func() error {
-		c.ws()
-		start, v := c.i, 0
-		for c.i < len(c.s) && c.s[c.i] >= '0' && c.s[c.i] <= '9' {
-			if v = v*10 + int(c.s[c.i]-'0'); v > math.MaxInt32 {
-				return c.errorf("index out of range")
-			}
-			c.i++
-		}
-		switch {
-		case c.i == start:
-			return c.errorf("want a non-negative integer")
-		case c.s[start] == '0' && c.i > start+1:
-			return c.errorf("leading zero")
-		}
+		v, err := c.uint()
 		out = append(out, v)
-		return nil
+		return err
 	})
 	return out, err
 }

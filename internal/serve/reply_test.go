@@ -1,7 +1,7 @@
 package serve
 
 // kbserve's /query against a reference built from the binding form — the
-// store's QueryFunc, BindingCells and AppendRowsHead, the path the
+// store's QueryFunc, bindingCells and AppendRowsHead, the path the
 // handler took before it kept encoded replies — on the miss that fills
 // the reply cache and on the hit that reuses it.
 
@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -34,8 +36,30 @@ func referenceHead(t *testing.T, st *core.Store, patterns []core.Pattern, limit 
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vars, cells := BindingCells(patterns, bs)
+	vars, cells := bindingCells(patterns, bs)
 	return AppendRowsHead(nil, vars, cells, len(bs))
+}
+
+// bindingCells flattens the bindings of a conjunction into the positional
+// form AppendRowsHead takes: the conjunction's variables, sorted, and one
+// serialized cell per variable per binding. It is the tests' reference
+// for the binding form, which no server path uses any more.
+func bindingCells(patterns []core.Pattern, bindings []core.Binding) (vars, cells []string) {
+	for _, p := range patterns {
+		for _, pt := range [3]core.PatternTerm{p.S, p.P, p.O} {
+			if pt.Var != "" && !slices.Contains(vars, string(pt.Var)) {
+				vars = append(vars, string(pt.Var))
+			}
+		}
+	}
+	sort.Strings(vars)
+	cells = make([]string, 0, len(vars)*len(bindings))
+	for _, b := range bindings {
+		for _, v := range vars {
+			cells = append(cells, b[core.Var(v)].String())
+		}
+	}
+	return vars, cells
 }
 
 var replyTail = regexp.MustCompile(`,"cached":(true|false),"took_us":[0-9]+}\n$`)
@@ -330,7 +354,7 @@ func (readCloser) Close() error { return nil }
 // A hit does no per-row work and runs neither the matcher nor the
 // encoder: the same repeated query allocates the same over 100 rows and
 // over 2000, and no more than decoding its request plus a handful, which
-// Compile alone would exceed. (BindingCells and the binding maps would
+// Compile alone would exceed. (bindingCells and the binding maps would
 // cost one or more per row.) Both stores hold at least 100 facts because
 // strconv formats smaller numbers without allocating.
 func TestQueryHitAllocatesNothingPerRow(t *testing.T) {

@@ -3,16 +3,19 @@
 // evaluation with per-request deadlines, planner estimates, readiness,
 // and operational counters. cmd/kbserve wraps it in a process; the
 // scatter/gather tier (internal/shardkb, cmd/kbrouter) talks to N of
-// these over the same wire protocol, and tests and experiments drive it
-// in-process through httptest.
+// these over /bind and /estimate, and tests and experiments drive it
+// in-process through httptest. /query and its reply cache serve direct
+// clients: the router answers every query, one pattern included, as a
+// bind join.
 //
 // Endpoints:
 //
 //	POST /query     {"patterns": [...], "limit": N} -> QueryResponse
 //	POST /estimate  {"patterns": [...]}             -> EstimateResponse
-//	POST /bind      one pattern + positional binding rows -> the rows'
-//	                matches, positional (bind.go): the router's join step,
-//	                one request per shard per step however many bindings
+//	POST /bind      one pattern + positional binding rows (+ a limit) ->
+//	                the rows' matches, positional (bind.go): the router's
+//	                join step, one request per shard per step however many
+//	                bindings
 //	GET  /statsz    cache hit rate, latency histogram, store stats
 //	GET  /healthz   liveness probe (process up)
 //	GET  /readyz    readiness: 200 + fact count/snapshot path once the
@@ -438,27 +441,6 @@ func AppendRowsTail(dst []byte, cached bool, tookUS int64, partial bool) []byte 
 		dst = append(dst, `,"partial":true`...)
 	}
 	return append(dst, '}', '\n')
-}
-
-// BindingCells flattens the bindings of a conjunction into the positional
-// form AppendRowsHead takes: the conjunction's variables, sorted, and
-// one serialized cell per variable per binding.
-func BindingCells(patterns []core.Pattern, bindings []core.Binding) (vars, cells []string) {
-	for _, p := range patterns {
-		for _, pt := range [3]core.PatternTerm{p.S, p.P, p.O} {
-			if pt.Var != "" && !slices.Contains(vars, string(pt.Var)) {
-				vars = append(vars, string(pt.Var))
-			}
-		}
-	}
-	sort.Strings(vars)
-	cells = make([]string, 0, len(vars)*len(bindings))
-	for _, b := range bindings {
-		for _, v := range vars {
-			cells = append(cells, b[core.Var(v)].String())
-		}
-	}
-	return vars, cells
 }
 
 // WriteRows writes a 200 /query reply whose body is the concatenation of

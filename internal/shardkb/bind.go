@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -140,16 +141,19 @@ const bindBodyBudget = serve.MaxRequestBytes - 16
 // matches of p under that row's bindings and returns the extended rows
 // (in's variables, then the variables p newly binds). Variables of p
 // that in already binds act as constants per row; a pattern sharing no
-// variable with in yields the cross product.
+// variable with in yields the cross product. limit > 0 caps the matches
+// each shard request returns, so a scan with a limit does not ship every
+// row; the caller still truncates the result (Join does). A limit above
+// the wire's 2^31-1 is sent as 2^31-1: no shard holds that many matches.
 //
 // The rows are projected onto p's bound variables and de-duplicated, and
 // each distinct row travels once, in one POST /bind per shard: only to
 // the shard owning its subject when p's subject is a constant or bound,
 // to every shard otherwise. A step too large for one request body is
-// split. Each request goes through the same retry, hedge, breaker and
-// in-flight machinery as Pattern, and a shard that fails — or answers
-// with anything malformed — falls under the same partial-failure policy.
-func (c *Client) Bind(ctx context.Context, p core.Pattern, in Rows) (Rows, error) {
+// split. Each request goes through the client's retry, hedge, breaker and
+// in-flight machinery (call), and a shard that fails — or answers
+// with anything malformed — falls under its partial-failure policy.
+func (c *Client) Bind(ctx context.Context, p core.Pattern, in Rows, limit int) (Rows, error) {
 	st := resolveStep(p, in.Vars, len(c.groups))
 	out := Rows{Vars: append(in.Vars[:len(in.Vars):len(in.Vars)], st.fresh...), Partial: in.Partial}
 	if in.N == 0 {
@@ -190,6 +194,10 @@ func (c *Client) Bind(ctx context.Context, p core.Pattern, in Rows) (Rows, error
 
 	head := serve.AppendJSONStrings([]byte(`{"pattern":`), st.pattern[:])
 	head = serve.AppendJSONStrings(append(head, `,"vars":`...), st.bound)
+	if limit > 0 {
+		limit = min(limit, math.MaxInt32)
+		head = strconv.AppendInt(append(head, `,"limit":`...), int64(limit), 10)
+	}
 	head = append(head, `,"rows":[`...)
 
 	// sendRows posts one shard's rows, in as many bodies as their size
@@ -200,7 +208,7 @@ func (c *Client) Bind(ctx context.Context, p core.Pattern, in Rows) (Rows, error
 		body := append(make([]byte, 0, len(head)+24*k*len(rows)+2), head...)
 		first := 0 // rows[first:i] are in body
 		flush := func(end int) error {
-			data, _, err := c.callBody(ctx, shard, "/bind", append(body, ']', '}'))
+			data, err := c.call(ctx, shard, "/bind", append(body, ']', '}'))
 			if err != nil {
 				return err
 			}

@@ -20,9 +20,9 @@ import (
 )
 
 // ErrPartial marks a query that could not be answered by every shard it
-// needed. It is the default outcome of a scatter with a failed shard;
+// needed. It is the default outcome of a call with a failed shard;
 // Options.AllowPartial degrades it to merged available results with
-// Result.Partial set instead.
+// Rows.Partial set instead.
 var ErrPartial = errors.New("shardkb: partial shard results")
 
 // Options tunes a Client.
@@ -66,17 +66,13 @@ type Options struct {
 	MaxBodyBytes int64
 }
 
-// Result is the outcome of one pattern execution.
+// Result is the outcome of Pattern.
 type Result struct {
 	// Bindings are the merged rows, in shard order.
 	Bindings []core.Binding
 	// Partial reports that some shards failed and AllowPartial merged
 	// the rest — the result may be missing matches.
 	Partial bool
-	// RPCs is the number of physical shard requests this execution
-	// issued: 1 on the healthy fast path, more when retries or hedges
-	// fired, the shard count (plus retries) on a scatter.
-	RPCs int
 }
 
 // breaker states.
@@ -199,8 +195,8 @@ type ShardStats struct {
 
 // Stats is a point-in-time snapshot of the client's counters.
 type Stats struct {
-	FastPath           uint64       `json:"fast_path"` // subject-pinned single-group executions
-	Scatters           uint64       `json:"scatters"`  // full fan-out executions
+	FastPath           uint64       `json:"fast_path"` // bind steps routed by their subject
+	Scatters           uint64       `json:"scatters"`  // bind steps sent to every shard
 	RPCs               uint64       `json:"rpcs"`      // physical replica RPCs issued
 	Retries            uint64       `json:"retries"`
 	HedgesFired        uint64       `json:"hedges_fired"`
@@ -210,8 +206,8 @@ type Stats struct {
 	Shards             []ShardStats `json:"shards"`
 }
 
-// FastPathRate returns the fraction of pattern executions that were
-// pinned to a single shard, 0 when idle.
+// FastPathRate returns the fraction of bind steps routed by their
+// subject rather than scattered, 0 when idle.
 func (s Stats) FastPathRate() float64 {
 	if t := s.FastPath + s.Scatters; t > 0 {
 		return float64(s.FastPath) / float64(t)
@@ -219,10 +215,10 @@ func (s Stats) FastPathRate() float64 {
 	return 0
 }
 
-// Client executes single triple patterns against N kbserve shard groups,
-// retrying transient failures across each group's replicas with backoff,
-// optionally hedging slow requests, and shedding traffic from dead
-// replicas through per-replica circuit breakers.
+// Client runs bind-join steps and estimates against N kbserve shard
+// groups, retrying transient failures across each group's replicas with
+// backoff, optionally hedging slow requests, and shedding traffic from
+// dead replicas through per-replica circuit breakers.
 type Client struct {
 	groups []*group
 	all    []int   // every shard index, the scatter target of gather
@@ -472,37 +468,19 @@ func (c *Client) backoff(made int) time.Duration {
 	return time.Duration(half + rand.Int63n(half))
 }
 
-// call is callBody for the reflection-encoded endpoints: req is
-// marshalled into the request body and the winning reply unmarshalled
-// into out.
-func (c *Client) call(ctx context.Context, shard int, path string, req, out interface{}) (int, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, fmt.Errorf("shardkb: encode request: %w", err)
-	}
-	data, attempts, err := c.callBody(ctx, shard, path, body)
-	if err != nil {
-		return attempts, err
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return attempts, fmt.Errorf("shardkb: shard %d: decode response: %w", shard, err)
-	}
-	return attempts, nil
-}
-
-// callBody executes one logical RPC against a shard's replica group and
-// returns the winning reply body and how many physical attempts it made:
-// the first attempt goes to the group's next replica in rotation, transient
-// failures retry on the following replicas with jittered exponential
-// backoff, a hedge may race a second replica when the first is slow
-// (first reply wins, the loser's context is cancelled), and every
-// outcome feeds the per-replica circuit breakers.
-func (c *Client) callBody(ctx context.Context, shard int, path string, body []byte) ([]byte, int, error) {
+// call executes one logical RPC against a shard's replica group and
+// returns the winning reply body: the first attempt goes to the group's
+// next replica in rotation, transient failures retry on the following
+// replicas with jittered exponential backoff, a hedge may race a second
+// replica when the first is slow (first reply wins, the loser's context
+// is cancelled), and every outcome feeds the per-replica circuit
+// breakers.
+func (c *Client) call(ctx context.Context, shard int, path string, body []byte) ([]byte, error) {
 	select {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return nil, ctx.Err()
 	}
 	g := c.groups[shard]
 
@@ -524,7 +502,7 @@ func (c *Client) callBody(ctx context.Context, shard int, path string, body []by
 		}
 	}
 	if len(order) == 0 {
-		return nil, 0, fmt.Errorf("shardkb: shard %d (%s): circuit breakers open on all %d replicas",
+		return nil, fmt.Errorf("shardkb: shard %d (%s): circuit breakers open on all %d replicas",
 			shard, g.label(), len(g.replicas))
 	}
 	maxAttempts := c.opt.MaxAttempts
@@ -565,7 +543,7 @@ func (c *Client) callBody(ctx context.Context, shard int, path string, body []by
 	for inflight > 0 || retryCh != nil {
 		select {
 		case <-ctx.Done():
-			return nil, launched, ctx.Err()
+			return nil, ctx.Err()
 		case <-hedgeCh:
 			hedgeCh = nil
 			if launched < maxAttempts {
@@ -587,16 +565,16 @@ func (c *Client) callBody(ctx context.Context, shard int, path string, body []by
 				}
 				// First reply wins: the deferred cancel stops any slower
 				// attempt still in flight.
-				return a.data, launched, nil
+				return a.data, nil
 			}
 			if ctx.Err() != nil {
-				return nil, launched, ctx.Err()
+				return nil, ctx.Err()
 			}
 			fails = append(fails, fmt.Sprintf("%s: %v", a.rep.url, a.err))
 			a.rep.errs.Add(1)
 			a.rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 			if !a.transient {
-				return nil, launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
+				return nil, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 			}
 			if launched < maxAttempts && retryCh == nil {
 				retryTimer = time.NewTimer(c.backoff(launched))
@@ -604,32 +582,7 @@ func (c *Client) callBody(ctx context.Context, shard int, path string, body []by
 			}
 		}
 	}
-	return nil, launched, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
-}
-
-// decodeBindings converts a wire response into bindings: rows parse each
-// serialized term back (rdf.ParseTerm), ASK replies become the empty
-// binding (true) or nothing (false) so they compose with join logic.
-func decodeBindings(resp *serve.QueryResponse) ([]core.Binding, error) {
-	if resp.Ask != nil {
-		if *resp.Ask {
-			return []core.Binding{{}}, nil
-		}
-		return nil, nil
-	}
-	out := make([]core.Binding, 0, len(resp.Rows))
-	for _, row := range resp.Rows {
-		b := make(core.Binding, len(row))
-		for v, s := range row {
-			t, err := rdf.ParseTerm(s)
-			if err != nil {
-				return nil, fmt.Errorf("shardkb: bad term %q in shard reply: %w", s, err)
-			}
-			b[core.Var(v)] = t
-		}
-		out = append(out, b)
-	}
-	return out, nil
+	return nil, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 }
 
 // gather runs fn once for every listed shard group — inline for a single
@@ -668,45 +621,21 @@ func (c *Client) partialErr(failed []string) error {
 	return fmt.Errorf("%w: %s", ErrPartial, strings.Join(failed, "; "))
 }
 
-// Pattern executes one triple pattern across the shard tier. A
-// subject-constant pattern is routed to exactly one shard group — the
-// fast path; anything else scatters to every group concurrently and
-// gathers the merged bindings. A shard that cannot be reached or whose
-// reply does not decode is a failed shard on either path. limit caps the
-// merged row count (0 = all).
+// Pattern answers one triple pattern as a one-step Join and returns its
+// rows as bindings. limit caps the merged row count (0 = all).
 func (c *Client) Pattern(ctx context.Context, p core.Pattern, limit int) (*Result, error) {
-	req := serve.QueryRequest{Patterns: []string{FormatPattern(p)}, Limit: limit}
-	shards := c.all
-	if shard, ok := PatternShard(p, len(c.groups)); ok {
-		c.fastPath.Add(1)
-		shards = c.all[shard : shard+1]
-	} else {
-		c.scatters.Add(1)
+	rows, err := c.Join(ctx, []core.Pattern{p}, limit)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([][]core.Binding, len(c.groups))
-	attempts := make([]int, len(c.groups))
-	failed := c.gather(shards, func(shard int) error {
-		var resp serve.QueryResponse
-		var err error
-		if attempts[shard], err = c.call(ctx, shard, "/query", req, &resp); err != nil {
-			return err
+	res := &Result{Bindings: make([]core.Binding, rows.N), Partial: rows.Partial}
+	w := len(rows.Vars)
+	for i := range res.Bindings {
+		res.Bindings[i] = make(core.Binding, w)
+		for j, v := range rows.Vars {
+			// Bind has checked every cell (checkWireTerm): it parses.
+			res.Bindings[i][v], _ = rdf.ParseTerm(rows.Cells[i*w+j])
 		}
-		rows[shard], err = decodeBindings(&resp)
-		return err
-	})
-	res := &Result{Partial: len(failed) > 0}
-	if res.Partial {
-		c.partialFailures.Add(1)
-		if err := c.partialErr(failed); err != nil {
-			return nil, err
-		}
-	}
-	for _, shard := range shards {
-		res.Bindings = append(res.Bindings, rows[shard]...)
-		res.RPCs += attempts[shard]
-	}
-	if limit > 0 && len(res.Bindings) > limit {
-		res.Bindings = res.Bindings[:limit]
 	}
 	return res, nil
 }
@@ -722,12 +651,19 @@ func (c *Client) Estimates(ctx context.Context, patterns []core.Pattern) ([]int,
 	for i, p := range patterns {
 		lines[i] = FormatPattern(p)
 	}
-	req := serve.QueryRequest{Patterns: lines}
+	body, err := json.Marshal(serve.QueryRequest{Patterns: lines})
+	if err != nil {
+		return nil, fmt.Errorf("shardkb: encode request: %w", err)
+	}
 	replies := make([][]int, len(c.groups))
 	failed := c.gather(c.all, func(shard int) error {
-		var resp serve.EstimateResponse
-		if _, err := c.call(ctx, shard, "/estimate", req, &resp); err != nil {
+		data, err := c.call(ctx, shard, "/estimate", body)
+		if err != nil {
 			return err
+		}
+		var resp serve.EstimateResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			return fmt.Errorf("decode /estimate reply: %w", err)
 		}
 		if len(resp.Estimates) != len(patterns) {
 			return fmt.Errorf("returned %d estimates for %d patterns", len(resp.Estimates), len(patterns))

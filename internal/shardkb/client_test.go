@@ -2,6 +2,7 @@ package shardkb
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,11 +30,9 @@ func testTriples() []rdf.Triple {
 	}
 }
 
-// startShards partitions triples across n in-process kbserve instances by
-// the package shard function and returns their base URLs plus a per-shard
-// request counter.
-func startShards(t *testing.T, triples []rdf.Triple, n int) ([]string, []*atomic.Uint64) {
-	t.Helper()
+// partitionStores splits triples across n stores by the package shard
+// function.
+func partitionStores(triples []rdf.Triple, n int) []*core.Store {
 	stores := make([]*core.Store, n)
 	for i := range stores {
 		stores[i] = core.NewStore()
@@ -41,6 +40,15 @@ func startShards(t *testing.T, triples []rdf.Triple, n int) ([]string, []*atomic
 	for _, tr := range triples {
 		stores[TripleShard(tr, n)].Add(tr)
 	}
+	return stores
+}
+
+// startShards partitions triples across n in-process kbserve instances by
+// the package shard function and returns their base URLs plus a per-shard
+// request counter.
+func startShards(t *testing.T, triples []rdf.Triple, n int) ([]string, []*atomic.Uint64) {
+	t.Helper()
+	stores := partitionStores(triples, n)
 	urls := make([]string, n)
 	counters := make([]*atomic.Uint64, n)
 	for i := range stores {
@@ -170,20 +178,25 @@ func TestFormatPatternRoundTrips(t *testing.T) {
 	}
 }
 
+// join1 answers one pattern the way kbrouter does: a one-step Join.
+func join1(c *Client, p core.Pattern, limit int) (Rows, error) {
+	return c.Join(context.Background(), []core.Pattern{p}, limit)
+}
+
 func TestFastPathSingleRPC(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		urls, counters := startShards(t, testTriples(), n)
 		c := mustClient(t, urls, Options{})
 		p, _ := core.ParsePattern("kb:jobs kb:founded ?c")
-		res, err := c.Pattern(context.Background(), p, 0)
+		rows, err := join1(c, p, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(res.Bindings) != 1 || res.Bindings[0]["c"] != rdf.NewIRI("kb:apple") {
-			t.Fatalf("n=%d: bindings = %v", n, res.Bindings)
+		if rows.N != 1 || rows.Cells[0] != "<kb:apple>" {
+			t.Fatalf("n=%d: rows = %+v", n, rows)
 		}
-		if res.RPCs != 1 {
-			t.Errorf("n=%d: point lookup issued %d RPCs, want exactly 1", n, res.RPCs)
+		if rpcs := c.Stats().RPCs; rpcs != 1 {
+			t.Errorf("n=%d: point lookup issued %d RPCs, want exactly 1", n, rpcs)
 		}
 		var total uint64
 		for _, ctr := range counters {
@@ -204,21 +217,21 @@ func TestScatterGatherMerge(t *testing.T) {
 		urls, _ := startShards(t, testTriples(), n)
 		c := mustClient(t, urls, Options{})
 		p, _ := core.ParsePattern("?p kb:founded ?c")
-		res, err := c.Pattern(context.Background(), p, 0)
+		rows, err := join1(c, p, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(res.Bindings) != 3 {
-			t.Fatalf("n=%d: got %d rows, want 3: %v", n, len(res.Bindings), res.Bindings)
+		if rows.N != 3 {
+			t.Fatalf("n=%d: got %d rows, want 3: %v", n, rows.N, rows.Cells)
 		}
-		if res.RPCs != n || res.Partial {
-			t.Errorf("n=%d: RPCs = %d partial = %v", n, res.RPCs, res.Partial)
+		if rpcs := c.Stats().RPCs; rpcs != uint64(n) || rows.Partial {
+			t.Errorf("n=%d: RPCs = %d partial = %v", n, rpcs, rows.Partial)
 		}
 		founders := map[string]bool{}
-		for _, b := range res.Bindings {
-			founders[b["p"].Value] = true
+		for i := 0; i < rows.N; i++ {
+			founders[rows.Cells[2*i]] = true
 		}
-		for _, want := range []string{"kb:jobs", "kb:wozniak", "kb:gates"} {
+		for _, want := range []string{"<kb:jobs>", "<kb:wozniak>", "<kb:gates>"} {
 			if !founders[want] {
 				t.Errorf("n=%d: founder %s missing from merge", n, want)
 			}
@@ -233,12 +246,39 @@ func TestScatterLimit(t *testing.T) {
 	urls, _ := startShards(t, testTriples(), 4)
 	c := mustClient(t, urls, Options{})
 	p, _ := core.ParsePattern("?p kb:founded ?c")
-	res, err := c.Pattern(context.Background(), p, 2)
+	rows, err := join1(c, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 2 {
-		t.Errorf("limit 2 returned %d rows", len(res.Bindings))
+	if rows.N != 2 || len(rows.Cells) != 4 {
+		t.Errorf("limit 2 returned %d rows, %d cells", rows.N, len(rows.Cells))
+	}
+}
+
+// A limit beyond the /bind wire's 2^31-1 is sent clamped: a single
+// pattern and a join both return every row, no shard refuses a request,
+// and no breaker moves.
+func TestLimitAboveWireRange(t *testing.T) {
+	urls, _ := startShards(t, testTriples(), 4)
+	c := mustClient(t, urls, Options{BreakerThreshold: 1})
+	founded, _ := core.ParsePattern("?p kb:founded ?c")
+	located, _ := core.ParsePattern("?c kb:locatedIn ?city")
+	for _, limit := range []int{1 << 31, 1 << 40} {
+		for _, q := range [][]core.Pattern{{founded}, {founded, located}} {
+			rows, err := c.Join(context.Background(), q, limit)
+			if err != nil || rows.N != 3 || rows.Partial {
+				t.Fatalf("limit %d, %d patterns: %d rows (partial %v), err %v; want 3", limit, len(q), rows.N, rows.Partial, err)
+			}
+		}
+	}
+	st := c.Stats()
+	if st.BreakerTransitions != 0 || st.Retries != 0 {
+		t.Errorf("stats = %+v, want no retries and no breaker transitions", st)
+	}
+	for _, sh := range st.Shards {
+		if rep := sh.Replicas[0]; rep.Errors != 0 {
+			t.Errorf("replica %s: %d errors", rep.URL, rep.Errors)
+		}
 	}
 }
 
@@ -246,20 +286,47 @@ func TestAskThroughFastPath(t *testing.T) {
 	urls, _ := startShards(t, testTriples(), 4)
 	c := mustClient(t, urls, Options{})
 	p, _ := core.ParsePattern("kb:jobs kb:founded kb:apple")
-	res, err := c.Pattern(context.Background(), p, 0)
+	rows, err := join1(c, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 1 || len(res.Bindings[0]) != 0 {
-		t.Errorf("ask(true) = %v, want one empty binding", res.Bindings)
+	if rows.N != 1 || len(rows.Vars) != 0 {
+		t.Errorf("ask(true) = %+v, want one empty row", rows)
 	}
 	p, _ = core.ParsePattern("kb:jobs kb:founded kb:microsoft")
-	res, err = c.Pattern(context.Background(), p, 0)
+	rows, err = join1(c, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 0 {
-		t.Errorf("ask(false) = %v, want no bindings", res.Bindings)
+	if rows.N != 0 || len(rows.Vars) != 0 {
+		t.Errorf("ask(false) = %+v, want no rows", rows)
+	}
+}
+
+// Pattern, the one-step Join kept for callers that want bindings, turns
+// each row into a binding of parsed terms, literals included, and an ASK
+// that holds into the one empty binding.
+func TestPatternReturnsBindings(t *testing.T) {
+	triples := append(testTriples(), rdf.Triple{S: rdf.NewIRI("kb:jobs"), P: rdf.NewIRI("kb:motto"), O: rdf.NewLangLiteral("stay \"hungry\"\n", "en")})
+	urls, _ := startShards(t, triples, 4)
+	c := mustClient(t, urls, Options{})
+	merged := mergedStore(triples)
+	for _, line := range []string{"?p kb:founded ?c", "kb:jobs ?rel ?o", "?x kb:motto ?m", "kb:jobs kb:founded kb:apple", "kb:jobs kb:founded kb:microsoft"} {
+		p, _ := core.ParsePattern(line)
+		res, err := c.Pattern(context.Background(), p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		want := merged.Query([]core.Pattern{p})
+		if got := bindingStrings(res.Bindings); !reflect.DeepEqual(got, bindingStrings(want)) || res.Partial {
+			t.Errorf("%s: bindings %q (partial %v), want %q", line, got, res.Partial, bindingStrings(want))
+		}
+	}
+	p, _ := core.ParsePattern("?p kb:founded ?c")
+	if res, err := c.Pattern(context.Background(), p, 2); err != nil {
+		t.Errorf("limit 2: %v", err)
+	} else if len(res.Bindings) != 2 {
+		t.Errorf("limit 2: %d bindings, want 2", len(res.Bindings))
 	}
 }
 
@@ -302,7 +369,7 @@ func TestScatterPartialFailureFailsByDefault(t *testing.T) {
 	killShard(t, urls, 2)
 	c := mustClient(t, urls, Options{Timeout: 500 * time.Millisecond})
 	p, _ := core.ParsePattern("?p kb:founded ?c")
-	_, err := c.Pattern(context.Background(), p, 0)
+	_, err := join1(c, p, 0)
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("err = %v, want ErrPartial", err)
 	}
@@ -318,11 +385,11 @@ func TestScatterPartialFailureDegradesWhenAllowed(t *testing.T) {
 	killShard(t, urls, dead)
 	c := mustClient(t, urls, Options{Timeout: 500 * time.Millisecond, AllowPartial: true})
 	p, _ := core.ParsePattern("?p kb:founded ?c")
-	res, err := c.Pattern(context.Background(), p, 0)
+	rows, err := join1(c, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial {
+	if !rows.Partial {
 		t.Error("result not flagged partial")
 	}
 	// Exactly the live shards' matches must be present.
@@ -332,8 +399,8 @@ func TestScatterPartialFailureDegradesWhenAllowed(t *testing.T) {
 			want++
 		}
 	}
-	if len(res.Bindings) != want {
-		t.Errorf("partial merge has %d rows, want %d", len(res.Bindings), want)
+	if rows.N != want {
+		t.Errorf("partial merge has %d rows, want %d", rows.N, want)
 	}
 }
 
@@ -349,23 +416,24 @@ func TestFastPathFailurePolicies(t *testing.T) {
 	killShard(t, urls, pinned)
 
 	strict := mustClient(t, urls, Options{Timeout: 500 * time.Millisecond})
-	if _, err := strict.Pattern(context.Background(), p, 0); !errors.Is(err, ErrPartial) {
+	if _, err := join1(strict, p, 0); !errors.Is(err, ErrPartial) {
 		t.Fatalf("strict err = %v, want ErrPartial", err)
 	}
 	lax := mustClient(t, urls, Options{Timeout: 500 * time.Millisecond, AllowPartial: true})
-	res, err := lax.Pattern(context.Background(), p, 0)
+	rows, err := join1(lax, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial || len(res.Bindings) != 0 {
-		t.Errorf("lax result = %+v, want empty partial", res)
+	if !rows.Partial || rows.N != 0 {
+		t.Errorf("lax result = %+v, want empty partial", rows)
 	}
 }
 
-// A shard whose reply carries a term rdf.ParseTerm rejects is a failed
-// shard like an unreachable one, on the pinned path as on a scatter: the
-// strict policy fails the call with ErrPartial, AllowPartial keeps the
-// other shards' rows and flags the result, and both count the failure.
+// A shard whose /bind reply carries a term rdf.ParseTerm rejects is a
+// failed shard like an unreachable one, on the pinned path as on a
+// scatter: the strict policy fails the call with ErrPartial, AllowPartial
+// keeps the other shards' rows and flags the result, and both count the
+// failure.
 func TestUnparsableTermIsAFailedShard(t *testing.T) {
 	const badTerm = `"unterminated`
 	if _, err := rdf.ParseTerm(badTerm); err == nil {
@@ -373,10 +441,20 @@ func TestUnparsableTermIsAFailedShard(t *testing.T) {
 	}
 	const n, bad = 2, 1
 	urls, _ := startShards(t, testTriples(), n)
+	// The stub binds every variable of the request's pattern, each to the
+	// bad term, for its first row.
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteJSON(w, http.StatusOK, serve.QueryResponse{
-			Vars: []string{"c"}, Rows: []map[string]string{{"c": badTerm}}, Count: 1,
-		})
+		var req struct{ Pattern []string }
+		json.NewDecoder(r.Body).Decode(&req)
+		var vars, cells []string
+		for _, term := range req.Pattern {
+			if strings.HasPrefix(term, "?") {
+				vars, cells = append(vars, term[1:]), append(cells, badTerm)
+			}
+		}
+		body := serve.AppendJSONStrings([]byte(`{"vars":`), vars)
+		body = serve.AppendJSONStrings(append(body, `,"from":[0],"rows":[`...), cells)
+		w.Write(append(body, "]}"...))
 	}))
 	t.Cleanup(stub.Close)
 	urls[bad] = stub.URL
@@ -402,21 +480,21 @@ func TestUnparsableTermIsAFailedShard(t *testing.T) {
 		rows int
 	}{{"pinned", pinned, 0}, {"scatter", scatter, liveRows}} {
 		strict := mustClient(t, urls, Options{})
-		if _, err := strict.Pattern(context.Background(), tc.p, 0); !errors.Is(err, ErrPartial) {
+		if _, err := join1(strict, tc.p, 0); !errors.Is(err, ErrPartial) {
 			t.Errorf("%s, strict: err = %v, want ErrPartial", tc.name, err)
 		}
 		if st := strict.Stats(); st.PartialFailures != 1 {
 			t.Errorf("%s, strict: partial failures = %d, want 1", tc.name, st.PartialFailures)
 		}
 		lax := mustClient(t, urls, Options{AllowPartial: true})
-		res, err := lax.Pattern(context.Background(), tc.p, 0)
+		rows, err := join1(lax, tc.p, 0)
 		if err != nil {
 			t.Errorf("%s, AllowPartial: %v", tc.name, err)
 			continue
 		}
-		if !res.Partial || len(res.Bindings) != tc.rows {
+		if !rows.Partial || rows.N != tc.rows {
 			t.Errorf("%s, AllowPartial: partial = %v with %d rows, want true with %d",
-				tc.name, res.Partial, len(res.Bindings), tc.rows)
+				tc.name, rows.Partial, rows.N, tc.rows)
 		}
 		if st := lax.Stats(); st.PartialFailures != 1 {
 			t.Errorf("%s, AllowPartial: partial failures = %d, want 1", tc.name, st.PartialFailures)
@@ -497,7 +575,7 @@ func TestGenerationFollowsEpochs(t *testing.T) {
 			t.Errorf("%s: generation advanced by %d, want %d", what, got, want)
 		}
 	}
-	query := func() error { _, err := c.Pattern(ctx, scan, 0); return err }
+	query := func() error { _, err := c.Join(ctx, []core.Pattern{scan}, 0); return err }
 	ready := func() error { _, err := c.Ready(ctx); return err }
 	step("first reply", query, 1)
 	step("same epoch", query, 0)
@@ -535,13 +613,13 @@ func TestClientConcurrent(t *testing.T) {
 					p = scan
 					want = 3
 				}
-				res, err := c.Pattern(context.Background(), p, 0)
+				rows, err := join1(c, p, 0)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(res.Bindings) != want {
-					errs <- fmt.Errorf("got %d rows, want %d", len(res.Bindings), want)
+				if rows.N != want {
+					errs <- fmt.Errorf("got %d rows, want %d", rows.N, want)
 					return
 				}
 			}

@@ -30,13 +30,7 @@ func testSeeds(i, j int) int64 { return int64(100*i + j) }
 // shard — and the injector for each replica, indexed [shard][replica].
 func startReplicatedTier(t *testing.T, triples []rdf.Triple, n, r int, seed func(shard, replica int) int64) ([]string, [][]*faultkb.Injector) {
 	t.Helper()
-	stores := make([]*core.Store, n)
-	for i := range stores {
-		stores[i] = core.NewStore()
-	}
-	for _, tr := range triples {
-		stores[TripleShard(tr, n)].Add(tr)
-	}
+	stores := partitionStores(triples, n)
 	groups := make([]string, n)
 	injectors := make([][]*faultkb.Injector, n)
 	for i := 0; i < n; i++ {
@@ -63,15 +57,15 @@ func queryAll(t *testing.T, c *Client) {
 	ctx := context.Background()
 	point, _ := core.ParsePattern("kb:jobs kb:founded ?c")
 	scatter, _ := core.ParsePattern("?p kb:founded ?c")
-	if res, err := c.Pattern(ctx, point, 0); err != nil {
+	if rows, err := c.Join(ctx, []core.Pattern{point}, 0); err != nil {
 		t.Fatalf("point lookup: %v", err)
-	} else if len(res.Bindings) != 1 {
-		t.Fatalf("point lookup returned %d rows, want 1", len(res.Bindings))
+	} else if rows.N != 1 {
+		t.Fatalf("point lookup returned %d rows, want 1", rows.N)
 	}
-	if res, err := c.Pattern(ctx, scatter, 0); err != nil {
+	if rows, err := c.Join(ctx, []core.Pattern{scatter}, 0); err != nil {
 		t.Fatalf("scatter: %v", err)
-	} else if len(res.Bindings) != 3 {
-		t.Fatalf("scatter returned %d rows, want 3", len(res.Bindings))
+	} else if rows.N != 3 {
+		t.Fatalf("scatter returned %d rows, want 3", rows.N)
 	}
 }
 
@@ -151,13 +145,13 @@ func TestSlowReplicaHedging(t *testing.T) {
 	// rescues them). Every query must finish well under the 2s latency.
 	for k := 0; k < 4; k++ {
 		t0 := time.Now()
-		res, err := c.Pattern(context.Background(), point, 0)
+		rows, err := join1(c, point, 0)
 		took := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Bindings) != 1 {
-			t.Fatalf("got %d rows, want 1", len(res.Bindings))
+		if rows.N != 1 {
+			t.Fatalf("got %d rows, want 1", rows.N)
 		}
 		if took > time.Second {
 			t.Errorf("hedged lookup took %v; the hedge should have rescued it", took)
@@ -189,7 +183,7 @@ func TestAllReplicasDownPartialPolicy(t *testing.T) {
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, MaxAttempts: 2,
 	})
 	kill(strictInj, 0)
-	if _, err := strict.Pattern(context.Background(), scatter, 0); err == nil {
+	if _, err := join1(strict, scatter, 0); err == nil {
 		t.Error("scatter with a whole shard down succeeded under the strict policy")
 	}
 
@@ -199,11 +193,11 @@ func TestAllReplicasDownPartialPolicy(t *testing.T) {
 		AllowPartial: true,
 	})
 	kill(lenientInj, 0)
-	res, err := lenient.Pattern(context.Background(), scatter, 0)
+	rows, err := join1(lenient, scatter, 0)
 	if err != nil {
 		t.Fatalf("AllowPartial scatter failed: %v", err)
 	}
-	if !res.Partial {
+	if !rows.Partial {
 		t.Error("result not marked partial with a whole shard down")
 	}
 	if st := lenient.Stats(); st.PartialFailures == 0 {
@@ -262,11 +256,11 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestMaxBodyBytes(t *testing.T) {
 	groups, _ := startReplicatedShards(t, 1, 2)
 	c := mustClient(t, groups, Options{
-		MaxBodyBytes: 64, // far below any real reply
+		MaxBodyBytes: 16, // below the lookup's 49-byte /bind reply
 		RetryBase:    time.Millisecond,
 	})
 	point, _ := core.ParsePattern("kb:jobs kb:founded ?c")
-	_, err := c.Pattern(context.Background(), point, 0)
+	_, err := join1(c, point, 0)
 	if err == nil {
 		t.Fatal("oversized reply succeeded, want error")
 	}
@@ -325,7 +319,7 @@ func TestAvailabilityUnderInjectedFaults(t *testing.T) {
 				before := c.Stats().Retries
 				got := cell{}
 				for _, q := range points {
-					if _, err := c.Pattern(ctx, q, 0); err == nil {
+					if _, err := c.Join(ctx, []core.Pattern{q}, 0); err == nil {
 						got.answered++
 					}
 				}

@@ -19,9 +19,10 @@ import (
 // bound always runs before one that does not, and the estimate orders
 // within each class. That keeps a chain or star from degenerating into
 // a cross product when an unrelated pattern happens to estimate lower,
-// at no extra round trip. limit caps the rows returned (0 = all); it is
-// applied to the final result, because an early row may still be
-// filtered by a later pattern.
+// at no extra round trip. A single pattern is a join of one step and
+// skips the Estimates call. limit caps the rows returned (0 = all); only
+// the last step passes it on to the shards, because a row an earlier step
+// returns may still be filtered out by a later pattern.
 func (c *Client) Join(ctx context.Context, patterns []core.Pattern, limit int) (Rows, error) {
 	ests := make([]int, len(patterns))
 	if len(patterns) > 1 {
@@ -32,7 +33,7 @@ func (c *Client) Join(ctx context.Context, patterns []core.Pattern, limit int) (
 	}
 	rows := Rows{N: 1}
 	done := make([]bool, len(patterns))
-	for range patterns {
+	for step := range patterns {
 		if rows.N == 0 {
 			break // conjunction already empty
 		}
@@ -47,8 +48,12 @@ func (c *Client) Join(ctx context.Context, patterns []core.Pattern, limit int) (
 			}
 		}
 		done[best] = true
+		stepLimit := 0
+		if step == len(patterns)-1 {
+			stepLimit = limit
+		}
 		var err error
-		if rows, err = c.Bind(ctx, patterns[best], rows); err != nil {
+		if rows, err = c.Bind(ctx, patterns[best], rows, stepLimit); err != nil {
 			return Rows{}, err
 		}
 	}

@@ -156,10 +156,10 @@ func TestJoinRPCBudget(t *testing.T) {
 			}
 		}
 		before := c.Stats().RPCs
-		res, err := c.Pattern(context.Background(), parsePatterns(t, "<kb:person4> ?p ?o")[0], 0)
-		if err != nil || len(res.Bindings) != 2 || c.Stats().RPCs-before != 1 {
+		rows, err := c.Join(context.Background(), parsePatterns(t, "<kb:person4> ?p ?o"), 0)
+		if err != nil || rows.N != 2 || c.Stats().RPCs-before != 1 {
 			t.Errorf("n=%d: point lookup: %d rows, %d RPCs, err %v; want 2 rows in exactly 1 RPC",
-				n, len(res.Bindings), c.Stats().RPCs-before, err)
+				n, rows.N, c.Stats().RPCs-before, err)
 		}
 	}
 }
@@ -292,7 +292,7 @@ func TestBindStepFailsOverToSiblingReplica(t *testing.T) {
 // A /bind reply that is not exactly what was asked for — an unparsable or
 // non-canonical term, a from index past the rows sent, a ragged row, the
 // wrong variables, broken JSON — makes its shard a failed shard, as an
-// unparsable term in a /query reply does.
+// unreachable shard is.
 func TestMalformedBindReplyIsAFailedShard(t *testing.T) {
 	world := joinWorld()
 	patterns := parsePatterns(t, "?p <kb:founded> ?c", "?c <kb:locatedIn> ?city")
@@ -380,7 +380,7 @@ func TestBindSplitsOversizedStep(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		urls, counters := startShards(t, world, n)
 		c := mustClient(t, urls, Options{})
-		out, err := c.Bind(context.Background(), parsePatterns(t, "?c <kb:locatedIn> ?city")[0], in)
+		out, err := c.Bind(context.Background(), parsePatterns(t, "?c <kb:locatedIn> ?city")[0], in, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -421,21 +421,21 @@ func TestBindRoutesRowsToOwnerShards(t *testing.T) {
 		owners[ShardOf(co, n)] = true
 	}
 	in.N = 30
-	out, err := c.Bind(context.Background(), parsePatterns(t, "?c <kb:locatedIn> ?city")[0], in)
+	out, err := c.Bind(context.Background(), parsePatterns(t, "?c <kb:locatedIn> ?city")[0], in, 0)
 	if err != nil || out.N != 30 {
 		t.Fatalf("bound subject: %d rows, err %v; want 30", out.N, err)
 	}
 	if total, per := requests(); total != len(owners) {
 		t.Errorf("bound subject: requests per shard %v, want one to each of the %d owners", per, len(owners))
 	}
-	out, err = c.Bind(context.Background(), parsePatterns(t, "?q <kb:worksAt> ?c")[0], in)
+	out, err = c.Bind(context.Background(), parsePatterns(t, "?q <kb:worksAt> ?c")[0], in, 0)
 	if err != nil || out.N == 0 {
 		t.Fatalf("bound object: %d rows, err %v", out.N, err)
 	}
 	if total, per := requests(); total != n {
 		t.Errorf("bound object: requests per shard %v, want one to every shard", per)
 	}
-	out, err = c.Bind(context.Background(), parsePatterns(t, "<kb:co1> <kb:locatedIn> ?city")[0], in)
+	out, err = c.Bind(context.Background(), parsePatterns(t, "<kb:co1> <kb:locatedIn> ?city")[0], in, 0)
 	if err != nil || out.N != 30 {
 		t.Fatalf("constant subject: %d rows, err %v; want 30 (one city for each input row)", out.N, err)
 	}
@@ -445,6 +445,55 @@ func TestBindRoutesRowsToOwnerShards(t *testing.T) {
 	st := c.Stats()
 	if st.FastPath != 2 || st.Scatters != 1 {
 		t.Errorf("fast path %d, scatters %d; want 2 and 1", st.FastPath, st.Scatters)
+	}
+}
+
+// A limit reaches the shards on a join's last step: a scan with limit 1
+// over 4 shards ships at most one row from each, and returns one. Without
+// the limit every shard ships all its matches.
+func TestJoinLimitCapsRowsPerShard(t *testing.T) {
+	world := joinWorld()
+	const n = 4
+	var mu sync.Mutex
+	var shipped []int // rows in each /bind reply
+	urls := make([]string, n)
+	for i, st := range partitionStores(world, n) {
+		h := serve.NewServer(st, serve.Options{Timeout: time.Second})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if resp, err := serve.ParseBindResponse(rec.Body.Bytes()); err == nil && r.URL.Path == "/bind" {
+				mu.Lock()
+				shipped = append(shipped, len(resp.From))
+				mu.Unlock()
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	c := mustClient(t, urls, Options{})
+	scan := parsePatterns(t, "?p <kb:worksAt> ?c")
+	for _, tc := range []struct{ limit, rows, perShard int }{{1, 1, 1}, {0, 90, 90}} {
+		shipped = nil
+		rows, err := c.Join(context.Background(), scan, tc.limit)
+		if err != nil || rows.N != tc.rows {
+			t.Fatalf("limit %d: %d rows, err %v; want %d", tc.limit, rows.N, err, tc.rows)
+		}
+		total := 0
+		for _, k := range shipped {
+			total += k
+			if k > tc.perShard {
+				t.Errorf("limit %d: a shard shipped %d rows, want at most %d", tc.limit, k, tc.perShard)
+			}
+		}
+		if len(shipped) != n || (tc.limit == 0 && total != 90) {
+			t.Errorf("limit %d: %d replies shipping %v rows; want %d replies", tc.limit, len(shipped), shipped, n)
+		}
 	}
 }
 
@@ -514,9 +563,9 @@ func TestTornReplicaIsBypassed(t *testing.T) {
 		if err != nil || rows.Partial || !reflect.DeepEqual(rowStrings(rows), exact) {
 			t.Fatalf("round %d: %d rows (partial %v, err %v), want the exact %d", round, rows.N, rows.Partial, err, len(exact))
 		}
-		res, err := c.Pattern(context.Background(), patterns[0], 0)
-		if err != nil || res.Partial || len(res.Bindings) != 90 {
-			t.Fatalf("round %d: pattern returned %d rows (err %v), want 90", round, len(res.Bindings), err)
+		rows, err = c.Join(context.Background(), patterns[:1], 0)
+		if err != nil || rows.Partial || rows.N != 90 {
+			t.Fatalf("round %d: pattern returned %d rows (err %v), want 90", round, rows.N, err)
 		}
 	}
 	if st := c.Stats(); st.Retries == 0 || st.Shards[0].Replicas[0].Errors == 0 {

@@ -1,18 +1,20 @@
 // Package shardkb is the scatter/gather layer of the serving tier: the
 // shard function that hash-partitions a KB by subject term, an HTTP
-// client that executes triple patterns against N kbserve shards, and the
+// client that runs triple patterns against N kbserve shards, and the
 // join executor the router runs on top of it.
 //
-// Client.Pattern routes a subject-constant pattern to exactly one shard
-// (the fast path that makes point lookups cost one RPC regardless of
-// shard count) and fans everything else out concurrently with per-shard
+// The client speaks two endpoints to its shards, /bind and /estimate.
+// Client.Bind is one step of a bind join: it extends a whole set of
+// positional rows by one pattern in one POST /bind per shard, each
+// distinct binding sent once and only to the shard that can match it — a
+// subject-constant pattern goes to exactly one shard (the fast path that
+// makes a point lookup cost one RPC at any shard count) — with per-shard
 // timeouts, bounded in-flight RPCs, and an explicit partial-failure
-// policy. Client.Bind is one step of a bind join — it extends a whole set
-// of positional rows by one pattern in one POST /bind per shard, each
-// distinct binding sent once and only to the shard that can match it —
-// and Client.Join plans a conjunction (one Estimates call, connected
+// policy. Client.Join plans a conjunction (one Estimates call, connected
 // patterns first) and chains Bind steps, so a join costs about
-// shards x (1 + steps) RPCs instead of one per binding.
+// shards x (1 + steps) RPCs instead of one per binding; a single pattern
+// is a join of one step, with no Estimates call. Client.Pattern is that
+// one-step join with its rows returned as bindings.
 //
 // New takes the tier as one string per shard. Each may name a replica
 // group — base URLs joined by "|", the syntax of kbrouter -shards — whose
