@@ -7,14 +7,15 @@ package main
 // per shard, and no /estimate round — so the router sends its shards
 // only /bind and /estimate.
 //
-// In front of it sits the router's result cache, a qcache.LRU of
+// In front of it sits the router's result cache, a qcache.LRU of 16 x 256
 // encoded replies: the head serve.AppendRowsHead wrote, without the
-// "cached" and "took_us" members a hit writes afresh. An entry carries
-// the tier's Generation read before the evaluation that filled it and is
-// served only while that is unchanged, that is while no replica has
-// answered with an epoch the router had not seen from it since. A hit is
-// therefore as fresh as the last reply each replica gave, and costs no
-// shard RPC. Partial replies and errors are never cached.
+// "cached" and "took_us" members a hit writes afresh. Its generation is
+// the client's Generation, read before the evaluation that fills an
+// entry, and it is kbserve's rule over the whole tier: an entry is served
+// while no replica has answered with an epoch the router had not seen
+// from it since. A hit is therefore as fresh as the last reply each
+// replica gave, and costs no shard RPC. Partial replies and errors are
+// never cached.
 
 import (
 	"context"
@@ -32,7 +33,7 @@ import (
 
 type router struct {
 	client  *shardkb.Client
-	cache   *qcache.LRU[cachedReply]
+	cache   *qcache.LRU[[]byte] // reply heads (see the file comment)
 	timeout time.Duration
 	mux     *http.ServeMux
 
@@ -42,12 +43,6 @@ type router struct {
 	draining       atomic.Bool
 }
 
-// cachedReply is one entry of the router's result cache.
-type cachedReply struct {
-	gen  uint64 // client.Generation() before the evaluation
-	head []byte // the reply up to "cached" (serve.AppendRowsHead)
-}
-
 // SetDraining flips the router in or out of drain mode: while draining,
 // /readyz answers 503 so a fronting load balancer stops routing here
 // before the listener closes. In-flight queries still complete.
@@ -55,11 +50,8 @@ func (rt *router) SetDraining(v bool) { rt.draining.Store(v) }
 
 func newRouter(client *shardkb.Client, timeout time.Duration) *router {
 	rt := &router{
-		client: client,
-		// qcache's default size, 16 x 256 replies.
-		cache: qcache.NewLRU(qcache.Options{}, func(e cachedReply) bool {
-			return e.gen == client.Generation()
-		}),
+		client:  client,
+		cache:   qcache.NewLRU[[]byte](qcache.Options{}, client.Generation),
 		timeout: timeout,
 		mux:     http.NewServeMux(),
 	}
@@ -81,15 +73,18 @@ func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	key := qcache.Key(patterns, req.Limit)
-	e, cached := rt.cache.Get(key)
+	head, cached := rt.cache.Get(key)
 	var (
 		partial bool
 		err     error
 	)
 	if !cached {
-		e, partial, err = rt.evaluate(r.Context(), patterns, req.Limit)
+		// Read before any shard is asked: a replica whose epoch changes
+		// meanwhile leaves the entry stale from the start.
+		gen := rt.client.Generation()
+		head, partial, err = rt.evaluate(r.Context(), patterns, req.Limit)
 		if err == nil && !partial {
-			rt.cache.Put(key, e)
+			rt.cache.Put(key, gen, head)
 		}
 	}
 	took := time.Since(t0)
@@ -102,14 +97,12 @@ func (rt *router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		rt.partialAnswers.Add(1)
 	}
-	serve.WriteRows(w, e.head, serve.AppendRowsTail(nil, cached, took.Microseconds(), partial))
+	serve.WriteRows(w, head, serve.AppendRowsTail(nil, cached, took.Microseconds(), partial))
 }
 
-// evaluate answers a query from the shards. The reply carries the tier
-// generation read before any shard is asked, so a replica whose epoch
-// changes meanwhile leaves it stale from the start.
-func (rt *router) evaluate(ctx context.Context, patterns []core.Pattern, limit int) (cachedReply, bool, error) {
-	e := cachedReply{gen: rt.client.Generation()}
+// evaluate answers a query from the shards with the reply head up to
+// "cached" and whether it is partial.
+func (rt *router) evaluate(ctx context.Context, patterns []core.Pattern, limit int) ([]byte, bool, error) {
 	if rt.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rt.timeout)
@@ -122,14 +115,13 @@ func (rt *router) evaluate(ctx context.Context, patterns []core.Pattern, limit i
 			// 499), not 500 for the shard failures it caused.
 			err = fmt.Errorf("%w: %v", cerr, err)
 		}
-		return e, false, err
+		return nil, false, err
 	}
 	vars := make([]string, len(rows.Vars))
 	for i, v := range rows.Vars {
 		vars[i] = string(v)
 	}
-	e.head = serve.AppendRowsHead(nil, vars, rows.Cells, rows.N)
-	return e, rows.Partial, nil
+	return serve.AppendRowsHead(nil, vars, rows.Cells, rows.N), rows.Partial, nil
 }
 
 // routerStatsz is the router's GET /statsz reply: router-level query

@@ -2,16 +2,16 @@
 // it loads a snapshot once and serves concurrent conjunctive queries over
 // HTTP, with per-request timeouts and an operational stats endpoint. A
 // query it has answered is kept as its encoded reply in a sharded LRU
-// (internal/qcache), valid until a write touches what the query reads,
+// (internal/qcache) of 16 x 256 replies, valid until the store is written,
 // so a repeat is answered with the stored bytes and a fresh "cached" and
-// "took_us"; the -cache-* flags count replies, and what they hold costs
-// memory per encoded byte. The handler itself lives in internal/serve; N
-// kbserve processes over partitioned snapshots (kbbuild -shards) form the
-// shard tier behind cmd/kbrouter.
+// "took_us"; what the cache holds costs memory per encoded byte. The
+// handler itself lives in internal/serve; N kbserve processes over
+// partitioned snapshots (kbbuild -shards) form the shard tier behind
+// cmd/kbrouter.
 //
 // Usage:
 //
-//	kbserve -kb kb.nt [-addr :8080] [-timeout 2s] [-cache-shards 16] [-cache-per-shard 256]
+//	kbserve -kb kb.nt [-addr :8080] [-timeout 2s]
 //
 // Endpoints:
 //
@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"kbharvest/internal/core"
-	"kbharvest/internal/qcache"
 	"kbharvest/internal/serve"
 )
 
@@ -62,8 +61,6 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request query timeout")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	drainNotice := flag.Duration("drain-notice", 500*time.Millisecond, "how long /readyz advertises draining before the listener closes")
-	cacheShards := flag.Int("cache-shards", 16, "reply cache shard count")
-	cachePerShard := flag.Int("cache-per-shard", 256, "cached replies per shard")
 	flag.Parse()
 	if *kbPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: kbserve -kb snapshot.nt [-addr :8080]")
@@ -89,7 +86,6 @@ func main() {
 	}
 
 	srv := serve.NewServer(st, serve.Options{
-		Cache:     qcache.Options{Shards: *cacheShards, PerShard: *cachePerShard},
 		Timeout:   *timeout,
 		Snapshot:  *kbPath,
 		LoadError: loadErr,

@@ -56,57 +56,41 @@ func TestPostingBoundedUnderChurn(t *testing.T) {
 	}
 }
 
-// Generation counters: every insert advances the pattern generation an
-// affected pattern reads, and unrelated writes can advance it spuriously
-// but never leave it stale.
-func TestPatternGenAdvancesOnWrites(t *testing.T) {
-	st := NewStore()
-	st.Add(rdf.T("kb:a", "kb:p", "kb:b"))
-	pat := rdf.Triple{P: rdf.NewIRI("kb:p")}
-	g0 := st.PatternGen(pat)
-	st.Add(rdf.T("kb:c", "kb:p", "kb:d"))
-	g1 := st.PatternGen(pat)
-	if g1 == g0 {
-		t.Error("insert matching (? p ?) did not advance its pattern generation")
-	}
-	st.Add(rdf.T("kb:c", "kb:p", "kb:d"))
-	if g2 := st.PatternGen(pat); g2 != g1 {
-		t.Error("re-adding a stored fact advanced its pattern generation")
-	}
-	// Unknown-term patterns fall back to the store-wide generation,
-	// tagged so the fallback domain is disjoint from stripe generations.
-	unk := rdf.Triple{P: rdf.NewIRI("kb:neverSeen")}
-	gu := st.PatternGen(unk)
-	if gu != st.WriteGen()|genFallbackTag {
-		t.Errorf("unknown-term pattern gen = %d, want tagged WriteGen %d", gu, st.WriteGen()|genFallbackTag)
-	}
-	st.Add(rdf.T("kb:e", "kb:q", "kb:f"))
-	if st.PatternGen(unk) == gu {
-		t.Error("unknown-term pattern generation must advance on any write")
-	}
-}
-
-// A pattern whose term is unknown reads the tagged store-wide fallback;
-// once a write interns the term the pattern reads an untagged stripe
-// generation. The two must never compare equal, even when the underlying
-// counters coincide — otherwise a cache could validate a result computed
-// before the term existed (e.g. writeGen=1 recorded for an unknown term,
-// then the interning insert lands the term's stripe at generation 1).
-func TestPatternGenFallbackDisjointFromStripeGen(t *testing.T) {
-	st := NewStore()
-	st.Add(rdf.T("kb:a", "kb:p", "kb:o")) // writeGen = 1
-	pat := rdf.Triple{S: rdf.NewIRI("kb:b"), P: rdf.NewIRI("kb:p")}
-	before := st.PatternGen(pat) // kb:b unknown: tagged fallback
-	if before&genFallbackTag == 0 {
-		t.Fatalf("unknown-term pattern gen %d is not tagged as fallback", before)
-	}
-	st.Add(rdf.T("kb:b", "kb:p", "kb:o2")) // interns kb:b on a fresh stripe
-	after := st.PatternGen(pat)
-	if after&genFallbackTag != 0 {
-		t.Fatalf("interned pattern gen %d still tagged as fallback", after)
-	}
-	if after == before {
-		t.Errorf("pattern gen unchanged (%d) across the write that interned its subject", after)
+// WriteGen advances once per call that inserts a new fact, and never for
+// a call that inserts none: a reply cache keyed on it recomputes after
+// every write and only after one.
+func TestWriteGenAdvancesOnlyOnInserts(t *testing.T) {
+	stored := rdf.T("kb:a", "kb:p", "kb:b")
+	info := FactInfo{Confidence: 0.5}
+	for _, tc := range []struct {
+		name  string
+		write func(st *Store)
+		adv   uint64
+	}{
+		{"Add of a new fact", func(st *Store) { st.Add(rdf.T("kb:c", "kb:p", "kb:d")) }, 1},
+		{"Add of a stored fact", func(st *Store) { st.Add(stored) }, 0},
+		{"AddBatch of new facts", func(st *Store) {
+			st.AddBatch([]rdf.Triple{rdf.T("kb:c", "kb:p", "kb:d"), rdf.T("kb:e", "kb:q", "kb:f")})
+		}, 1},
+		{"AddBatch of one new fact among stored ones", func(st *Store) {
+			st.AddBatch([]rdf.Triple{stored, rdf.T("kb:c", "kb:p", "kb:d"), stored})
+		}, 1},
+		{"AddBatch of stored facts only", func(st *Store) { st.AddBatch([]rdf.Triple{stored, stored}) }, 0},
+		{"empty AddBatch", func(st *Store) { st.AddBatch(nil) }, 0},
+		{"AddBatchMeta of a new fact", func(st *Store) {
+			st.AddBatchMeta([]rdf.Triple{rdf.T("kb:c", "kb:p", "kb:d")}, []FactInfo{info})
+		}, 1},
+		{"AddBatchMeta of a stored fact", func(st *Store) {
+			st.AddBatchMeta([]rdf.Triple{stored}, []FactInfo{info})
+		}, 0},
+	} {
+		st := NewStore()
+		st.Add(stored)
+		g0 := st.WriteGen()
+		tc.write(st)
+		if got := st.WriteGen() - g0; got != tc.adv {
+			t.Errorf("%s: WriteGen advanced by %d, want %d", tc.name, got, tc.adv)
+		}
 	}
 }
 

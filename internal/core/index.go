@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // The index layer: each of the three permutations (spo/pos/osp) is a
 // permIndex of indexStripes independently locked stripes, keyed by the
@@ -21,14 +18,6 @@ import (
 // number of facts filed under it, updated by the same put, so both of the
 // planner's counts — under (lead, second) and under lead alone — are one
 // map read, however many second IDs a hub predicate or object has.
-//
-// Each stripe additionally carries a write generation counter, bumped on
-// every insertion into the stripe. The counter lets the result cache
-// (internal/qcache) validate a cached pattern result with a single atomic
-// load: if the generation of the stripe a pattern reads from is unchanged
-// since the result was computed, no write can have altered the pattern's
-// matches. Writers only bump atomics — they never touch cache state or
-// cache locks.
 
 const (
 	indexStripeBits = 4
@@ -47,9 +36,8 @@ type leadPostings struct {
 }
 
 type indexStripe struct {
-	mu  sync.RWMutex
-	gen atomic.Uint64
-	m   map[ID]leadPostings
+	mu sync.RWMutex
+	m  map[ID]leadPostings
 }
 
 type permIndex struct {
@@ -88,7 +76,6 @@ func (p *permIndex) insert(a, b ID, f FactID) {
 	s := &p.stripes[stripeOf(a)]
 	s.mu.Lock()
 	s.put(a, b, f)
-	s.gen.Add(1)
 	s.mu.Unlock()
 }
 
@@ -98,8 +85,7 @@ type idxEntry struct {
 	f    FactID
 }
 
-// insertBatch adds every entry, taking each stripe's lock at most once and
-// bumping each touched stripe's generation once.
+// insertBatch adds every entry, taking each stripe's lock at most once.
 func (p *permIndex) insertBatch(entries []idxEntry) {
 	var byStripe [indexStripes][]idxEntry
 	for _, e := range entries {
@@ -115,7 +101,6 @@ func (p *permIndex) insertBatch(entries []idxEntry) {
 		for _, e := range byStripe[s] {
 			stripe.put(e.a, e.b, e.f)
 		}
-		stripe.gen.Add(1)
 		stripe.mu.Unlock()
 	}
 }
@@ -164,10 +149,4 @@ func (p *permIndex) leadCount(a ID) int {
 	n := s.m[a].n
 	s.mu.RUnlock()
 	return n
-}
-
-// genOf returns the current write generation of the stripe that indexes
-// leading term a.
-func (p *permIndex) genOf(a ID) uint64 {
-	return p.stripes[stripeOf(a)].gen.Load()
 }

@@ -80,9 +80,7 @@ type Store struct {
 	pos permIndex
 	osp permIndex
 
-	// writeGen counts every write that inserts a fact. It backs
-	// PatternGen for patterns no index stripe can vouch for (full scans,
-	// patterns naming terms the dictionary has never seen).
+	// writeGen counts the writes that inserted a fact (see WriteGen).
 	writeGen atomic.Uint64
 }
 
@@ -207,56 +205,16 @@ func mustHaveTerms(t rdf.Triple) {
 }
 
 // WriteGen returns the store-wide write generation: a counter that
-// advances on every write that inserts a fact. A pattern result computed
-// at generation g is still valid iff the generations guarding the pattern
-// (PatternGen) are unchanged.
+// advances once per Add or AddBatch/AddBatchMeta call that inserts a new
+// fact, and never otherwise (re-asserting a stored fact is no write). It
+// is the one validity rule of the reply caches (internal/qcache): a result
+// evaluated after reading generation g is current while WriteGen still
+// returns g. That holds because a write advances the counter only after
+// its facts are indexed: a reader that saw the new value sees the facts,
+// and a write racing an evaluation advances the counter past the value
+// read before it, so the entry it fills is stale from the start.
 func (st *Store) WriteGen() uint64 {
 	return st.writeGen.Load()
-}
-
-// genFallbackTag marks a PatternGen value drawn from the store-wide
-// WriteGen rather than an index stripe. Stripe generations and the write
-// generation are unrelated counters, so without the tag a pattern that
-// migrates between the two sources (a term interned by a later write)
-// could coincidentally produce equal values and validate a stale cached
-// result. Both counters count writes and cannot approach 2^63, so the top
-// bit is free to keep the two value domains disjoint.
-const genFallbackTag = uint64(1) << 63
-
-// PatternGen returns the write generation guarding a match pattern
-// (zero-valued terms are wildcards): the generation of the index stripe
-// MatchFunc would read the pattern from. Every write that can change the
-// pattern's matches bumps this generation — an insert bumps the stripes of
-// all three of its leading terms — so a cached result for the pattern is
-// valid as long as one atomic load returns the generation observed before
-// it was computed. Patterns that resolve to no single stripe (full scans,
-// patterns naming unknown terms) fall back to the store-wide WriteGen,
-// tagged with genFallbackTag so the fallback can never compare equal to a
-// stripe generation once a later write interns the pattern's terms;
-// tagged values invalidate on any write.
-func (st *Store) PatternGen(pattern rdf.Triple) uint64 {
-	s, ok := st.lookup(pattern.S)
-	if !ok {
-		return st.writeGen.Load() | genFallbackTag
-	}
-	p, ok := st.lookup(pattern.P)
-	if !ok {
-		return st.writeGen.Load() | genFallbackTag
-	}
-	o, ok := st.lookup(pattern.O)
-	if !ok {
-		return st.writeGen.Load() | genFallbackTag
-	}
-	switch {
-	case s != 0:
-		return st.spo.genOf(s)
-	case p != 0:
-		return st.pos.genOf(p)
-	case o != 0:
-		return st.osp.genOf(o)
-	default:
-		return st.writeGen.Load() | genFallbackTag
-	}
 }
 
 // EstimateMatches returns the number of facts matching the pattern, read

@@ -8,50 +8,33 @@
 //
 // LRU is the one store: entries spread over 2^k independently locked
 // shards, each an LRU list, so concurrent readers contend only within a
-// shard and eviction is O(1). It knows nothing about what makes an entry
-// stale; its owner supplies a validity predicate, checked on every hit
-// under the shard lock, and a failing entry is dropped and counted as
-// stale. The two caches on the serving path both hold encoded replies —
-// the head serve.AppendRowsHead's format fixes, without the members a hit
+// shard and eviction is O(1). Its owner supplies one generation source,
+// and every entry records the generation read before its value was
+// computed; a hit is served only while the source still returns that
+// value, and an entry it no longer matches is dropped and counted stale.
+// The two caches on the serving path both hold encoded replies — the
+// head serve.AppendRowsHead's format fixes, without the members a hit
 // writes afresh — so a hit is one lookup and one write:
 //
-//   - kbserve's reply cache, over a core.Store: an entry is valid while
-//     the Gens it captured (below) are current.
-//   - kbrouter's reply cache, over the shard tier: an entry is valid while
-//     shardkb.Client.Generation — the count of shard epoch changes the
-//     router has observed — is unchanged.
+//   - kbserve's reply cache, over a core.Store: the generation is the
+//     store's WriteGen, the second half of the Kb-Epoch header.
+//   - kbrouter's reply cache, over the shard tier: the generation is
+//     shardkb.Client.Generation, the count of shard epoch changes the
+//     router has observed.
 //
 // Cache is the same store-side rule over binding sets instead of bytes,
 // for callers that want the bindings themselves (Cache.Query).
 //
-// # The generation-invalidation contract
-//
-// The cache never observes writes and writers never take cache locks.
-// Instead, the store exports monotonic write generations
-// (core.Store.PatternGen): every index stripe carries a counter that is
-// bumped by each insertion into the stripe (the store is append-only, so
-// an insertion is the only write), and a store-wide counter (WriteGen)
-// backs the patterns no single stripe can vouch for (full scans, patterns
-// naming terms the dictionary has never interned). Fallback values are tagged
-// (high bit set) so they occupy a value domain disjoint from stripe
-// generations: a generation recorded while a pattern's term was unknown
-// can never compare equal to the stripe generation the pattern reads
-// after a write interns the term. Because an insert bumps the stripes of
-// all three of its leading terms, any write that can change the matches
-// of a pattern necessarily advances that pattern's generation.
-//
-// A cache entry therefore records, for each pattern of its query, the
-// pattern's generation observed *before* evaluation (CaptureGens). A hit
-// validates each recorded pattern with one atomic load (Gens.Valid): if
-// every generation is unchanged, no write can have altered the result; if
-// any differs, the entry is discarded and the query re-evaluated. Generations advancing
-// spuriously (an unrelated write hashing to the same stripe) costs a
-// recomputation, never a stale answer. Capturing the generations before
-// evaluation makes a write racing the fill land the entry with an
-// already-stale generation, so it self-invalidates on its first hit — the
-// cache is exactly as consistent as an uncached query racing the same
-// write. The router's cache follows the same rule with its one
-// generation.
+// The cache never observes writes and writers never take cache locks:
+// any write advances the generation, so it makes every entry stale, and
+// each is recomputed on its next request. That is coarse on purpose. A
+// served store is written only by its load, before it serves, so nothing
+// is lost by it, and a hit costs one atomic load. Reading the generation
+// before evaluating is what keeps an entry honest under a racing write:
+// core.Store advances WriteGen only after the write's facts are indexed,
+// so a write that overlaps the evaluation leaves the entry stale from the
+// start. The cache is exactly as consistent as an uncached query racing
+// the same write.
 //
 // # Shard choice
 //
@@ -73,7 +56,6 @@ import (
 	"sync/atomic"
 
 	"kbharvest/internal/core"
-	"kbharvest/internal/rdf"
 )
 
 // Options tunes a cache.
@@ -89,8 +71,8 @@ type Options struct {
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`    // includes generation invalidations
-	Stale     uint64 `json:"stale"`     // entries discarded on generation mismatch
+	Misses    uint64 `json:"misses"`    // includes stale entries
+	Stale     uint64 `json:"stale"`     // entries dropped for an older generation
 	Evictions uint64 `json:"evictions"` // LRU capacity evictions
 	Entries   int    `json:"entries"`   // current cached queries
 }
@@ -103,11 +85,11 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// LRU is a sharded LRU map from query keys to values of type V whose
-// entries are checked by the owner's validity predicate on every hit. It
-// is safe for concurrent use.
+// LRU is a sharded LRU map from query keys to values of type V, each
+// served only while the owner's generation is the one it was stored with.
+// It is safe for concurrent use.
 type LRU[V any] struct {
-	valid  func(V) bool
+	gen    func() uint64
 	shards []lruShard[V]
 	mask   uint64
 
@@ -116,6 +98,7 @@ type LRU[V any] struct {
 
 type lruEntry[V any] struct {
 	key string
+	gen uint64
 	val V
 }
 
@@ -126,9 +109,10 @@ type lruShard[V any] struct {
 	cap int
 }
 
-// NewLRU returns an empty LRU whose hits must satisfy valid; valid runs
-// under a shard lock and must be cheap (a few atomic loads).
-func NewLRU[V any](opt Options, valid func(V) bool) *LRU[V] {
+// NewLRU returns an empty LRU whose entries are current while gen returns
+// the generation they were stored with; gen is called once per Get and
+// must be cheap (an atomic load).
+func NewLRU[V any](opt Options, gen func() uint64) *LRU[V] {
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = 16
@@ -142,7 +126,7 @@ func NewLRU[V any](opt Options, valid func(V) bool) *LRU[V] {
 	if perShard <= 0 {
 		perShard = 256
 	}
-	l := &LRU[V]{valid: valid, shards: make([]lruShard[V], n), mask: uint64(n - 1)}
+	l := &LRU[V]{gen: gen, shards: make([]lruShard[V], n), mask: uint64(n - 1)}
 	for i := range l.shards {
 		l.shards[i].m = make(map[string]*list.Element)
 		l.shards[i].cap = perShard
@@ -159,15 +143,16 @@ func (l *LRU[V]) shardOf(key string) *lruShard[V] {
 	return &l.shards[h&l.mask]
 }
 
-// Get returns the value cached under key if it is still valid, counting a
-// hit, or reports a miss — dropping the entry, and counting it stale, when
-// it failed validation.
+// Get returns the value cached under key if it was stored at the current
+// generation, counting a hit, or reports a miss — dropping the entry, and
+// counting it stale, when it was stored at another.
 func (l *LRU[V]) Get(key string) (V, bool) {
+	gen := l.gen()
 	sh := l.shardOf(key)
 	sh.mu.Lock()
 	if el, ok := sh.m[key]; ok {
 		e := el.Value.(*lruEntry[V])
-		if l.valid(e.val) {
+		if e.gen == gen {
 			sh.lru.MoveToFront(el)
 			sh.mu.Unlock()
 			l.hits.Add(1)
@@ -183,15 +168,16 @@ func (l *LRU[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Put caches v under key as the most recently used entry, replacing any
-// entry a concurrent miss filled, and evicts beyond the shard's capacity.
-func (l *LRU[V]) Put(key string, v V) {
+// Put caches v, computed after reading generation gen, under key as the
+// most recently used entry, replacing any entry a concurrent miss filled,
+// and evicts beyond the shard's capacity.
+func (l *LRU[V]) Put(key string, gen uint64, v V) {
 	sh := l.shardOf(key)
 	sh.mu.Lock()
 	if el, ok := sh.m[key]; ok {
 		sh.lru.Remove(el)
 	}
-	sh.m[key] = sh.lru.PushFront(&lruEntry[V]{key: key, val: v})
+	sh.m[key] = sh.lru.PushFront(&lruEntry[V]{key: key, gen: gen, val: v})
 	for sh.lru.Len() > sh.cap {
 		last := sh.lru.Back()
 		sh.lru.Remove(last)
@@ -218,56 +204,17 @@ func (l *LRU[V]) Stats() Stats {
 	return s
 }
 
-// Gens is what an entry over a core.Store records to validate its hits:
-// the generation of each pattern of its query, read before the query was
-// evaluated (see the package doc). Cache and kbserve's reply cache both
-// keep one per entry.
-type Gens []patternGen
-
-type patternGen struct {
-	pat rdf.Triple // the pattern's constant skeleton, as PatternGen takes it
-	gen uint64
-}
-
-// CaptureGens reads the generation of each pattern in st. Call it before
-// evaluating the patterns: a write racing the evaluation then leaves the
-// entry stale from the start.
-func CaptureGens(st *core.Store, patterns []core.Pattern) Gens {
-	g := make(Gens, len(patterns))
-	for i, p := range patterns {
-		g[i].pat = constSkeleton(p)
-		g[i].gen = st.PatternGen(g[i].pat)
-	}
-	return g
-}
-
-// Valid reports whether every generation recorded in g is still current
-// in st — one atomic load per pattern.
-func (g Gens) Valid(st *core.Store) bool {
-	for _, pg := range g {
-		if st.PatternGen(pg.pat) != pg.gen {
-			return false
-		}
-	}
-	return true
-}
-
 // Cache is the store-backed cache: conjunctive query results over a
-// core.Store, held as bindings and validated by Gens. It is safe for
-// concurrent use.
+// core.Store, held as bindings and current while the store's WriteGen is
+// unchanged. It is safe for concurrent use.
 type Cache struct {
 	st  *core.Store
-	lru *LRU[*entry]
-}
-
-type entry struct {
-	gens     Gens
-	bindings []core.Binding
+	lru *LRU[[]core.Binding]
 }
 
 // New returns a cache over st.
 func New(st *core.Store, opt Options) *Cache {
-	return &Cache{st: st, lru: NewLRU(opt, func(e *entry) bool { return e.gens.Valid(st) })}
+	return &Cache{st: st, lru: NewLRU[[]core.Binding](opt, st.WriteGen)}
 }
 
 // Key renders the canonical cache key of a query: its patterns plus the
@@ -308,10 +255,10 @@ func appendField(b []byte, s string) []byte {
 // must not be modified.
 func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) ([]core.Binding, bool, error) {
 	key := Key(patterns, limit)
-	if e, ok := c.lru.Get(key); ok {
-		return e.bindings, true, nil
+	if bindings, ok := c.lru.Get(key); ok {
+		return bindings, true, nil
 	}
-	gens := CaptureGens(c.st, patterns)
+	gen := c.st.WriteGen()
 	var bindings []core.Binding
 	if err := c.st.QueryFunc(ctx, patterns, limit, func(b core.Binding) bool {
 		bindings = append(bindings, b)
@@ -319,26 +266,8 @@ func (c *Cache) Query(ctx context.Context, patterns []core.Pattern, limit int) (
 	}); err != nil {
 		return nil, false, err
 	}
-	c.lru.Put(key, &entry{gens: gens, bindings: bindings})
+	c.lru.Put(key, gen, bindings)
 	return bindings, false, nil
-}
-
-// constSkeleton reduces a pattern to the constant triple PatternGen keys
-// on: variables — bound later by the join or not at all — act as
-// wildcards, which is conservative (the chosen stripe is bumped by every
-// write that could affect any instantiation of the pattern).
-func constSkeleton(p core.Pattern) rdf.Triple {
-	var t rdf.Triple
-	if p.S.Var == "" {
-		t.S = p.S.Const
-	}
-	if p.P.Var == "" {
-		t.P = p.P.Const
-	}
-	if p.O.Var == "" {
-		t.O = p.O.Const
-	}
-	return t
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -82,12 +82,10 @@ func TestCacheInvalidatedByInsert(t *testing.T) {
 	}
 }
 
-// A query naming a term the dictionary has never interned records the
-// store-wide fallback generation. The write that then interns the term
-// puts it on a fresh stripe whose counter starts near the recorded
-// fallback value — with untagged generations a store holding one fact
-// (writeGen=1) would see the new stripe also at generation 1 and serve
-// the stale empty result. The fallback tag must force a miss instead.
+// A query naming a term the dictionary has never interned has an empty
+// answer, and that answer is cached like any other. The write that then
+// interns the term, and gives the query a match, must force a miss: an
+// answer computed before a term existed is not served after it does.
 func TestCacheInvalidatedWhenUnknownTermInterned(t *testing.T) {
 	st := core.NewStore()
 	st.Add(rdf.T("seed", "rel", "x")) // one fact: writeGen = 1
@@ -180,7 +178,7 @@ func TestCacheShardChoiceIsDeterministic(t *testing.T) {
 		out := make([][]string, len(c.lru.shards))
 		for i := range c.lru.shards {
 			for el := c.lru.shards[i].lru.Front(); el != nil; el = el.Next() {
-				out[i] = append(out[i], el.Value.(*lruEntry[*entry]).key)
+				out[i] = append(out[i], el.Value.(*lruEntry[[]core.Binding]).key)
 			}
 		}
 		return out
@@ -204,15 +202,14 @@ func TestCacheShardChoiceIsDeterministic(t *testing.T) {
 	}
 }
 
-// An LRU owner's validity predicate decides every hit: an entry that
-// fails it is dropped and counted stale, never served.
+// An LRU owner's generation decides every hit: an entry stored at an
+// older generation is dropped and counted stale, never served.
 func TestLRUValidatesEveryHit(t *testing.T) {
 	var gen atomic.Uint64
-	type stamped struct{ gen, val uint64 }
-	l := NewLRU(Options{}, func(e stamped) bool { return e.gen == gen.Load() })
-	l.Put("k", stamped{gen: gen.Load(), val: 7})
-	if e, ok := l.Get("k"); !ok || e.val != 7 {
-		t.Fatalf("fresh entry: %+v, %v", e, ok)
+	l := NewLRU[uint64](Options{}, gen.Load)
+	l.Put("k", gen.Load(), 7)
+	if v, ok := l.Get("k"); !ok || v != 7 {
+		t.Fatalf("fresh entry: %v, %v", v, ok)
 	}
 	gen.Add(1)
 	if _, ok := l.Get("k"); ok {

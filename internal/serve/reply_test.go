@@ -224,9 +224,9 @@ func TestQueryShiftedVariableNamesAreDistinctQueries(t *testing.T) {
 	}
 }
 
-// A write that touches a stripe the query reads makes the next reply a
-// fresh answer, which the reply after it serves from the cache; adding a
-// fact the store already holds writes nothing.
+// A write makes the next reply a fresh answer, which the reply after it
+// serves from the cache; adding a fact the store already holds writes
+// nothing.
 func TestQueryReplyFollowsWrites(t *testing.T) {
 	st := testStore()
 	srv := newTestServer(st, time.Second)
@@ -275,7 +275,7 @@ func TestQueryHitsShareAnUnchangedHead(t *testing.T) {
 	if !ok {
 		t.Fatal("the scan was not cached")
 	}
-	was := bytes.Clone(stored.head)
+	was := bytes.Clone(stored)
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
@@ -323,7 +323,7 @@ func TestQueryHitsShareAnUnchangedHead(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if !bytes.Equal(stored.head, was) {
+	if !bytes.Equal(stored, was) {
 		t.Error("the stored head changed under hits")
 	}
 }

@@ -40,13 +40,15 @@
 // AppendRowsTail; encoding/json encodes only the small fixed-shape
 // replies (errors, /estimate, /readyz, /statsz).
 //
-// /query keeps what it encoded. A miss compiles the patterns, runs the
-// matcher and appends each row it completes straight to the reply head —
-// no binding map, no string per cell — then stores that head in the
-// reply cache (a qcache.LRU) beside the patterns' generations
-// (qcache.Gens). A repeat whose generations still hold is one lookup and
-// one write: the stored head, unchanged, and a fresh tail carrying
-// "cached":true and its own took_us.
+// /query keeps what it encoded. A miss reads the store's write
+// generation, compiles the patterns, runs the matcher and appends each
+// row it completes straight to the reply head — no binding map, no string
+// per cell — then stores that head in the reply cache (a qcache.LRU of
+// 16 x 256 replies) beside the generation. A repeat while the generation,
+// and so the Kb-Epoch, is unchanged is one lookup and one write: the
+// stored head, unchanged, and a fresh tail carrying "cached":true and its
+// own took_us. Any write makes every entry stale; kbserve is written only
+// by its load, before it serves.
 package serve
 
 import (
@@ -113,8 +115,6 @@ type ErrorResponse struct {
 
 // Options tunes a Server.
 type Options struct {
-	// Cache sizes the reply cache, in replies (internal/qcache).
-	Cache qcache.Options
 	// Timeout bounds each query evaluation (0 = unbounded).
 	Timeout time.Duration
 	// Snapshot is the path the store was loaded from, reported by
@@ -187,8 +187,8 @@ func (h *LatencyHistogram) Summary() LatencyStats {
 // Server is the HTTP handler serving one store.
 type Server struct {
 	st       *core.Store
-	cache    *qcache.LRU[cachedReply]
-	nonce    string // "<random hex>.", the per-process half of the epoch
+	cache    *qcache.LRU[[]byte] // reply heads (see the package doc)
+	nonce    string              // "<random hex>.", the per-process half of the epoch
 	timeout  time.Duration
 	snapshot string
 	loadErr  error
@@ -204,10 +204,8 @@ const EpochHeader = "Kb-Epoch"
 // NewServer wires the handler for one store.
 func NewServer(st *core.Store, opt Options) *Server {
 	s := &Server{
-		st: st,
-		cache: qcache.NewLRU(opt.Cache, func(e cachedReply) bool {
-			return e.gens.Valid(st)
-		}),
+		st:       st,
+		cache:    qcache.NewLRU[[]byte](qcache.Options{}, st.WriteGen),
 		nonce:    strconv.FormatUint(rand.Uint64(), 16) + ".",
 		timeout:  opt.Timeout,
 		snapshot: opt.Snapshot,
@@ -465,42 +463,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	key := qcache.Key(patterns, req.Limit)
-	e, cached := s.cache.Get(key)
+	head, cached := s.cache.Get(key)
 	if !cached {
+		// Read before evaluating: a write racing the evaluation leaves
+		// the entry stale from the start.
+		gen := s.st.WriteGen()
 		var err error
-		if e, err = s.evaluate(r.Context(), patterns, req.Limit); err != nil {
+		if head, err = s.evaluate(r.Context(), patterns, req.Limit); err != nil {
 			s.lat.Observe(time.Since(t0))
 			WriteQueryError(w, err)
 			return
 		}
-		s.cache.Put(key, e)
+		s.cache.Put(key, gen, head)
 	}
 	took := time.Since(t0)
 	s.lat.Observe(took)
 	// 64 bytes hold any tail: it is allocated once, not grown.
-	WriteRows(w, e.head, AppendRowsTail(make([]byte, 0, 64), cached, took.Microseconds(), false))
-}
-
-// cachedReply is one entry of the server's reply cache.
-type cachedReply struct {
-	gens qcache.Gens // the patterns' generations before the evaluation
-	head []byte      // the reply up to "cached", never modified once stored
+	WriteRows(w, head, AppendRowsTail(make([]byte, 0, 64), cached, took.Microseconds(), false))
 }
 
 // heads pools the buffers misses encode into; the cache keeps an exact
 // copy.
 var heads = sync.Pool{New: func() interface{} { return new([]byte) }}
 
-// evaluate answers a query from the store: the matcher runs from an empty
-// row and each row it completes is appended to the reply head as it
+// evaluate answers a query from the store with the reply head up to
+// "cached", which is never modified once returned: the matcher runs from
+// an empty row and each row it completes is appended to the head as it
 // stands, with no binding map and no intermediate strings.
-func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit int) (cachedReply, error) {
+func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit int) ([]byte, error) {
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	e := cachedReply{gens: qcache.CaptureGens(s.st, patterns)}
 	m := s.st.Compile(patterns)
 	vars := make([]string, len(m.Vars()))
 	for i, v := range m.Vars() {
@@ -519,10 +514,9 @@ func (s *Server) evaluate(ctx context.Context, patterns []core.Pattern, limit in
 	})
 	*buf = h.end()
 	if err != nil {
-		return e, err
+		return nil, err
 	}
-	e.head = bytes.Clone(*buf)
-	return e, nil
+	return bytes.Clone(*buf), nil
 }
 
 // handleEstimate serves the router's planning probe: per-pattern match

@@ -55,9 +55,10 @@ type Options struct {
 	HedgeDelay time.Duration
 
 	// BreakerThreshold opens a replica's circuit breaker after this many
-	// consecutive failures (default 5; negative disables breakers). An
-	// open replica receives no traffic until a half-open /readyz probe
-	// succeeds after BreakerCooldown (default 1s).
+	// consecutive transient failures (default 5; negative disables
+	// breakers); a refused request proves the replica alive and does not
+	// count. An open replica receives no traffic until a half-open
+	// /readyz probe succeeds after BreakerCooldown (default 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
@@ -572,10 +573,13 @@ func (c *Client) call(ctx context.Context, shard int, path string, body []byte) 
 			}
 			fails = append(fails, fmt.Sprintf("%s: %v", a.rep.url, a.err))
 			a.rep.errs.Add(1)
-			a.rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 			if !a.transient {
+				// A refusal (a 4xx, an oversized body) proves the
+				// replica alive, and any replica would answer the same:
+				// no retry, and nothing against its breaker.
 				return nil, fmt.Errorf("shardkb: shard %d: %s", shard, strings.Join(fails, "; "))
 			}
+			a.rep.br.onFailure(c.opt.BreakerThreshold, c.opt.BreakerCooldown, time.Now())
 			if launched < maxAttempts && retryCh == nil {
 				retryTimer = time.NewTimer(c.backoff(launched))
 				retryCh = retryTimer.C

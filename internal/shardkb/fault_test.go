@@ -2,8 +2,10 @@ package shardkb
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,6 +250,37 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	t.Fatalf("healed replica never readmitted: breaker = %q",
 		c.Stats().Shards[0].Replicas[0].Breaker)
+}
+
+// A replica that refuses a request (a 400) has answered, so the refusal
+// proves it alive: the call fails at once, without a retry, and the
+// replica counts the error, but its breaker stays closed even at a
+// threshold of 1 and the next request still reaches it.
+func TestRefusedRequestLeavesBreakerClosed(t *testing.T) {
+	var hits atomic.Uint64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "refused"})
+	}))
+	t.Cleanup(stub.Close)
+	c := mustClient(t, []string{stub.URL}, Options{BreakerThreshold: 1, RetryBase: time.Millisecond})
+	p, _ := core.ParsePattern("kb:jobs kb:founded ?c")
+	const calls = 4
+	for k := 0; k < calls; k++ {
+		if _, err := join1(c, p, 0); err == nil {
+			t.Fatalf("call %d: a refused request succeeded", k)
+		}
+	}
+	st := c.Stats()
+	rep := st.Shards[0].Replicas[0]
+	if rep.Breaker != "closed" || rep.BreakerOpens != 0 || st.BreakerTransitions != 0 {
+		t.Errorf("breaker %q after %d refusals: %d opens, %d transitions; want closed, 0, 0",
+			rep.Breaker, calls, rep.BreakerOpens, st.BreakerTransitions)
+	}
+	if rep.Errors != calls || st.Retries != 0 || hits.Load() != calls {
+		t.Errorf("%d errors, %d retries, %d requests reached the replica; want %d, 0, %d",
+			rep.Errors, st.Retries, hits.Load(), calls, calls)
+	}
 }
 
 // An oversized reply fails the RPC loudly (non-transient: the other
