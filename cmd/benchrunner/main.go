@@ -6,7 +6,7 @@
 //	benchrunner                   # run all experiments
 //	benchrunner -exp E6,E13       # run a subset
 //	benchrunner -list             # list experiments and the claims they test
-//	benchrunner -exp E8 -json BENCH_store.json  # machine-readable results
+//	benchrunner -exp E8 -json BENCH_mapreduce.json  # machine-readable results
 package main
 
 import (

@@ -12,8 +12,8 @@ import (
 )
 
 // stressTriple makes a deterministic triple from a worker id and counter,
-// with enough key collisions that workers contend on shared terms, facts,
-// and stripes.
+// with enough key collisions that workers contend on shared terms and
+// facts.
 func stressTriple(w, i int) rdf.Triple {
 	return rdf.T(
 		fmt.Sprintf("kb:s%d", (w*1000+i)%97),
@@ -25,7 +25,8 @@ func stressTriple(w, i int) rdf.Triple {
 // TestStoreConcurrentStress hammers one store from >=8 goroutines mixing
 // Add, AddBatch, AddBatchMeta, re-assertions of facts other goroutines are
 // adding, pattern queries, joins, and Snapshot, and must pass under
-// `go test -race ./internal/core/`.
+// `go test -race ./internal/core/`. The writers serialise on the store's
+// lock; the readers run beside them.
 func TestStoreConcurrentStress(t *testing.T) {
 	st := NewStore()
 	const (

@@ -1,175 +1,65 @@
 package core
 
 import (
-	"sync"
+	"strings"
 
 	"kbharvest/internal/rdf"
 )
 
-// The term dictionary layer: hash-sharded, lock-striped interning of
-// rdf.Term values to dense per-shard IDs. Workers interning terms during
-// parallel harvesting contend only on the shard their term hashes to,
-// never on one global mutex.
-//
-// ID layout: the shard index lives in the low dictShardBits bits, the
-// shard-local index (starting at 1) in the bits above. ID 0 is therefore
-// never allocated and stays reserved as "no term" / wildcard.
+// The term dictionary layer: interning of rdf.Term values to dense IDs
+// 1…n, assigned in first-interned order, the scheme RDF-3X's dictionary
+// uses. ID 0 is never allocated and stays reserved as "no term" /
+// wildcard. The dictionary has no lock of its own: the store's lock
+// guards it.
 
-const (
-	dictShardBits = 4
-	dictShards    = 1 << dictShardBits // 16
-	dictShardMask = dictShards - 1
-)
+// termList maps an ID to its term; index 0 holds the zero term. It only
+// ever grows, and an ID's term never changes, so a copy of the slice
+// taken under the store's lock may be read after the lock is released:
+// appends write past its length or into a new array, never into it.
+type termList []rdf.Term
 
-type dictShard struct {
-	mu    sync.RWMutex
-	ids   map[rdf.Term]ID
-	terms []rdf.Term // local index -> term; index 0 unused
+// term resolves an ID back to its term. Unknown IDs (including 0) yield
+// the zero term.
+func (l termList) term(id ID) rdf.Term {
+	if int(id) >= len(l) {
+		return rdf.Term{}
+	}
+	return l[id]
 }
 
-// termDict is the sharded dictionary. Each shard is independently locked;
-// no operation ever holds more than one shard lock at a time.
+// triple decodes an encoded triple.
+func (l termList) triple(et encTriple) rdf.Triple {
+	return rdf.Triple{S: l.term(et.s), P: l.term(et.p), O: l.term(et.o)}
+}
+
 type termDict struct {
-	shards [dictShards]dictShard
+	ids   map[rdf.Term]ID
+	terms termList
 }
 
-func newTermDict() *termDict {
-	d := &termDict{}
-	for i := range d.shards {
-		d.shards[i].ids = make(map[rdf.Term]ID)
-		d.shards[i].terms = make([]rdf.Term, 1)
-	}
-	return d
+func newTermDict() termDict {
+	return termDict{ids: make(map[rdf.Term]ID), terms: termList{{}}}
 }
 
-// termShard hashes a term to its shard with FNV-1a over all fields.
-func termShard(t rdf.Term) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	h = (h ^ uint32(t.Kind)) * prime
-	for i := 0; i < len(t.Value); i++ {
-		h = (h ^ uint32(t.Value[i])) * prime
-	}
-	h = (h ^ 0xff) * prime // field separator
-	for i := 0; i < len(t.Lang); i++ {
-		h = (h ^ uint32(t.Lang[i])) * prime
-	}
-	h = (h ^ 0xff) * prime
-	for i := 0; i < len(t.Datatype); i++ {
-		h = (h ^ uint32(t.Datatype[i])) * prime
-	}
-	// Fold the high bits in so the shard index uses the whole hash.
-	return (h ^ h>>16) & dictShardMask
-}
-
-func packID(shard uint32, local int) ID { return ID(local)<<dictShardBits | ID(shard) }
-
-// intern returns the ID for a term, allocating one if needed. One shard
-// lock acquisition.
+// intern returns the ID for a term, allocating the next one if needed. A
+// new term is stored as a copy of its strings, so a term cut from a larger
+// string (a snapshot line) does not keep that string alive.
 func (d *termDict) intern(t rdf.Term) ID {
-	s := termShard(t)
-	sh := &d.shards[s]
-	sh.mu.RLock()
-	id, ok := sh.ids[t]
-	sh.mu.RUnlock()
-	if ok {
+	if id, ok := d.ids[t]; ok {
 		return id
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.ids[t]; ok {
-		return id
-	}
-	id = packID(s, len(sh.terms))
-	sh.terms = append(sh.terms, t)
-	sh.ids[t] = id
+	t = rdf.Term{Kind: t.Kind, Value: strings.Clone(t.Value), Lang: strings.Clone(t.Lang), Datatype: strings.Clone(t.Datatype)}
+	id := ID(len(d.terms))
+	d.terms = append(d.terms, t)
+	d.ids[t] = id
 	return id
-}
-
-// internAll interns every term of ts into ids (parallel slices, same
-// length), taking each shard's lock at most once. This is the batch-write
-// fast path: a 1024-triple batch costs <= 16 dictionary lock acquisitions
-// instead of 3072.
-func (d *termDict) internAll(ts []rdf.Term, ids []ID) {
-	n := len(ts)
-	shardOf := make([]uint8, n)
-	var counts [dictShards]int
-	for i, t := range ts {
-		s := termShard(t)
-		shardOf[i] = uint8(s)
-		counts[s]++
-	}
-	// Bucket term positions contiguously by shard (counting sort).
-	var offsets [dictShards]int
-	sum := 0
-	for s := 0; s < dictShards; s++ {
-		offsets[s] = sum
-		sum += counts[s]
-	}
-	order := make([]int32, n)
-	next := offsets
-	for i := 0; i < n; i++ {
-		s := shardOf[i]
-		order[next[s]] = int32(i)
-		next[s]++
-	}
-	for s := 0; s < dictShards; s++ {
-		if counts[s] == 0 {
-			continue
-		}
-		bucket := order[offsets[s] : offsets[s]+counts[s]]
-		sh := &d.shards[s]
-		sh.mu.Lock()
-		for _, i := range bucket {
-			t := ts[i]
-			id, ok := sh.ids[t]
-			if !ok {
-				id = packID(uint32(s), len(sh.terms))
-				sh.terms = append(sh.terms, t)
-				sh.ids[t] = id
-			}
-			ids[i] = id
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // lookup returns the ID of a previously interned term.
 func (d *termDict) lookup(t rdf.Term) (ID, bool) {
-	sh := &d.shards[termShard(t)]
-	sh.mu.RLock()
-	id, ok := sh.ids[t]
-	sh.mu.RUnlock()
+	id, ok := d.ids[t]
 	return id, ok
 }
 
-// term resolves an ID back to its term. Unknown IDs (including 0) yield
-// the zero term.
-func (d *termDict) term(id ID) rdf.Term {
-	if id == 0 {
-		return rdf.Term{}
-	}
-	sh := &d.shards[id&dictShardMask]
-	local := int(id >> dictShardBits)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if local <= 0 || local >= len(sh.terms) {
-		return rdf.Term{}
-	}
-	return sh.terms[local]
-}
-
 // count returns the number of interned terms.
-func (d *termDict) count() int {
-	n := 0
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		n += len(sh.terms) - 1
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (d *termDict) count() int { return len(d.terms) - 1 }

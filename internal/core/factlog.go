@@ -1,24 +1,22 @@
 package core
 
-import "sync"
-
 // The fact-log layer: the append-only list of encoded triples, the
 // exact-match (dedup) index, and per-fact metadata. FactIDs are dense log
-// positions, and a fact once logged stays for the life of the store. The
-// log's critical sections are short — one map probe and one append — and
-// the batch path amortizes the lock over a whole batch, assigning FactIDs
-// in input order (which is what makes batch and sequential insertion of
-// the same triples observationally identical).
+// positions assigned in insertion order, and a fact once logged stays for
+// the life of the store (which is what makes batch and sequential
+// insertion of the same triples observationally identical). The log has
+// no lock of its own: the store's lock guards it. Like the dictionary's
+// term list, triples only grows, so a copy of the slice taken under the
+// lock stays readable after it is released.
 
 type factLog struct {
-	mu      sync.RWMutex
 	triples []encTriple // FactID -> triple
 	index   map[encTriple]FactID
-	meta    map[FactID]*FactInfo
+	meta    map[FactID]*FactInfo // never mutated in place: setInfo replaces
 }
 
-func newFactLog() *factLog {
-	return &factLog{
+func newFactLog() factLog {
+	return factLog{
 		index: make(map[encTriple]FactID),
 		meta:  make(map[FactID]*FactInfo),
 	}
@@ -27,12 +25,6 @@ func newFactLog() *factLog {
 // add appends one triple, reporting its FactID and whether it is new (a
 // duplicate reuses its existing ID).
 func (l *factLog) add(et encTriple) (FactID, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.addLocked(et)
-}
-
-func (l *factLog) addLocked(et encTriple) (FactID, bool) {
 	if id, ok := l.index[et]; ok {
 		return id, false
 	}
@@ -42,33 +34,8 @@ func (l *factLog) addLocked(et encTriple) (FactID, bool) {
 	return id, true
 }
 
-// addBatch appends every triple under one lock acquisition, filling ids
-// and fresh (parallel slices). infos, when non-nil, carries per-fact
-// metadata applied in the same critical section; a nil entry leaves the
-// fact's metadata untouched.
-func (l *factLog) addBatch(ets []encTriple, ids []FactID, fresh []bool, infos []*FactInfo) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, et := range ets {
-		id, isNew := l.addLocked(et)
-		ids[i] = id
-		if fresh != nil {
-			fresh[i] = isNew
-		}
-		if infos != nil && infos[i] != nil {
-			cp := *infos[i]
-			if cp.Time == (Interval{}) {
-				cp.Time = Always
-			}
-			l.meta[id] = &cp
-		}
-	}
-}
-
 // factOf resolves a triple to its FactID.
 func (l *factLog) factOf(et encTriple) (FactID, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	id, ok := l.index[et]
 	if !ok {
 		return NoFact, false
@@ -78,76 +45,28 @@ func (l *factLog) factOf(et encTriple) (FactID, bool) {
 
 // get returns the triple of a fact.
 func (l *factLog) get(id FactID) (encTriple, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if int(id) >= len(l.triples) {
 		return encTriple{}, false
 	}
 	return l.triples[id], true
 }
 
-// resolve fetches the triples of ids under one read lock. Every ID comes
-// from a posting, and a fact is logged before it is indexed, so each one
-// names a logged fact.
-func (l *factLog) resolve(ids []FactID) []encTriple {
-	ets := make([]encTriple, len(ids))
-	l.mu.RLock()
-	for i, id := range ids {
-		ets[i] = l.triples[id]
-	}
-	l.mu.RUnlock()
-	return ets
-}
+func (l *factLog) len() int { return len(l.triples) }
 
-// scan returns every triple in insertion order, which is FactID order.
-func (l *factLog) scan() []encTriple {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]encTriple(nil), l.triples...)
-}
-
-// snapshot returns every fact in insertion order together with a copy of
-// its explicit metadata (nil where none was set), under one read lock —
-// the consistent view Save serializes.
-func (l *factLog) snapshot() ([]encTriple, []*FactInfo) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	ets := append([]encTriple(nil), l.triples...)
-	infos := make([]*FactInfo, len(ets))
-	for id := range ets {
-		if m, ok := l.meta[FactID(id)]; ok {
-			cp := *m
-			infos[id] = &cp
-		}
-	}
-	return ets, infos
-}
-
-func (l *factLog) len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.triples)
-}
-
-// setInfo replaces a fact's metadata.
+// setInfo replaces a fact's metadata with a copy of info.
 func (l *factLog) setInfo(id FactID, info FactInfo) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if int(id) >= len(l.triples) {
 		return false
 	}
-	cp := info
-	if cp.Time == (Interval{}) {
-		cp.Time = Always
+	if info.Time == (Interval{}) {
+		info.Time = Always
 	}
-	l.meta[id] = &cp
+	l.meta[id] = &info
 	return true
 }
 
 // info reads a fact's metadata, defaulting to confidence 1 / Always.
 func (l *factLog) info(id FactID) (FactInfo, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if int(id) >= len(l.triples) {
 		return FactInfo{}, false
 	}

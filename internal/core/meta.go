@@ -82,14 +82,18 @@ type FactInfo struct {
 
 // SetInfo attaches metadata to a fact. Unknown fact IDs are
 // ignored (reported via the return value). For bulk assertion with
-// metadata, prefer AddBatchMeta, which applies the metadata in the same
-// fact-log critical section as the insert.
+// metadata, prefer AddBatchMeta, which applies the metadata as it logs
+// the facts, under the same acquisition of the store's lock.
 func (st *Store) SetInfo(id FactID, info FactInfo) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	return st.log.setInfo(id, info)
 }
 
 // Info returns the metadata of a fact. Facts without explicit metadata
 // report confidence 1 and the Always interval.
 func (st *Store) Info(id FactID) (FactInfo, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.log.info(id)
 }

@@ -173,6 +173,8 @@ func (st *Store) QueryFunc(ctx context.Context, patterns []Pattern, limit int, f
 func (st *Store) PatternEstimate(p Pattern, b Binding) int {
 	m := st.Compile([]Pattern{p})
 	var ids [3]ID // one pattern has at most three slots
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	for i, v := range m.vars {
 		ids[i] = st.idOf(b[v])
 	}
@@ -205,8 +207,8 @@ type slotPattern [3]struct {
 }
 
 // unknownID stands for a term the dictionary had not interned when it was
-// resolved. A real ID equals it only at shard 15's (2^28-1)st term, the
-// end of the 32-bit ID space.
+// resolved. A real ID equals it only at the (2^32-1)st term, the end of
+// the 32-bit ID space.
 const unknownID = ^ID(0)
 
 // idOf is the ID the matcher reads a term as: 0 for the zero term (a
@@ -224,6 +226,8 @@ func (st *Store) idOf(t rdf.Term) ID {
 // — and their constants to dictionary IDs.
 func (st *Store) Compile(patterns []Pattern, seeded ...Var) *Matcher {
 	m := &Matcher{st: st, vars: append([]Var(nil), seeded...), pats: make([]slotPattern, len(patterns))}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	for i, p := range patterns {
 		for j, pt := range [3]PatternTerm{p.S, p.P, p.O} {
 			m.pats[i][j].konst, m.pats[i][j].slot = pt.Const, -1
@@ -289,9 +293,11 @@ func (m *Matcher) Match(ctx context.Context, row []rdf.Term, limit int, fn func(
 	}
 	var fewIDs [8]ID // the ID row, off the heap for up to eight slots
 	rowIDs := fewIDs[:0]
+	m.st.mu.RLock()
 	for _, t := range row {
 		rowIDs = append(rowIDs, m.st.idOf(t))
 	}
+	m.st.mu.RUnlock()
 	// step returns false only when cut short: by fn/limit (stopped) or by
 	// cancellation. A context expiring after the traversal already
 	// completed must not discard the fully-computed result.
@@ -328,15 +334,8 @@ func (r *matchRun) step(rest []*slotPattern, rowIDs []ID) bool {
 		}
 		return true
 	}
-	st := r.m.st
-	best, bestCost := 0, int(^uint(0)>>1)
-	var pids [3]ID
-	for i, p := range rest {
-		if cand, cost := r.m.probe(p, rowIDs); cost < bestCost {
-			best, bestCost, pids = i, cost, cand
-		}
-	}
-	if bestCost == 0 {
+	best, pids, ets, terms := r.m.cheapest(rest, rowIDs)
+	if len(ets) == 0 {
 		return true // some pattern cannot match under this row: prune the branch
 	}
 	// Swap the chosen pattern to the front and recurse on rest[1:];
@@ -344,7 +343,6 @@ func (r *matchRun) step(rest []*slotPattern, rowIDs []ID) bool {
 	rest[0], rest[best] = rest[best], rest[0]
 	p := rest[0]
 	ok := true
-	_, ets := st.matchEnc(pids[0], pids[1], pids[2])
 match:
 	for _, et := range ets {
 		got := [3]ID{et.s, et.p, et.o}
@@ -357,7 +355,7 @@ match:
 					continue match // a variable repeated in the pattern met two terms
 				}
 			}
-			r.row[ps.slot], rowIDs[ps.slot] = st.dict.term(got[j]), got[j]
+			r.row[ps.slot], rowIDs[ps.slot] = terms.term(got[j]), got[j]
 		}
 		if ok = r.step(rest[1:], rowIDs); !ok {
 			break
@@ -370,6 +368,27 @@ match:
 	}
 	rest[0], rest[best] = rest[best], rest[0]
 	return ok
+}
+
+// cheapest probes every pattern of rest under the ID row and gathers the
+// matches of the cheapest one, with the dictionary IDs it read them by,
+// under one shared hold of the store's lock; terms decodes the matches
+// after the lock is released. No matches means a pattern cannot match.
+func (m *Matcher) cheapest(rest []*slotPattern, rowIDs []ID) (best int, pids [3]ID, ets []encTriple, terms termList) {
+	st := m.st
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	bestCost := int(^uint(0) >> 1)
+	for i, p := range rest {
+		if cand, cost := m.probe(p, rowIDs); cost < bestCost {
+			best, bestCost, pids = i, cost, cand
+		}
+	}
+	if bestCost == 0 {
+		return best, pids, nil, nil
+	}
+	_, ets = st.matchEnc(pids[0], pids[1], pids[2])
+	return best, pids, ets, st.dict.terms
 }
 
 // QueryStrings evaluates patterns written as "s p o" lines (see

@@ -46,8 +46,9 @@ const (
 )
 
 // Save writes the store to w. Facts appear in insertion order. The fact
-// list and metadata are captured in one consistent view before
-// serialization, so concurrent writers cannot tear a snapshot.
+// list and metadata are captured under one shared hold of the store's
+// lock, before serialization, so a concurrent write cannot tear a
+// snapshot.
 func (st *Store) Save(w io.Writer) error {
 	return st.SaveShards([]io.Writer{w}, nil)
 }
@@ -56,13 +57,23 @@ func (st *Store) Save(w io.Writer) error {
 // files: each fact (and its meta line) goes to ws[shardOf(triple)], and
 // every shard carries the version header, so each output is itself a
 // complete, loadable snapshot of its partition. A nil shardOf (only
-// sensible with one writer) routes everything to ws[0]. Like Save, the
-// fact list is captured in one consistent view before serialization.
+// sensible with one writer) routes everything to ws[0]. Like Save, it
+// captures the fact list and metadata before it serializes them, and
+// neither writes nor calls shardOf with the store's lock held.
 func (st *Store) SaveShards(ws []io.Writer, shardOf func(rdf.Triple) int) error {
 	if len(ws) == 0 {
 		return fmt.Errorf("core: save: no shard writers")
 	}
-	ets, infos := st.log.snapshot()
+	// The log's triples and the dictionary's terms only grow and a
+	// stored FactInfo is never changed in place, so what is captured
+	// here stays valid to read once the lock is released.
+	st.mu.RLock()
+	ets, terms := st.log.triples, st.dict.terms
+	infos := make([]*FactInfo, len(ets))
+	for id, m := range st.log.meta {
+		infos[id] = m
+	}
+	st.mu.RUnlock()
 	bws := make([]*bufio.Writer, len(ws))
 	crcs := make([]hash.Hash32, len(ws))
 	counts := make([]int, len(ws))
@@ -76,7 +87,7 @@ func (st *Store) SaveShards(ws []io.Writer, shardOf func(rdf.Triple) int) error 
 		}
 	}
 	for i, et := range ets {
-		t := st.decode(et)
+		t := terms.triple(et)
 		shard := 0
 		if shardOf != nil {
 			shard = shardOf(t)
@@ -200,7 +211,10 @@ func (st *Store) Load(r io.ReadSeeker) (n int, err error) {
 
 // readSnapshot is the one pass over a snapshot's lines that Load runs
 // twice: with a nil store it checks header, trailer, CRC and fact count
-// and parses nothing; with a store it also parses and inserts.
+// and parses nothing; with a store it also parses and inserts. Terms and
+// meta sources are cut from a line's string; the dictionary copies a new
+// term, and sources keeps one copy of each distinct source, so no line
+// stays alive once its facts are in.
 func readSnapshot(r io.Reader, st *Store) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -214,6 +228,7 @@ func readSnapshot(r io.Reader, st *Store) (int, error) {
 	var (
 		pending []rdf.Triple
 		infos   []*FactInfo
+		sources = make(map[string]string)
 	)
 	for sc.Scan() {
 		lineNo++
@@ -257,6 +272,12 @@ func readSnapshot(r io.Reader, st *Store) (int, error) {
 			info, err := parseMetaLine(string(ltrim))
 			if err != nil {
 				return 0, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+			if src, ok := sources[info.Source]; ok {
+				info.Source = src
+			} else {
+				info.Source = strings.Clone(info.Source)
+				sources[info.Source] = info.Source
 			}
 			infos[len(infos)-1] = &info
 		case ltrim[0] == '#':

@@ -1,34 +1,33 @@
 // Package core implements the knowledge base itself: a dictionary-encoded
-// in-memory triple store built for massively parallel harvesting, with
-// per-fact metadata (confidence, provenance, temporal scope), taxonomy
-// operations over rdf:type / rdfs:subClassOf, a small conjunctive
-// (SPARQL-BGP-style) query engine, and snapshot persistence.
+// in-memory triple store with per-fact metadata (confidence, provenance,
+// temporal scope), taxonomy operations over rdf:type / rdfs:subClassOf, a
+// small conjunctive (SPARQL-BGP-style) query engine, and snapshot
+// persistence.
 //
 // This is the substrate every other module of the reproduction reads from
 // and writes to — the role that the RDF stores behind DBpedia, YAGO, and
-// Freebase play in the tutorial (§2). Because web-scale KB construction
-// only works when the store absorbs many concurrent extraction workers,
-// the store is layered for concurrency rather than guarded by one lock:
+// Freebase play in the tutorial (§2). Those KBs are built by a harvest
+// stage and then served read-only, and so is this store: a build writes it
+// from one goroutine, one batch per stage, and a server writes it only by
+// loading a snapshot. It has three layers:
 //
-//   - dictionary shards (dict.go): term interning is hash-sharded over 16
-//     independently locked shards; IDs encode their shard in the low bits.
-//   - index stripes (index.go): each index permutation (spo/pos/osp) is
-//     split into 16 stripes keyed by leading ID, so writers with
-//     different leading terms never contend and readers only hold a
-//     stripe lock while copying fact IDs out. Each leading ID keeps its
-//     exact fact count beside its postings, so every match count the
-//     planner asks for is one map read.
-//   - fact log (factlog.go): the dense FactID-ordered triple log with the
-//     exact-match dedup index and per-fact metadata, with short critical
-//     sections.
+//   - the dictionary (dict.go): terms interned to dense IDs 1…n, in
+//     first-interned order.
+//   - the index (index.go): three permutations (spo/pos/osp) keyed by
+//     leading ID. Each leading ID keeps its exact fact count beside its
+//     postings, so every match count the planner asks for is one map read.
+//   - the fact log (factlog.go): the dense FactID-ordered triple log with
+//     the exact-match dedup index and per-fact metadata.
 //
-// No operation holds two layer locks at once, so the store is deadlock
-// free by construction. The batch write path — AddBatch / AddBatchMeta —
-// interns, logs, and indexes a whole batch with at most one lock
-// acquisition per shard or stripe, and is the preferred ingestion API for
-// extraction pipelines; per-triple Add remains for incremental use.
-// Pattern enumeration is sorted by FactID, so batch and sequential
-// insertion of the same triples answer every query identically.
+// One sync.RWMutex on the Store guards all three. A write takes it once
+// per call; a read shares it once per primitive and never holds it while
+// a caller's callback runs, so a callback may write to the store.
+// Concurrent writers are safe and serialise. The batch write path —
+// AddBatch / AddBatchMeta — interns, logs, and indexes a whole batch under
+// one acquisition, and is the preferred ingestion API; per-triple Add
+// remains for incremental use. Pattern enumeration is sorted by FactID, so
+// batch and sequential insertion of the same triples answer every query
+// identically.
 //
 // The store is append-only, like the harvest-then-serve stores it stands
 // in for: a fact once asserted is never retracted. Every posting therefore
@@ -41,14 +40,15 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"kbharvest/internal/rdf"
 )
 
-// ID is a dictionary-encoded term identifier. The low bits carry the
-// dictionary shard, the rest the shard-local index; 0 is reserved as
-// "no term" / wildcard.
+// ID is a dictionary-encoded term identifier. IDs are dense: the store's
+// terms are numbered 1…n in the order they were first interned, and 0 is
+// reserved as "no term" / wildcard.
 type ID uint32
 
 // FactID identifies one asserted triple inside a Store. FactIDs are dense,
@@ -70,8 +70,13 @@ type encTriple struct {
 //
 // The zero value is not usable; call NewStore.
 type Store struct {
-	dict *termDict
-	log  *factLog
+	// mu guards dict, log and the three permutations. The exported
+	// methods take it; the unexported ones expect their caller to hold
+	// it. Nothing takes it while already holding it: a nested RLock
+	// deadlocks behind a waiting writer.
+	mu   sync.RWMutex
+	dict termDict
+	log  factLog
 
 	// Three permutations cover all bound/unbound pattern combinations:
 	// spo answers (s ? ?) and (s p ?); pos answers (? p ?) and (? p o);
@@ -86,14 +91,13 @@ type Store struct {
 
 // NewStore returns an empty knowledge base.
 func NewStore() *Store {
-	st := &Store{
+	return &Store{
 		dict: newTermDict(),
 		log:  newFactLog(),
+		spo:  permIndex{},
+		pos:  permIndex{},
+		osp:  permIndex{},
 	}
-	st.spo.init()
-	st.pos.init()
-	st.osp.init()
-	return st
 }
 
 // lookup returns the ID for a term, or 0 if the term is unknown or a
@@ -105,37 +109,45 @@ func (st *Store) lookup(t rdf.Term) (ID, bool) {
 	return st.dict.lookup(t)
 }
 
+// encode looks up every term of t (the zero term reading as the wildcard
+// 0); ok is false if some term was never interned.
+func (st *Store) encode(t rdf.Triple) (et encTriple, ok bool) {
+	var ok1, ok2, ok3 bool
+	et.s, ok1 = st.lookup(t.S)
+	et.p, ok2 = st.lookup(t.P)
+	et.o, ok3 = st.lookup(t.O)
+	return et, ok1 && ok2 && ok3
+}
+
 // Add asserts a triple and returns its FactID. Adding an existing triple
 // is idempotent and returns the original FactID. Add panics if a term of
 // t is the zero rdf.Term, which patterns read as a wildcard.
 func (st *Store) Add(t rdf.Triple) FactID {
 	mustHaveTerms(t)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	et := encTriple{st.dict.intern(t.S), st.dict.intern(t.P), st.dict.intern(t.O)}
 	id, isNew := st.log.add(et)
 	if isNew {
-		st.spo.insert(et.s, et.p, id)
-		st.pos.insert(et.p, et.o, id)
-		st.osp.insert(et.o, et.s, id)
-		st.writeGen.Add(1)
+		st.indexFrom(id)
 	}
 	return id
 }
 
-// AddBatch asserts every triple through the batch write path: terms are
-// interned per dictionary shard, the fact log is appended under a single
-// lock acquisition (FactIDs assigned in input order), and index insertions
-// are grouped per stripe. Duplicate triples — within the batch or against
-// the store — reuse their existing FactID, exactly like repeated Add
-// calls. Like Add, it panics on a zero-valued term, before it changes
-// anything.
+// AddBatch asserts every triple under one acquisition of the store's
+// lock: all terms are interned first, then the triples are logged in
+// input order (which assigns their FactIDs), then each permutation is
+// filled. Duplicate triples — within the batch or against the store —
+// reuse their existing FactID, exactly like repeated Add calls. Like Add,
+// it panics on a zero-valued term, before it changes anything.
 func (st *Store) AddBatch(ts []rdf.Triple) []FactID {
 	return st.addBatch(ts, nil)
 }
 
 // AddBatchMeta is AddBatch plus per-fact metadata: infos[i] is attached to
-// ts[i] in the same fact-log critical section (overwriting existing
-// metadata on duplicates, like SetInfo). infos must have the same length
-// as ts, and no term may be zero-valued; AddBatchMeta panics otherwise.
+// ts[i] as the fact is logged (overwriting existing metadata on
+// duplicates, like SetInfo). infos must have the same length as ts, and no
+// term may be zero-valued; AddBatchMeta panics otherwise.
 func (st *Store) AddBatchMeta(ts []rdf.Triple, infos []FactInfo) []FactID {
 	if len(infos) != len(ts) {
 		panic(fmt.Sprintf("core: AddBatchMeta: %d triples but %d infos", len(ts), len(infos)))
@@ -147,53 +159,52 @@ func (st *Store) AddBatchMeta(ts []rdf.Triple, infos []FactInfo) []FactID {
 	return st.addBatch(ts, ptrs)
 }
 
+// addBatch is AddBatch with optional metadata: a nil infos, or a nil
+// entry of it, leaves a fact's metadata untouched. It takes the lock.
 func (st *Store) addBatch(ts []rdf.Triple, infos []*FactInfo) []FactID {
-	n := len(ts)
-	if n == 0 {
+	if len(ts) == 0 {
 		return nil
 	}
-	// Layer 1: intern all terms, grouped by dictionary shard.
-	terms := make([]rdf.Term, 3*n)
-	for i, t := range ts {
+	for _, t := range ts {
 		mustHaveTerms(t)
-		terms[3*i], terms[3*i+1], terms[3*i+2] = t.S, t.P, t.O
 	}
-	termIDs := make([]ID, 3*n)
-	st.dict.internAll(terms, termIDs)
-	ets := make([]encTriple, n)
-	for i := range ts {
-		ets[i] = encTriple{termIDs[3*i], termIDs[3*i+1], termIDs[3*i+2]}
+	ets := make([]encTriple, len(ts))
+	ids := make([]FactID, len(ts))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, t := range ts {
+		ets[i] = encTriple{st.dict.intern(t.S), st.dict.intern(t.P), st.dict.intern(t.O)}
 	}
-	// Layer 3: append to the fact log in input order, one lock.
-	ids := make([]FactID, n)
-	fresh := make([]bool, n)
-	st.log.addBatch(ets, ids, fresh, infos)
-	// Layer 2: index the new facts, grouped by stripe per permutation.
-	entries := make([]idxEntry, 0, n)
-	for i := range ets {
-		if fresh[i] {
-			entries = append(entries, idxEntry{ets[i].s, ets[i].p, ids[i]})
+	first := FactID(st.log.len())
+	for i, et := range ets {
+		ids[i], _ = st.log.add(et)
+		if infos != nil && infos[i] != nil {
+			st.log.setInfo(ids[i], *infos[i])
 		}
 	}
-	st.spo.insertBatch(entries)
-	for j, i := 0, 0; i < n; i++ {
-		if fresh[i] {
-			entries[j] = idxEntry{ets[i].p, ets[i].o, ids[i]}
-			j++
-		}
-	}
-	st.pos.insertBatch(entries)
-	for j, i := 0, 0; i < n; i++ {
-		if fresh[i] {
-			entries[j] = idxEntry{ets[i].o, ets[i].s, ids[i]}
-			j++
-		}
-	}
-	st.osp.insertBatch(entries)
-	if len(entries) > 0 {
-		st.writeGen.Add(1)
-	}
+	st.indexFrom(first)
 	return ids
+}
+
+// indexFrom files the facts logged from FactID first on, the facts a
+// write has just logged (new facts take consecutive FactIDs), into each
+// permutation in turn, and advances the write generation if there were
+// any.
+func (st *Store) indexFrom(first FactID) {
+	fresh := st.log.triples[first:]
+	if len(fresh) == 0 {
+		return
+	}
+	for i, et := range fresh {
+		st.spo.insert(et.s, et.p, first+FactID(i))
+	}
+	for i, et := range fresh {
+		st.pos.insert(et.p, et.o, first+FactID(i))
+	}
+	for i, et := range fresh {
+		st.osp.insert(et.o, et.s, first+FactID(i))
+	}
+	st.writeGen.Add(1)
 }
 
 // mustHaveTerms panics if a term of t is the zero rdf.Term: stored, it
@@ -224,19 +235,13 @@ func (st *Store) WriteGen() uint64 {
 // by these estimates; they are also useful for admission decisions in
 // serving layers.
 func (st *Store) EstimateMatches(pattern rdf.Triple) int {
-	s, ok := st.lookup(pattern.S)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	et, ok := st.encode(pattern)
 	if !ok {
 		return 0
 	}
-	p, ok := st.lookup(pattern.P)
-	if !ok {
-		return 0
-	}
-	o, ok := st.lookup(pattern.O)
-	if !ok {
-		return 0
-	}
-	return st.estimateEnc(s, p, o)
+	return st.estimateEnc(et.s, et.p, et.o)
 }
 
 // estimateEnc is EstimateMatches over encoded IDs (0 = wildcard): one map
@@ -273,36 +278,38 @@ func (st *Store) Has(t rdf.Triple) bool {
 
 // FactOf returns the FactID of an asserted triple.
 func (st *Store) FactOf(t rdf.Triple) (FactID, bool) {
-	s, ok1 := st.dict.lookup(t.S)
-	p, ok2 := st.dict.lookup(t.P)
-	o, ok3 := st.dict.lookup(t.O)
-	if !ok1 || !ok2 || !ok3 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	et, ok := st.encode(t)
+	if !ok {
 		return NoFact, false
 	}
-	return st.log.factOf(encTriple{s, p, o})
+	return st.log.factOf(et) // a zero term encodes as 0, which no fact has
 }
 
 // Fact returns the triple for a FactID; ok is false for an ID the store
 // has not assigned.
 func (st *Store) Fact(id FactID) (rdf.Triple, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	et, ok := st.log.get(id)
 	if !ok {
 		return rdf.Triple{}, false
 	}
-	return st.decode(et), true
-}
-
-func (st *Store) decode(et encTriple) rdf.Triple {
-	return rdf.Triple{S: st.dict.term(et.s), P: st.dict.term(et.p), O: st.dict.term(et.o)}
+	return st.dict.terms.triple(et), true
 }
 
 // Len returns the number of facts.
 func (st *Store) Len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.log.len()
 }
 
 // TermCount returns the number of distinct terms in the dictionary.
 func (st *Store) TermCount() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.dict.count()
 }
 
@@ -319,23 +326,21 @@ func (st *Store) Match(pattern rdf.Triple) []rdf.Triple {
 
 // MatchFunc streams every fact matching the pattern to fn in
 // fact-insertion order, stopping early if fn returns false. fn runs with
-// no store locks held, so it may freely call back into the store.
+// the store's lock released, so it may freely call back into the store.
 func (st *Store) MatchFunc(pattern rdf.Triple, fn func(FactID, rdf.Triple) bool) {
-	s, ok := st.lookup(pattern.S)
-	if !ok {
-		return
+	st.mu.RLock()
+	et, ok := st.encode(pattern)
+	var (
+		ids []FactID
+		ets []encTriple
+	)
+	if ok {
+		ids, ets = st.matchEnc(et.s, et.p, et.o)
 	}
-	p, ok := st.lookup(pattern.P)
-	if !ok {
-		return
-	}
-	o, ok := st.lookup(pattern.O)
-	if !ok {
-		return
-	}
-	ids, ets := st.matchEnc(s, p, o)
+	terms := st.dict.terms
+	st.mu.RUnlock()
 	for i, id := range ids {
-		if !fn(id, st.decode(ets[i])) {
+		if !fn(id, terms.triple(ets[i])) {
 			return
 		}
 	}
@@ -343,7 +348,8 @@ func (st *Store) MatchFunc(pattern rdf.Triple, fn func(FactID, rdf.Triple) bool)
 
 // matchEnc gathers the facts matching the encoded pattern (0 = wildcard),
 // sorted by FactID: the candidate IDs are copied from the narrowest index
-// and their triples fetched in one fact-log pass.
+// and their triples fetched from the fact log. A full scan returns the
+// log's own triples, which stay valid to read after the lock is released.
 func (st *Store) matchEnc(s, p, o ID) ([]FactID, []encTriple) {
 	var cand []FactID
 	switch {
@@ -367,18 +373,21 @@ func (st *Store) matchEnc(s, p, o ID) ([]FactID, []encTriple) {
 	case o != 0:
 		cand = st.osp.lead(o, nil)
 	default:
-		ets := st.log.scan()
-		ids := make([]FactID, len(ets))
+		ids := make([]FactID, st.log.len())
 		for i := range ids {
 			ids[i] = FactID(i)
 		}
-		return ids, ets
+		return ids, st.log.triples
 	}
 	if len(cand) == 0 {
 		return nil, nil
 	}
 	slices.Sort(cand)
-	return cand, st.log.resolve(cand)
+	ets := make([]encTriple, len(cand))
+	for i, id := range cand {
+		ets[i] = st.log.triples[id]
+	}
+	return cand, ets
 }
 
 // Objects returns the distinct objects of facts (s, p, ?).
@@ -412,25 +421,27 @@ func (st *Store) Subjects(p, o string) []rdf.Term {
 
 // Predicates returns the distinct predicates in use, sorted.
 func (st *Store) Predicates() []rdf.Term {
-	ets := st.log.scan()
 	seen := make(map[ID]bool)
 	var out []rdf.Term
-	for _, et := range ets {
+	st.mu.RLock()
+	for _, et := range st.log.triples {
 		if !seen[et.p] {
 			seen[et.p] = true
-			out = append(out, st.dict.term(et.p))
+			out = append(out, st.dict.terms.term(et.p))
 		}
 	}
+	st.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
 // All returns every triple in fact-insertion order.
 func (st *Store) All() []rdf.Triple {
-	ets := st.log.scan()
-	out := make([]rdf.Triple, len(ets))
-	for i, et := range ets {
-		out[i] = st.decode(et)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := make([]rdf.Triple, len(st.log.triples))
+	for i, et := range st.log.triples {
+		out[i] = st.dict.terms.triple(et)
 	}
 	return out
 }
@@ -446,21 +457,22 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (st *Store) Stats() Stats {
-	ets := st.log.scan()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	subjects := make(map[ID]bool)
 	preds := make(map[ID]bool)
-	for _, et := range ets {
+	for _, et := range st.log.triples {
 		subjects[et.s] = true
 		preds[et.p] = true
 	}
 	entities := 0
 	for s := range subjects {
-		if st.dict.term(s).IsIRI() {
+		if st.dict.terms.term(s).IsIRI() {
 			entities++
 		}
 	}
 	return Stats{
-		Facts:      len(ets),
+		Facts:      st.log.len(),
 		Terms:      st.dict.count(),
 		Predicates: len(preds),
 		Entities:   entities,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -50,6 +51,47 @@ func TestAddBatchReturnsIDsInOrder(t *testing.T) {
 	if st.Len() != 2 {
 		t.Errorf("Len = %d, want 2", st.Len())
 	}
+}
+
+// Term IDs are dense: after Add, AddBatch and Load, every ID in
+// 1…TermCount() names a term, and that term looks up to the same ID.
+func TestTermIDsAreDense(t *testing.T) {
+	st := NewStore()
+	checkDense := func(after string) {
+		t.Helper()
+		for id := ID(1); int(id) <= st.TermCount(); id++ {
+			term := st.dict.terms.term(id)
+			if term.IsZero() {
+				t.Fatalf("after %s: ID %d of %d decodes to the zero term", after, id, st.TermCount())
+			}
+			if got, ok := st.dict.lookup(term); !ok || got != id {
+				t.Fatalf("after %s: ID %d decodes to %v, which looks up to %d, %v", after, id, term, got, ok)
+			}
+		}
+	}
+	st.Add(rdf.T("kb:a", "kb:p", "kb:b"))
+	checkDense("Add")
+	st.AddBatch([]rdf.Triple{
+		rdf.T("kb:b", "kb:p", "kb:c"),
+		{S: rdf.NewIRI("kb:c"), P: rdf.NewIRI("kb:label"), O: rdf.NewLangLiteral("C", "en")},
+		{S: rdf.NewIRI("kb:c"), P: rdf.NewIRI("kb:born"), O: rdf.NewTypedLiteral("1955", rdf.XSDInteger)},
+	})
+	checkDense("AddBatch")
+	src := NewStore()
+	for i := 0; i < 40; i++ {
+		src.Add(rdf.T(fmt.Sprintf("kb:e%d", i), "kb:p", fmt.Sprintf("kb:e%d", i+1)))
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if want := 8 + 41; st.TermCount() != want {
+		t.Fatalf("TermCount = %d, want %d", st.TermCount(), want)
+	}
+	checkDense("Load")
 }
 
 // A zero-valued term is the wildcard every pattern reads it as, so no

@@ -23,7 +23,9 @@
 // concurrent use but is cheapest when owned by a single goroutine (the
 // intended shape: one producer per extraction worker).
 //
-// Drainers write batches in whatever order they win the store, so FactID
+// The store takes its one lock per batch, so drainers' writes serialise:
+// more drainers overlap only the hand-off, not the inserts. Drainers
+// write batches in whatever order they win the store, so FactID
 // order is not reproducible through this layer. The construction pipeline
 // (internal/pipeline) therefore does not use it: it writes each stage with
 // one batch, so that a seed always builds the same snapshot.

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -200,8 +202,11 @@ func TestDeterministicRuns(t *testing.T) {
 // test's GOMAXPROCS with four extraction workers, one at GOMAXPROCS 1 with
 // one worker (CI runs the test at -cpu 1,2,4). FactID order, metadata and
 // the CRC trailer are all fixed by the seed, and a limited query's answer
-// depends on FactID order.
+// depends on FactID order. The snapshot's digest is pinned too, so a
+// change that moves any byte of it shows here; a change of method that
+// moves it on purpose updates seed7SnapshotSHA256 and says so.
 func TestRunSavesReproducibleSnapshots(t *testing.T) {
+	const seed7SnapshotSHA256 = "bf736256fc7029cf8202cc19d5f14d0acbf153800e10823087f8f27174d19e6b"
 	var snaps [2]bytes.Buffer
 	for i, cfg := range []struct{ procs, workers int }{{runtime.GOMAXPROCS(0), 4}, {1, 1}} {
 		opt := DefaultOptions()
@@ -225,6 +230,9 @@ func TestRunSavesReproducibleSnapshots(t *testing.T) {
 			}
 		}
 		t.Fatalf("same-seed snapshots differ: %d vs %d bytes", snaps[0].Len(), snaps[1].Len())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snaps[0].Bytes())); got != seed7SnapshotSHA256 {
+		t.Errorf("seed-7 snapshot (%d bytes) has sha256 %s, want %s", snaps[0].Len(), got, seed7SnapshotSHA256)
 	}
 }
 

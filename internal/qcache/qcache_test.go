@@ -99,7 +99,7 @@ func TestCacheInvalidatedWhenUnknownTermInterned(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("pre-intern rows = %d, want 0", len(rows))
 	}
-	st.Add(rdf.T("b", "rel", "y")) // interns "b" on a fresh stripe
+	st.Add(rdf.T("b", "rel", "y")) // interns "b", unknown when the entry was filled
 	rows, cached, err := c.Query(ctx, q, 0)
 	if err != nil {
 		t.Fatal(err)
