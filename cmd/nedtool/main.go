@@ -1,9 +1,10 @@
-// Nedtool disambiguates entity mentions in free text against the models
-// built by the construction pipeline (§4 of the tutorial).
+// Nedtool disambiguates entity mentions in free text against NED models
+// built from the construction pipeline's world and corpus (§4 of the
+// tutorial).
 //
 // Usage:
 //
-//	nedtool "Venn joined Acme Systems after leaving the university."
+//	nedtool "Griortrais joined Duduno Dynamics after leaving Slimgiondo."
 //	nedtool -mode joint -scale 0.5 "text with mentions ..."
 //
 // With no arguments it reads text from stdin.
@@ -11,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,11 +28,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nedtool: ")
-	scale := flag.Float64("scale", 0.5, "world scale for model building")
-	seed := flag.Int64("seed", 42, "world seed")
-	modeFlag := flag.String("mode", "joint", "disambiguation mode: prior | context | joint")
-	topK := flag.Int("top", 3, "candidates to show per mention")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, builds the models, and disambiguates the mentions in
+// the text of args, or of stdin when args hold none.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nedtool", flag.ExitOnError)
+	scale := fs.Float64("scale", 0.5, "world scale for model building")
+	seed := fs.Int64("seed", 42, "world seed")
+	modeFlag := fs.String("mode", "joint", "disambiguation mode: prior | context | joint")
+	topK := fs.Int("top", 3, "candidates to show per mention")
+	fs.Parse(args)
 
 	var mode ned.Mode
 	switch *modeFlag {
@@ -41,19 +52,19 @@ func main() {
 	case "joint":
 		mode = ned.Joint
 	default:
-		log.Fatalf("unknown mode %q", *modeFlag)
+		return fmt.Errorf("unknown mode %q", *modeFlag)
 	}
 
-	text := strings.Join(flag.Args(), " ")
+	text := strings.Join(fs.Args(), " ")
 	if text == "" {
-		data, err := io.ReadAll(os.Stdin)
+		data, err := io.ReadAll(stdin)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		text = string(data)
 	}
 	if strings.TrimSpace(text) == "" {
-		log.Fatal("no input text")
+		return errors.New("no input text")
 	}
 
 	opt := pipeline.DefaultOptions()
@@ -61,32 +72,33 @@ func main() {
 	opt.Seed = *seed
 	res, err := pipeline.Run(context.Background(), opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	linker := res.Linker()
 
-	detected := res.Dictionary.DetectMentions(text, 3)
+	detected := linker.Dict.DetectMentions(text, 3)
 	if len(detected) == 0 {
-		fmt.Println("no known mentions found")
-		return
+		fmt.Fprintln(stdout, "no known mentions found")
+		return nil
 	}
 	mentions := make([]ned.Mention, len(detected))
 	for i, d := range detected {
 		mentions[i] = ned.Mention{Surface: d.Surface, Context: window(text, d.Start, d.End, 150)}
 	}
 	results := linker.Disambiguate(mentions, mode)
-	fmt.Printf("mode: %s\n", mode)
+	fmt.Fprintf(stdout, "mode: %s\n", mode)
 	for i, r := range results {
-		fmt.Printf("%-24q -> ", detected[i].Surface)
+		fmt.Fprintf(stdout, "%-24q -> ", detected[i].Surface)
 		if r.NoCandidate {
-			fmt.Println("(no candidate)")
+			fmt.Fprintln(stdout, "(no candidate)")
 			continue
 		}
-		fmt.Printf("%s (score %.3f)\n", r.Entity, r.Score)
+		fmt.Fprintf(stdout, "%s (score %.3f)\n", r.Entity, r.Score)
 		for _, c := range linker.TopCandidates(mentions[i], *topK) {
-			fmt.Printf("    candidate %-30s %.3f\n", c.Entity, c.Prior)
+			fmt.Fprintf(stdout, "    candidate %-30s %.3f\n", c.Entity, c.Prior)
 		}
 	}
+	return nil
 }
 
 func window(s string, start, end, radius int) string {

@@ -31,7 +31,6 @@ var liveWithoutCallers = map[string]string{
 	"rdf.TL":           "literal constructor the tests of many packages share",
 	"rdf.Term.Equal":   "term comparison the tests of many packages share",
 	"rdf.Triple.Equal": "triple comparison the tests of many packages share",
-	"pipeline.Docs":    "the corpus as extraction docs, for the root extraction benchmarks",
 
 	// faultkb is a test harness: the router's and shardkb's fault tests
 	// stand its proxy in front of every replica.

@@ -11,7 +11,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
 	"strings"
 
 	"kbharvest"
@@ -22,6 +25,13 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run tracks the two families; it takes no arguments and reads no input.
+func run(_ []string, _ io.Reader, stdout io.Writer) error {
 	opt := kbharvest.DefaultBuildOptions()
 	opt.World = kbharvest.WorldConfig{
 		People: 80, Companies: 25, Cities: 12, Countries: 4,
@@ -29,14 +39,14 @@ func main() {
 	}
 	result, err := kbharvest.Build(opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	linker := result.Linker()
 
 	streamOpt := synth.DefaultStreamOptions(result.World)
 	streamOpt.Posts = 4000
 	posts := synth.GenerateStream(result.World, streamOpt)
-	fmt.Printf("tracking %q vs %q over %d posts, %d days\n\n",
+	fmt.Fprintf(stdout, "tracking %q vs %q over %d posts, %d days\n\n",
 		streamOpt.Lines[0], streamOpt.Lines[1], len(posts), streamOpt.Days)
 
 	// Monthly mention series per family, with NED resolving each mention
@@ -71,28 +81,40 @@ func main() {
 			products[line][entity]++
 		}
 	}
-	fmt.Printf("NED attribution accuracy: %.3f (%d/%d mentions)\n\n",
+	fmt.Fprintf(stdout, "NED attribution accuracy: %.3f (%d/%d mentions)\n\n",
 		float64(correct)/float64(attributed), correct, attributed)
 
-	fmt.Println("monthly mention volume (NED-attributed):")
-	fmt.Printf("%-10s", "month")
+	fmt.Fprintln(stdout, "monthly mention volume (NED-attributed):")
+	fmt.Fprintf(stdout, "%-10s", "month")
 	for _, line := range streamOpt.Lines {
-		fmt.Printf("%10s", line)
+		fmt.Fprintf(stdout, "%10s", line)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for month := 1; month <= 12; month++ {
-		fmt.Printf("%-10d", month)
+		fmt.Fprintf(stdout, "%-10d", month)
 		for _, line := range streamOpt.Lines {
-			fmt.Printf("%10d", series[key{line, month}])
+			fmt.Fprintf(stdout, "%10d", series[key{line, month}])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Println("\nper-product breakdown (top products per family):")
+	fmt.Fprintln(stdout, "\nper-product breakdown (top products per family):")
 	for _, line := range streamOpt.Lines {
-		fmt.Printf("  %s:\n", line)
-		for product, n := range products[line] {
-			fmt.Printf("    %-30s %5d mentions\n", strings.TrimPrefix(product, "kb:"), n)
+		fmt.Fprintf(stdout, "  %s:\n", line)
+		counts := products[line]
+		names := make([]string, 0, len(counts))
+		for product := range counts {
+			names = append(names, product)
+		}
+		sort.Slice(names, func(i, j int) bool {
+			if counts[names[i]] != counts[names[j]] {
+				return counts[names[i]] > counts[names[j]]
+			}
+			return names[i] < names[j]
+		})
+		for _, product := range names {
+			fmt.Fprintf(stdout, "    %-30s %5d mentions\n", strings.TrimPrefix(product, "kb:"), counts[product])
 		}
 	}
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"kbharvest"
@@ -75,6 +77,13 @@ var questions = []question{
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run asks the questions; it takes no arguments and reads no input.
+func run(_ []string, _ io.Reader, stdout io.Writer) error {
 	opt := kbharvest.DefaultBuildOptions()
 	opt.World = kbharvest.WorldConfig{
 		People: 80, Companies: 20, Cities: 10, Countries: 3,
@@ -82,8 +91,9 @@ func main() {
 	}
 	result, err := kbharvest.Build(opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	linker := result.Linker()
 
 	// Pose one question of each kind about real entities of the world.
 	w := result.World
@@ -96,36 +106,40 @@ func main() {
 		"What did " + firstWinner(result) + " win?",
 	}
 	for _, q := range asks {
-		fmt.Printf("Q: %s\n", q)
-		answers := answer(result, q)
-		if len(answers) == 0 {
-			fmt.Println("A: (no answer found)")
-		} else {
-			fmt.Printf("A: %s\n", strings.Join(answers, "; "))
+		fmt.Fprintf(stdout, "Q: %s\n", q)
+		answers, err := answer(result.KB, linker, q)
+		if err != nil {
+			return err
 		}
-		fmt.Println()
+		if len(answers) == 0 {
+			fmt.Fprintln(stdout, "A: (no answer found)")
+		} else {
+			fmt.Fprintf(stdout, "A: %s\n", strings.Join(answers, "; "))
+		}
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
-// answer parses the question, resolves the entity name via the NED
-// dictionary, runs the query, and renders answers.
-func answer(result *kbharvest.BuildResult, q string) []string {
+// answer parses the question, resolves the entity name via the linker's
+// NED dictionary, runs the query, and renders answers.
+func answer(kb *kbharvest.KB, linker *kbharvest.Linker, q string) ([]string, error) {
 	lq := strings.ToLower(strings.TrimSuffix(strings.TrimSpace(q), "?"))
 	for _, tmpl := range questions {
 		if !strings.HasPrefix(lq, tmpl.prefix) || !strings.HasSuffix(lq, tmpl.suffix) {
 			continue
 		}
 		name := strings.TrimSpace(q[len(tmpl.prefix) : len(lq)-len(tmpl.suffix)])
-		cands := result.Dictionary.Candidates(name)
+		cands := linker.Dict.Candidates(name)
 		if len(cands) == 0 {
-			return nil
+			return nil, nil
 		}
 		entity := cands[0].Entity
 		// Stream bindings instead of materializing the full result set;
 		// a QA surface only ever renders a handful of answers.
 		var out []string
 		seen := map[string]bool{}
-		err := result.KB.QueryFunc(context.Background(), tmpl.build(entity), 0, func(b core.Binding) bool {
+		err := kb.QueryFunc(context.Background(), tmpl.build(entity), 0, func(b core.Binding) bool {
 			a := tmpl.render(b)
 			if !seen[a] {
 				seen[a] = true
@@ -133,12 +147,9 @@ func answer(result *kbharvest.BuildResult, q string) []string {
 			}
 			return len(out) < 10
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return out
+		return out, err
 	}
-	return nil
+	return nil, nil
 }
 
 func clean(iri string) string {

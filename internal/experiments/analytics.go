@@ -12,32 +12,6 @@ import (
 	"kbharvest/internal/temporal"
 )
 
-// buildNEDModels wires dictionary/context/relatedness from a corpus.
-func buildNEDModels(w *synth.World, corpus *synth.Corpus) *ned.Linker {
-	b := ned.NewBuilder()
-	for _, e := range w.Entities {
-		b.Observe(e.Name, e.ID, 4)
-		for _, a := range e.Aliases {
-			b.Observe(a, e.ID, 1)
-		}
-	}
-	for _, a := range corpus.Articles {
-		for _, m := range a.Mentions {
-			if m.Linked {
-				b.Observe(m.Surface, m.Entity, 2)
-			}
-		}
-	}
-	ctx := ned.NewContextModel()
-	rel := ned.NewRelatedness()
-	for _, a := range corpus.Articles {
-		ctx.AddDocument(a.Subject, a.Text)
-		rel.AddLinks(a.ID, a.Links)
-	}
-	ctx.Finalize()
-	return ned.NewLinker(b.Build(), ctx, rel)
-}
-
 func contextWindow(text string, start, end, radius int) string {
 	lo := start - radius
 	if lo < 0 {
@@ -55,7 +29,7 @@ func contextWindow(text string, start, end, radius int) string {
 // signals separate.
 func E13NED() []*eval.Table {
 	w, corpus := standardWorld(114)
-	linker := buildNEDModels(w, corpus)
+	linker := ned.FromCorpus(w, corpus)
 	tab := eval.NewTable("E13: NED accuracy on ambiguous mentions (context window 60 bytes)",
 		"method", "mentions", "accuracy")
 	for _, mode := range []ned.Mode{ned.PriorOnly, ned.PriorContext, ned.Joint} {
@@ -285,7 +259,7 @@ func sortScorePairs(all []scorePair) {
 // mentions to concrete products, string matching cannot.
 func E15BrandTracking() []*eval.Table {
 	w, corpus := standardWorld(117)
-	linker := buildNEDModels(w, corpus)
+	linker := ned.FromCorpus(w, corpus)
 	opt := synth.DefaultStreamOptions(w)
 	opt.Posts = 3000
 	posts := synth.GenerateStream(w, opt)

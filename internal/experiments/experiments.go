@@ -69,19 +69,6 @@ func standardWorld(seed int64) (*synth.World, *synth.Corpus) {
 	return w, synth.BuildCorpus(w, synth.DefaultCorpusOptions())
 }
 
-// corpusDocs adapts articles to extraction docs with gold mentions.
-func corpusDocs(c *synth.Corpus) []extract.Doc {
-	docs := make([]extract.Doc, 0, len(c.Articles))
-	for _, a := range c.Articles {
-		d := extract.Doc{Text: a.Text, Source: a.ID}
-		for _, m := range a.Mentions {
-			d.Mentions = append(d.Mentions, extract.Span{Start: m.Start, End: m.End, Entity: m.Entity})
-		}
-		docs = append(docs, d)
-	}
-	return docs
-}
-
 // goldFactSet returns the world's relation facts as a key set.
 func goldFactSet(w *synth.World) map[string]bool {
 	gold := make(map[string]bool, len(w.Facts))

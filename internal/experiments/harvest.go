@@ -9,6 +9,7 @@ import (
 	"kbharvest/internal/extract/distant"
 	"kbharvest/internal/extract/patterns"
 	"kbharvest/internal/factorgraph"
+	"kbharvest/internal/pipeline"
 	"kbharvest/internal/reason"
 	"kbharvest/internal/synth"
 	"kbharvest/internal/taxonomy"
@@ -149,7 +150,7 @@ func E2SetExpansion() []*eval.Table {
 // recall grows per iteration.
 func E3Bootstrap() []*eval.Table {
 	w, corpus := standardWorld(104)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	gold := goldFactsOfRel(w, synth.RelFounded)
 	var seeds []patterns.Pair
 	for _, f := range w.FactsOf(synth.RelFounded) {
@@ -194,7 +195,7 @@ func basicPatterns() []patterns.SurfacePattern {
 // E4DistantSupervision — §3: statistical learning vs hand patterns.
 func E4DistantSupervision() []*eval.Table {
 	w, corpus := standardWorld(105)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	half := len(sents) / 2
 	train, test := sents[:half], sents[half:]
 	rels := []string{
@@ -250,7 +251,7 @@ func E4DistantSupervision() []*eval.Table {
 // relation exclusion are the correlations the factor graph exploits.
 func E5FactorGraph() []*eval.Table {
 	w, corpus := standardWorld(106)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	raw := injectNoise(w, patterns.Apply(sents, patterns.DefaultPatterns()), 0.45, 601)
 	gold := goldFactSet(w)
 
@@ -357,7 +358,7 @@ func E5FactorGraph() []*eval.Table {
 // comparison.
 func E6Reasoning() []*eval.Table {
 	w, corpus := standardWorld(107)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	cands := injectNoise(w, patterns.Apply(sents, patterns.DefaultPatterns()), 0.45, 602)
 	gold := goldFactSet(w)
 

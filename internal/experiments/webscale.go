@@ -17,6 +17,7 @@ import (
 	"kbharvest/internal/mapreduce"
 	"kbharvest/internal/mining"
 	"kbharvest/internal/multilingual"
+	"kbharvest/internal/pipeline"
 	"kbharvest/internal/synth"
 	"kbharvest/internal/temporal"
 )
@@ -133,7 +134,7 @@ func E8MapReduce() []*eval.Table {
 	}
 	w := synth.Generate(cfg, 109)
 	corpus := synth.BuildCorpus(w, synth.DefaultCorpusOptions())
-	docs := corpusDocs(corpus)
+	docs := pipeline.Docs(corpus)
 	inputs := make([]interface{}, len(docs))
 	for i := range docs {
 		inputs[i] = docs[i]
@@ -198,7 +199,7 @@ func E8MapReduce() []*eval.Table {
 // contexts surfaces relation phrases.
 func E9SequenceMining() []*eval.Table {
 	_, corpus := standardWorld(110)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	// Sequence DB: the word sequences between entity-pair mentions.
 	var db []mining.Sequence
 	for _, sent := range sents {
@@ -237,7 +238,7 @@ func E9SequenceMining() []*eval.Table {
 // E10Temporal — §3: inferring timespans during which facts hold.
 func E10Temporal() []*eval.Table {
 	w, corpus := standardWorld(111)
-	sents := extract.SplitDocs(corpusDocs(corpus))
+	sents := extract.SplitDocs(pipeline.Docs(corpus))
 	// Collect scopes per extracted fact.
 	scopes := map[string][]core.Interval{}
 	for _, sent := range sents {

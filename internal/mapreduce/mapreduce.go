@@ -37,44 +37,20 @@ type ReduceFunc func(key string, values []interface{}, emit func(value interface
 
 // Config tunes a job.
 type Config struct {
-	// Workers is the mapper/reducer parallelism. Defaults to GOMAXPROCS.
+	// Workers is the mapper/reducer parallelism and the number of shuffle
+	// partitions. Defaults to GOMAXPROCS.
 	Workers int
-	// Partitions is the number of shuffle partitions. Defaults to
-	// Workers.
-	Partitions int
 	// Combiner, if set, pre-reduces mapper-local outputs per key before
 	// the shuffle, cutting shuffle volume (the classic word-count
 	// optimization).
 	Combiner ReduceFunc
 }
 
-// Job is one configured map-reduce computation.
-type Job struct {
-	mapFn    MapFunc
-	reduceFn ReduceFunc
-	cfg      Config
-}
-
-// NewJob builds a job from a mapper and reducer.
-func NewJob(m MapFunc, r ReduceFunc, cfg Config) *Job {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = cfg.Workers
-	}
-	return &Job{mapFn: m, reduceFn: r, cfg: cfg}
-}
-
 // Run executes the job over the input records and returns the reducer
 // outputs grouped by key, sorted by key for determinism. Cancelling the
 // context aborts the job between records/keys with the context error.
-func (j *Job) Run(ctx context.Context, inputs []interface{}) ([]KV, error) {
-	parts, err := j.mapPhase(ctx, inputs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return j.reducePhase(ctx, parts)
+func Run(ctx context.Context, inputs []interface{}, m MapFunc, r ReduceFunc, cfg Config) ([]KV, error) {
+	return run(ctx, inputs, nil, m, r, cfg)
 }
 
 // RunStream is Run over a record channel: map workers pull records as they
@@ -82,20 +58,29 @@ func (j *Job) Run(ctx context.Context, inputs []interface{}) ([]KV, error) {
 // on cancellation) instead of boxing the entire input into one slice.
 // Record-to-worker assignment is scheduling-dependent, so jobs whose
 // reducers are order-sensitive within a key should use Run.
-func (j *Job) RunStream(ctx context.Context, records <-chan interface{}) ([]KV, error) {
-	parts, err := j.mapPhase(ctx, nil, records)
+func RunStream(ctx context.Context, records <-chan interface{}, m MapFunc, r ReduceFunc, cfg Config) ([]KV, error) {
+	return run(ctx, nil, records, m, r, cfg)
+}
+
+// run applies Config's defaults and runs the map and reduce phases over
+// inputs or, when records is not nil, over records.
+func run(ctx context.Context, inputs []interface{}, records <-chan interface{}, m MapFunc, r ReduceFunc, cfg Config) ([]KV, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	parts, err := mapPhase(ctx, inputs, records, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return j.reducePhase(ctx, parts)
+	return reducePhase(ctx, parts, r)
 }
 
 // mapPhase fans inputs over workers; each worker keeps per-partition
 // buffers to avoid lock contention, merged at the end. Records come from
 // the slice (strided, deterministic assignment) or, if records != nil,
 // from the channel (dynamic assignment).
-func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan interface{}) ([]map[string][]interface{}, error) {
-	nw := j.cfg.Workers
+func mapPhase(ctx context.Context, inputs []interface{}, records <-chan interface{}, mapFn MapFunc, cfg Config) ([]map[string][]interface{}, error) {
+	nw := cfg.Workers
 	type workerState struct {
 		parts []map[string][]interface{}
 		err   error
@@ -103,7 +88,7 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 	states := make([]workerState, nw)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
-		states[w].parts = make([]map[string][]interface{}, j.cfg.Partitions)
+		states[w].parts = make([]map[string][]interface{}, nw)
 		for p := range states[w].parts {
 			states[w].parts[p] = make(map[string][]interface{})
 		}
@@ -112,7 +97,7 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 			defer wg.Done()
 			st := &states[w]
 			emit := func(key string, value interface{}) {
-				p := partitionOf(key, j.cfg.Partitions)
+				p := partitionOf(key, nw)
 				st.parts[p][key] = append(st.parts[p][key], value)
 			}
 			mapRecords := func() error {
@@ -125,7 +110,7 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 							if !ok {
 								return nil
 							}
-							if err := j.mapFn(rec, emit); err != nil {
+							if err := mapFn(rec, emit); err != nil {
 								return fmt.Errorf("mapreduce: map record (worker %d, #%d): %w", w, n, err)
 							}
 						}
@@ -135,7 +120,7 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 					if err := ctx.Err(); err != nil {
 						return fmt.Errorf("mapreduce: map: %w", err)
 					}
-					if err := j.mapFn(inputs[i], emit); err != nil {
+					if err := mapFn(inputs[i], emit); err != nil {
 						return fmt.Errorf("mapreduce: map record %d: %w", i, err)
 					}
 				}
@@ -145,9 +130,9 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 				st.err = err
 				return
 			}
-			if j.cfg.Combiner != nil {
+			if cfg.Combiner != nil {
 				for p := range st.parts {
-					combined, err := combine(j.cfg.Combiner, st.parts[p])
+					combined, err := combine(cfg.Combiner, st.parts[p])
 					if err != nil {
 						st.err = err
 						return
@@ -164,7 +149,7 @@ func (j *Job) mapPhase(ctx context.Context, inputs []interface{}, records <-chan
 		}
 	}
 	// Merge worker-local partitions into global partitions.
-	global := make([]map[string][]interface{}, j.cfg.Partitions)
+	global := make([]map[string][]interface{}, nw)
 	for p := range global {
 		global[p] = make(map[string][]interface{})
 		for w := 0; w < nw; w++ {
@@ -188,18 +173,16 @@ func combine(c ReduceFunc, part map[string][]interface{}) (map[string][]interfac
 	return out, nil
 }
 
-func (j *Job) reducePhase(ctx context.Context, parts []map[string][]interface{}) ([]KV, error) {
-	nw := j.cfg.Workers
+// reducePhase reduces each partition on its own goroutine: there are as
+// many partitions as workers.
+func reducePhase(ctx context.Context, parts []map[string][]interface{}, reduceFn ReduceFunc) ([]KV, error) {
 	results := make([][]KV, len(parts))
 	errs := make([]error, len(parts))
-	sem := make(chan struct{}, nw)
 	var wg sync.WaitGroup
 	for p := range parts {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			keys := make([]string, 0, len(parts[p]))
 			for k := range parts[p] {
 				keys = append(keys, k)
@@ -210,7 +193,7 @@ func (j *Job) reducePhase(ctx context.Context, parts []map[string][]interface{})
 					errs[p] = fmt.Errorf("mapreduce: reduce: %w", err)
 					return
 				}
-				err := j.reduceFn(k, parts[p][k], func(v interface{}) {
+				err := reduceFn(k, parts[p][k], func(v interface{}) {
 					results[p] = append(results[p], KV{Key: k, Value: v})
 				})
 				if err != nil {
@@ -238,16 +221,6 @@ func partitionOf(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(n))
-}
-
-// Run is the convenience one-shot entry point.
-func Run(ctx context.Context, inputs []interface{}, m MapFunc, r ReduceFunc, cfg Config) ([]KV, error) {
-	return NewJob(m, r, cfg).Run(ctx, inputs)
-}
-
-// RunStream is the convenience one-shot entry point for channel inputs.
-func RunStream(ctx context.Context, records <-chan interface{}, m MapFunc, r ReduceFunc, cfg Config) ([]KV, error) {
-	return NewJob(m, r, cfg).RunStream(ctx, records)
 }
 
 // CountReducer sums integer values — the standard counting reducer, usable

@@ -41,7 +41,7 @@ func TestWordCount(t *testing.T) {
 
 func TestOutputSortedByKey(t *testing.T) {
 	inputs := []interface{}{"b a c", "c b a"}
-	got, err := Run(context.Background(), inputs, wordCountMapper, CountReducer, Config{Workers: 3, Partitions: 5})
+	got, err := Run(context.Background(), inputs, wordCountMapper, CountReducer, Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,16 @@ func TestMultipleEmitsPerReduce(t *testing.T) {
 	}
 }
 
+// The zero Config runs GOMAXPROCS workers and as many partitions; with
+// no default, no worker would map a record and the output would be empty.
 func TestDefaultConfig(t *testing.T) {
-	j := NewJob(wordCountMapper, CountReducer, Config{})
-	if j.cfg.Workers <= 0 || j.cfg.Partitions <= 0 {
-		t.Errorf("defaults not applied: %+v", j.cfg)
+	got, err := Run(context.Background(), []interface{}{"a b a"}, wordCountMapper, CountReducer, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []KV{{Key: "a", Value: 2}, {Key: "b", Value: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Run with zero Config = %v, want %v", got, want)
 	}
 }
 

@@ -2,6 +2,8 @@ package ned
 
 import (
 	"sort"
+
+	"kbharvest/internal/synth"
 )
 
 // Linker combines the three NED signals. Weights follow the AIDA
@@ -21,6 +23,35 @@ type Linker struct {
 // NewLinker wires the models with default weights.
 func NewLinker(d *Dictionary, c *ContextModel, r *Relatedness) *Linker {
 	return &Linker{Dict: d, Ctx: c, Rel: r, Alpha: 0.3, Beta: 0.4, Gamma: 0.3}
+}
+
+// FromCorpus builds a linker from a world and its corpus. The dictionary
+// observes each entity's name (weight 4) and aliases (1), then each
+// linked mention's anchor text (2); each article gives its subject's
+// context profile and its page's outlinks.
+func FromCorpus(w *synth.World, c *synth.Corpus) *Linker {
+	b := NewBuilder()
+	for _, e := range w.Entities {
+		b.Observe(e.Name, e.ID, 4)
+		for _, a := range e.Aliases {
+			b.Observe(a, e.ID, 1)
+		}
+	}
+	for _, a := range c.Articles {
+		for _, m := range a.Mentions {
+			if m.Linked {
+				b.Observe(m.Surface, m.Entity, 2)
+			}
+		}
+	}
+	ctx := NewContextModel()
+	rel := NewRelatedness()
+	for _, a := range c.Articles {
+		ctx.AddDocument(a.Subject, a.Text)
+		rel.AddLinks(a.ID, a.Links)
+	}
+	ctx.Finalize()
+	return NewLinker(b.Build(), ctx, rel)
 }
 
 // Mention is one mention to disambiguate: its surface form and the text

@@ -113,35 +113,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// buildModels wires NED models from a synthetic world + corpus, the way
-// the pipeline does in production.
-func buildModels(w *synth.World, corpus *synth.Corpus) (*Dictionary, *ContextModel, *Relatedness) {
-	b := NewBuilder()
-	for _, e := range w.Entities {
-		b.Observe(e.Name, e.ID, 4)
-		for _, a := range e.Aliases {
-			b.Observe(a, e.ID, 1)
-		}
-	}
-	// Anchor statistics from linked mentions.
-	for _, a := range corpus.Articles {
-		for _, m := range a.Mentions {
-			if m.Linked {
-				b.Observe(m.Surface, m.Entity, 2)
-			}
-		}
-	}
-	dict := b.Build()
-	ctx := NewContextModel()
-	rel := NewRelatedness()
-	for _, a := range corpus.Articles {
-		ctx.AddDocument(a.Subject, a.Text)
-		rel.AddLinks(a.ID, a.Links)
-	}
-	ctx.Finalize()
-	return dict, ctx, rel
-}
-
 func nedWorld(seed int64) (*synth.World, *synth.Corpus) {
 	w := synth.Generate(synth.Config{
 		People: 120, Companies: 30, Cities: 12, Countries: 4,
@@ -202,8 +173,7 @@ func contextWindow(text string, start, end, radius int) string {
 // coherence beats context.
 func TestContextBeatsPrior(t *testing.T) {
 	w, corpus := nedWorld(71)
-	dict, ctx, rel := buildModels(w, corpus)
-	linker := NewLinker(dict, ctx, rel)
+	linker := FromCorpus(w, corpus)
 	accPrior, n := evalMode(t, w, corpus, linker, PriorOnly)
 	accCtx, _ := evalMode(t, w, corpus, linker, PriorContext)
 	t.Logf("prior=%.3f context=%.3f over %d ambiguous mentions", accPrior, accCtx, n)
@@ -214,8 +184,7 @@ func TestContextBeatsPrior(t *testing.T) {
 
 func TestJointAtLeastMatchesContext(t *testing.T) {
 	w, corpus := nedWorld(72)
-	dict, ctx, rel := buildModels(w, corpus)
-	linker := NewLinker(dict, ctx, rel)
+	linker := FromCorpus(w, corpus)
 	accCtx, _ := evalMode(t, w, corpus, linker, PriorContext)
 	accJoint, n := evalMode(t, w, corpus, linker, Joint)
 	t.Logf("context=%.3f joint=%.3f over %d ambiguous mentions", accCtx, accJoint, n)

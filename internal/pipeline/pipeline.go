@@ -3,9 +3,10 @@
 // synthetic world and corpus in, curated KB out. Stages — generate,
 // taxonomy harvesting from categories, fact extraction (infoboxes +
 // surface patterns over the map-reduce engine), logical consistency
-// reasoning, temporal scoping, multilingual labels, and the NED models for
-// downstream analytics (§4) — run under one context.Context and are
-// timed and counted uniformly (see StageTiming).
+// reasoning, temporal scoping, and multilingual labels — run under one
+// context.Context and are timed and counted uniformly (see StageTiming).
+// The NED models for downstream analytics (§4) are not a stage: a
+// Result builds them from its world and corpus when Linker is called.
 //
 // The write path is one batch per writing stage, in a fixed order: the
 // taxonomy and assert stages each write their facts and metadata with one
@@ -82,7 +83,7 @@ type StageTiming struct {
 	Duration time.Duration
 	// Items counts the stage's output units: articles generated, taxonomy
 	// facts harvested, candidates extracted, candidates accepted, facts
-	// asserted, label triples, NED-model documents.
+	// asserted, label triples.
 	Items int
 }
 
@@ -96,11 +97,6 @@ type Result struct {
 	Candidates int
 	Accepted   int
 	Timings    []StageTiming
-
-	// NED models built from the corpus for §4-style analytics.
-	Dictionary  *ned.Dictionary
-	ContextMod  *ned.ContextModel
-	Relatedness *ned.Relatedness
 }
 
 // runState carries the intermediate products between stages.
@@ -148,7 +144,6 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		{"reason", opt.Reason, st.reason},
 		{"assert", true, st.assert},
 		{"labels", true, st.labels},
-		{"nedmodels", true, st.nedModels},
 	}
 	for _, s := range stages {
 		if !s.enabled {
@@ -311,37 +306,6 @@ func (st *runState) labels(context.Context) (int, error) {
 	}
 	res.KB.AddBatch(ts)
 	return len(ts), nil
-}
-
-// nedModels wires dictionary, context, and relatedness models from the
-// corpus — the §4 deliverable.
-func (st *runState) nedModels(context.Context) (int, error) {
-	res := st.res
-	b := ned.NewBuilder()
-	for _, e := range res.World.Entities {
-		b.Observe(e.Name, e.ID, 4)
-		for _, a := range e.Aliases {
-			b.Observe(a, e.ID, 1)
-		}
-	}
-	for _, a := range res.Corpus.Articles {
-		for _, m := range a.Mentions {
-			if m.Linked {
-				b.Observe(m.Surface, m.Entity, 2)
-			}
-		}
-	}
-	res.Dictionary = b.Build()
-	ctx := ned.NewContextModel()
-	rel := ned.NewRelatedness()
-	for _, a := range res.Corpus.Articles {
-		ctx.AddDocument(a.Subject, a.Text)
-		rel.AddLinks(a.ID, a.Links)
-	}
-	ctx.Finalize()
-	res.ContextMod = ctx
-	res.Relatedness = rel
-	return len(res.Corpus.Articles), nil
 }
 
 func classIRI(noun string) string { return "kb:" + noun }
@@ -517,9 +481,13 @@ func runReasoning(res *Result, cands []extract.Candidate) []extract.Candidate {
 	return cp.Accepted(sol)
 }
 
-// Linker returns a ready AIDA-style linker over the pipeline's models.
+// Linker builds an AIDA-style linker from the run's world and corpus
+// (ned.FromCorpus). Each call builds the dictionary, context model and
+// relatedness graph anew, a pass over every entity and article that costs
+// as much as the extract stage or more (≈ 0.4 s at kbbuild -scale 16 on
+// a 2-core VM): call it once and keep the linker.
 func (r *Result) Linker() *ned.Linker {
-	return ned.NewLinker(r.Dictionary, r.ContextMod, r.Relatedness)
+	return ned.FromCorpus(r.World, r.Corpus)
 }
 
 // EvaluateFacts scores the KB's relational facts against the generating

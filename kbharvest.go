@@ -56,8 +56,9 @@ type FactInfo = core.FactInfo
 // BuildOptions configure an end-to-end KB construction run.
 type BuildOptions = pipeline.Options
 
-// BuildResult is the output of Build: the KB, the generating world and
-// corpus (for evaluation), and ready-made NED models.
+// BuildResult is the output of Build: the KB and the generating world and
+// corpus (for evaluation). Its Linker method builds NED models from the
+// world and corpus on each call.
 type BuildResult = pipeline.Result
 
 // WorldConfig sizes the synthetic world standing in for Wikipedia/Web
@@ -79,7 +80,7 @@ func DefaultBuildOptions() BuildOptions { return pipeline.DefaultOptions() }
 
 // Build runs the full construction pipeline: synthetic world and corpus,
 // taxonomy harvesting, fact extraction, consistency reasoning, temporal
-// scoping, labels, and NED model building.
+// scoping, and labels.
 func Build(opt BuildOptions) (*BuildResult, error) {
 	return pipeline.Run(context.Background(), opt)
 }
