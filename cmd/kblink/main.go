@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -24,10 +25,19 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kblink: ")
-	seed := flag.Int64("seed", 115, "world seed")
-	matcherFlag := flag.String("matcher", "learned", "matcher: rule | learned")
-	threshold := flag.Float64("threshold", 0.93, "rule matcher threshold")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run links the two editions, writing the sameAs triples to stdout and a
+// summary to the log; it reads no input.
+func run(args []string, _ io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kblink", flag.ExitOnError)
+	seed := fs.Int64("seed", 115, "world seed")
+	matcherFlag := fs.String("matcher", "learned", "matcher: rule | learned")
+	threshold := fs.Float64("threshold", 0.93, "rule matcher threshold")
+	fs.Parse(args)
 
 	a, b, gold := editions(*seed)
 	var matcher linkage.Matcher = linkage.RuleMatcher{Threshold: *threshold}
@@ -38,8 +48,7 @@ func main() {
 	pairs := linkage.Blocking(a, b)
 	links := linkage.Link(a, b, pairs, matcher)
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+	w := bufio.NewWriter(stdout)
 	correct := 0
 	for _, l := range links {
 		fmt.Fprintln(w, rdf.T(l.A, rdf.OWLSameAs, l.B).String())
@@ -47,8 +56,9 @@ func main() {
 			correct++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "kblink: %d candidate pairs, %d links, %d correct (gold %d)\n",
+	log.Printf("%d candidate pairs, %d links, %d correct (gold %d)",
 		len(pairs), len(links), correct, len(gold))
+	return w.Flush()
 }
 
 func editions(seed int64) (a, b []linkage.Record, gold map[string]string) {

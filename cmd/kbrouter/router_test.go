@@ -279,19 +279,26 @@ func TestRouterLimit(t *testing.T) {
 	}
 }
 
-// A client's limit beyond the /bind wire's 2^31-1 is still a valid query:
-// the single pattern and the join return every row, and no shard sees a
-// request it refuses, so every breaker stays closed however often the
-// query repeats.
+// The /query grammar bounds a limit by the /bind wire's 2^31-1: the
+// largest limit still returns every row, and one beyond it is refused by
+// the router itself, so no shard sees a request it refuses and every
+// breaker stays closed however often the query repeats.
 func TestRouterLimitAboveWireRange(t *testing.T) {
 	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{BreakerThreshold: 1})
 	for _, patterns := range []string{`"?p kb:founded ?c"`, `"?p kb:founded ?c", "?c kb:locatedIn ?city"`} {
-		// Each limit is a distinct cache key, so every query reaches the shards.
+		body := fmt.Sprintf(`{"patterns": [%s], "limit": %d}`, patterns, 1<<31-1)
+		if rec, resp := postRouterQuery(t, rt, body); rec.Code != http.StatusOK || resp.Count != 3 || resp.Partial {
+			t.Fatalf("%s: status %d count %d partial %v, want 3 rows: %s", body, rec.Code, resp.Count, resp.Partial, rec.Body)
+		}
+		rpcs := rt.client.Stats().RPCs
 		for _, limit := range []int64{1 << 31, 3000000000, 1 << 62} {
 			body := fmt.Sprintf(`{"patterns": [%s], "limit": %d}`, patterns, limit)
-			if rec, resp := postRouterQuery(t, rt, body); rec.Code != http.StatusOK || resp.Count != 3 || resp.Partial {
-				t.Fatalf("%s: status %d count %d partial %v, want 3 rows: %s", body, rec.Code, resp.Count, resp.Partial, rec.Body)
+			if rec, _ := postRouterQuery(t, rt, body); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400: %s", body, rec.Code, rec.Body)
 			}
+		}
+		if got := rt.client.Stats().RPCs; got != rpcs {
+			t.Errorf("refused limits cost %d shard RPCs", got-rpcs)
 		}
 	}
 	for i, sh := range rt.client.Stats().Shards {
@@ -315,6 +322,52 @@ func TestRouterBadRequest(t *testing.T) {
 	} {
 		if rec, _ := postRouterQuery(t, rt, body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", body, rec.Code)
+		}
+	}
+}
+
+// One grammar reads every /query and /estimate body on the tier: a key in
+// the wrong case, a negative limit and a limit beyond 2^31-1 are refused
+// with a 400 and the error envelope by kbserve and kbrouter alike, and a
+// string's escapes are decoded before the cache key is made, so kbbench's
+// \u003c-escaped body and its raw-'<' twin are one kbserve cache entry.
+func TestStrictBodiesOnEveryEndpoint(t *testing.T) {
+	rt, _, _ := startTier(t, smallStore(), 2, shardkb.Options{})
+	kbserve := serve.NewServer(smallStore(), serve.Options{Timeout: 2 * time.Second})
+	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	endpoints := []struct {
+		name, path string
+		h          http.Handler
+	}{{"kbserve", "/query", kbserve}, {"kbserve", "/estimate", kbserve}, {"kbrouter", "/query", rt}}
+	for _, body := range []string{
+		`{"Patterns": ["?p kb:founded ?c"]}`,
+		`{"patterns": ["?p kb:founded ?c"], "Limit": 1}`,
+		`{"patterns": ["?p kb:founded ?c"], "limit": -1}`,
+		`{"patterns": ["?p kb:founded ?c"], "limit": 2147483648}`,
+	} {
+		for _, ep := range endpoints {
+			rec := post(ep.h, ep.path, body)
+			var er serve.ErrorResponse
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error == "" {
+				t.Errorf("%s %s %s: %d %q, want 400 and the error envelope", ep.name, ep.path, body, rec.Code, rec.Body)
+			}
+		}
+	}
+	for i, body := range []string{
+		`{"patterns":["?p \u003ckb:founded\u003e ?c","?c \u003ckb:locatedIn\u003e ?city"]}`,
+		`{"patterns":["?p <kb:founded> ?c","?c <kb:locatedIn> ?city"]}`,
+	} {
+		rec := post(kbserve, "/query", body)
+		var resp serve.QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: %d %q (%v)", body, rec.Code, rec.Body, err)
+		}
+		if resp.Count != 3 || resp.Cached != (i == 1) {
+			t.Errorf("%s: count %d cached %v, want 3 rows, cached %v", body, resp.Count, resp.Cached, i == 1)
 		}
 	}
 }

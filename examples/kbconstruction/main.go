@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"kbharvest"
 	"kbharvest/internal/core"
@@ -17,6 +19,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the KB and reports on every stage; it takes no arguments
+// and reads no input.
+func run(_ []string, _ io.Reader, stdout io.Writer) error {
 	opt := kbharvest.DefaultBuildOptions()
 	opt.World = kbharvest.WorldConfig{
 		People: 100, Companies: 25, Cities: 12, Countries: 4,
@@ -25,49 +35,50 @@ func main() {
 	opt.Workers = 4
 	result, err := kbharvest.Build(opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("=== stage timings")
+	fmt.Fprintln(stdout, "=== stage timings")
 	for _, st := range result.Timings {
-		fmt.Printf("  %-10s %8v  %6d items\n", st.Stage, st.Duration.Round(1e6), st.Items)
+		fmt.Fprintf(stdout, "  %-10s %8v  %6d items\n", st.Stage, st.Duration.Round(1e6), st.Items)
 	}
 
-	fmt.Println("\n=== corpus (the raw material)")
-	fmt.Printf("  articles: %d\n", len(result.Corpus.Articles))
+	fmt.Fprintln(stdout, "\n=== corpus (the raw material)")
+	fmt.Fprintf(stdout, "  articles: %d\n", len(result.Corpus.Articles))
 	a := result.Corpus.Articles[0]
-	fmt.Printf("  sample article %q:\n    categories: %v\n    infobox: %v\n",
+	fmt.Fprintf(stdout, "  sample article %q:\n    categories: %v\n    infobox: %v\n",
 		a.Title, a.Categories, a.Infobox)
 
-	fmt.Println("\n=== taxonomy (harvested from categories)")
+	fmt.Fprintln(stdout, "\n=== taxonomy (harvested from categories)")
 	for _, class := range []string{"kb:person", "kb:scientist", "kb:company"} {
-		fmt.Printf("  %-14s %4d instances, subclasses: %v\n",
+		fmt.Fprintf(stdout, "  %-14s %4d instances, subclasses: %v\n",
 			class, len(result.KB.Instances(class)), result.KB.Subclasses(class))
 	}
 
-	fmt.Println("\n=== fact harvesting + reasoning")
-	fmt.Printf("  candidates extracted: %d\n", result.Candidates)
-	fmt.Printf("  accepted after consistency reasoning: %d\n", result.Accepted)
+	fmt.Fprintln(stdout, "\n=== fact harvesting + reasoning")
+	fmt.Fprintf(stdout, "  candidates extracted: %d\n", result.Candidates)
+	fmt.Fprintf(stdout, "  accepted after consistency reasoning: %d\n", result.Accepted)
 	tp, fp, fn := pipeline.EvaluateFacts(result)
-	fmt.Printf("  quality vs ground truth: %v\n", eval.Score(tp, fp, fn))
+	fmt.Fprintf(stdout, "  quality vs ground truth: %v\n", eval.Score(tp, fp, fn))
 
-	fmt.Println("\n=== temporal scopes (sample)")
+	fmt.Fprintln(stdout, "\n=== temporal scopes (sample)")
 	shown := 0
 	result.KB.MatchFunc(rdf.Triple{P: rdf.NewIRI("kb:worksAt")}, func(id core.FactID, t rdf.Triple) bool {
 		info, _ := result.KB.Info(id)
 		if info.Time != core.Always {
-			fmt.Printf("  %s worksAt %s during %v\n", t.S.Value, t.O.Value, info.Time)
+			fmt.Fprintf(stdout, "  %s worksAt %s during %v\n", t.S.Value, t.O.Value, info.Time)
 			shown++
 		}
 		return shown < 3
 	})
 
-	fmt.Println("\n=== provenance (every fact knows where it came from)")
+	fmt.Fprintln(stdout, "\n=== provenance (every fact knows where it came from)")
 	shown = 0
 	result.KB.MatchFunc(rdf.Triple{P: rdf.NewIRI("kb:founded")}, func(id core.FactID, t rdf.Triple) bool {
 		info, _ := result.KB.Info(id)
-		fmt.Printf("  %s  conf=%.2f  source=%s\n", t.String(), info.Confidence, info.Source)
+		fmt.Fprintf(stdout, "  %s  conf=%.2f  source=%s\n", t.String(), info.Confidence, info.Source)
 		shown++
 		return shown < 3
 	})
+	return nil
 }

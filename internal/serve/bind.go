@@ -28,7 +28,6 @@ package serve
 // codec.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -67,18 +66,8 @@ func (s *Server) compileBind(req *bindRequest) (*core.Matcher, error) {
 }
 
 func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST a JSON body"})
-		return
-	}
-	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), MaxRequestBytes)+bytes.MinRead))
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes)); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
-		return
-	}
-	req, err := parseBindRequest(body.Bytes())
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
+	req := readBody(w, r, parseBindRequest)
+	if req == nil {
 		return
 	}
 	m, err := s.compileBind(req)
@@ -119,9 +108,7 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	}
 	// One buffer, one Write: the reply leaves in a single syscall.
 	buf.from = append(append(buf.from, buf.rows...), ']', '}')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf.from)))
-	w.Write(buf.from)
+	WriteRows(w, buf.from)
 }
 
 // bindBuf holds the two halves of a /bind reply while the matcher fills

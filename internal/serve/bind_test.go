@@ -282,12 +282,15 @@ func TestParseBindBodyNeverPanics(t *testing.T) {
 				break
 			}
 		}
-		parseBindBody(b)
+		parseBindBody(b, bodyKeys...)
 	}
 }
 
-// The /bind body cursor never panics, and what it accepts encoding/json
-// accepts too, with the same pattern, vars, from, limit and rows. The cursor
+// bodyKeys are the keys of every body the cursor reads.
+var bodyKeys = []string{"pattern", "patterns", "vars", "from", "limit", "rows"}
+
+// The body cursor never panics, and what it accepts encoding/json accepts
+// too, with the same pattern, patterns, vars, from, limit and rows. The cursor
 // keeps the bytes of a string that is not UTF-8 (a term must cross a join
 // step unchanged) where encoding/json substitutes U+FFFD, so the values
 // are compared only for bodies that are valid UTF-8.
@@ -302,18 +305,20 @@ func FuzzParseBindBody(f *testing.F) {
 		` { "vars" : [ "x" ] , "rows" : [ [ "a" ] ] , "from" : [ 7 ] } `,
 		`{"rows":[["a"]],"rows":[["b"],["c"]]}`, `{"from":[01]}`, `{"from":[0],"from":[]}`,
 		`{"vars":["x"],"rows":[["a"],["b","c"]]}`, `{"Vars":["x"]}`, `{"rows":[["\u12"]]}`, `{}`, ``, `null`,
+		`{"patterns":["?p \u003ckb:founded\u003e ?c"],"limit":3}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	type wire struct {
-		Pattern []string   `json:"pattern"`
-		Vars    []string   `json:"vars"`
-		From    []int      `json:"from"`
-		Limit   int        `json:"limit"`
-		Rows    [][]string `json:"rows"`
+		Pattern  []string   `json:"pattern"`
+		Patterns []string   `json:"patterns"`
+		Vars     []string   `json:"vars"`
+		From     []int      `json:"from"`
+		Limit    int        `json:"limit"`
+		Rows     [][]string `json:"rows"`
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := parseBindBody(body)
+		b, err := parseBindBody(body, bodyKeys...)
 		if err != nil {
 			return
 		}
@@ -334,7 +339,7 @@ func FuzzParseBindBody(f *testing.F) {
 				rows = append(rows, b.cells[i*b.width:(i+1)*b.width])
 			}
 		}
-		got := wire{Pattern: b.pattern, Vars: b.vars, From: b.from, Limit: max(b.limit, 0), Rows: rows}
+		got := wire{Pattern: b.pattern, Patterns: b.patterns, Vars: b.vars, From: b.from, Limit: b.limit, Rows: rows}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q:\n cursor        %#v\n encoding/json %#v", body, got, want)
 		}

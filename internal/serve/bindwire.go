@@ -1,14 +1,15 @@
 package serve
 
-// The wire codec of POST /bind (see bind.go for the protocol): the two
-// bodies are parsed and written by hand, because a join step moves
-// thousands of cells and reflection-driven encoding/json would cost more
-// than matching them does.
+// The wire codec of the tier's data requests: the /query, /estimate and
+// /bind bodies and the /bind reply share one grammar and are parsed and
+// written by hand, because a join step moves thousands of cells and
+// reflection-driven encoding/json would cost more than matching them does.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf16"
@@ -34,61 +35,60 @@ type BindResponse struct {
 	Cells []string
 }
 
-// bindBody is the union of the two /bind bodies, as parsed.
+// bindBody is the union of the bodies, as parsed.
 type bindBody struct {
-	pattern, vars, cells []string
-	from                 []int // non-nil when the key was present
-	limit                int   // -1 when the key was absent
-	n, width             int
+	pattern, patterns, vars, cells []string
+	from                           []int
+	limit                          int
+	n, width                       int
+}
+
+// parseQueryRequest decodes and shape-checks a /query or /estimate body:
+// a non-empty "patterns" and an optional "limit".
+func parseQueryRequest(data []byte) (*QueryRequest, error) {
+	b, err := parseBindBody(data, "patterns", "limit")
+	switch {
+	case err != nil:
+		return nil, err
+	case len(b.patterns) == 0:
+		return nil, errors.New("no patterns")
+	}
+	return &QueryRequest{Patterns: b.patterns, Limit: b.limit}, nil
 }
 
 // parseBindRequest decodes and shape-checks a /bind request body.
 func parseBindRequest(data []byte) (*bindRequest, error) {
-	b, err := parseBindBody(data)
-	if err != nil {
+	b, err := parseBindBody(data, "pattern", "vars", "limit", "rows")
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if len(b.pattern) != 3 {
+	case len(b.pattern) != 3:
 		return nil, fmt.Errorf("pattern needs 3 terms, got %d", len(b.pattern))
 	}
-	if b.from != nil {
-		return nil, errors.New(`unexpected "from" in a request`)
-	}
-	if b.n > 0 && b.width != len(b.vars) {
-		return nil, fmt.Errorf("rows are %d wide for %d vars", b.width, len(b.vars))
-	}
-	req := &bindRequest{Vars: b.vars, Cells: b.cells, N: b.n, Limit: max(b.limit, 0)}
+	req := &bindRequest{Vars: b.vars, Cells: b.cells, N: b.n, Limit: b.limit}
 	copy(req.Pattern[:], b.pattern)
 	return req, nil
 }
 
 // ParseBindResponse decodes and shape-checks a /bind reply body.
 func ParseBindResponse(data []byte) (*BindResponse, error) {
-	b, err := parseBindBody(data)
-	if err != nil {
+	b, err := parseBindBody(data, "vars", "from", "rows")
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if b.pattern != nil {
-		return nil, errors.New(`unexpected "pattern" in a reply`)
-	}
-	if b.limit >= 0 {
-		return nil, errors.New(`unexpected "limit" in a reply`)
-	}
-	if len(b.from) != b.n {
+	case len(b.from) != b.n:
 		return nil, fmt.Errorf("%d from indexes for %d rows", len(b.from), b.n)
-	}
-	if b.n > 0 && b.width != len(b.vars) {
-		return nil, fmt.Errorf("rows are %d wide for %d vars", b.width, len(b.vars))
 	}
 	return &BindResponse{Vars: b.vars, From: b.from, Cells: b.cells}, nil
 }
 
-// parseBindBody reads one JSON object with the keys pattern, vars, from,
-// limit and rows, in any order. It is strict: unknown keys, ragged rows,
-// trailing content and anything that is not the expected type are
-// errors, never panics.
-func parseBindBody(data []byte) (bindBody, error) {
-	b := bindBody{limit: -1}
+// parseBindBody reads one JSON object whose keys, in any order, are among
+// the given ones: pattern, patterns, vars, from, limit, rows. It is strict
+// — keys are case-sensitive; any other key, ragged rows, rows not as wide
+// as vars, trailing content and a value of the wrong type are errors,
+// never panics — and keeps the bytes of a string as sent.
+func parseBindBody(data []byte, keys ...string) (bindBody, error) {
+	var b bindBody
 	c := cursor{s: string(data)} // one copy; unescaped strings are slices of it
 	if !c.eat('{') {
 		return b, c.errorf("want an object")
@@ -104,9 +104,14 @@ func parseBindBody(data []byte) (bindBody, error) {
 		if !c.eat(':') {
 			return b, c.errorf("want ':'")
 		}
+		if !slices.Contains(keys, key) {
+			return b, c.errorf("unexpected key %q", key)
+		}
 		switch key {
 		case "pattern":
 			b.pattern, err = c.strs(make([]string, 0, 3))
+		case "patterns":
+			b.patterns, err = c.strs(make([]string, 0, 4))
 		case "vars":
 			b.vars, err = c.strs(make([]string, 0, 3))
 		case "from":
@@ -115,28 +120,29 @@ func parseBindBody(data []byte) (bindBody, error) {
 			b.limit, err = c.uint()
 		case "rows":
 			err = c.rows(&b)
-		default:
-			err = c.errorf("unknown key %q", key)
 		}
 		if err != nil {
 			return b, err
 		}
 	}
 	if c.ws(); c.i != len(c.s) {
-		return b, c.errorf("trailing content")
+		return b, c.errorf("data after the JSON body")
+	}
+	if b.n > 0 && b.width != len(b.vars) {
+		return b, fmt.Errorf("rows are %d wide for %d vars", b.width, len(b.vars))
 	}
 	return b, nil
 }
 
-// cursor is a minimal JSON reader over the shapes /bind uses: strings,
-// non-negative integers and arrays of them.
+// cursor is a minimal JSON reader over the shapes the bodies use:
+// strings, non-negative integers and arrays of them.
 type cursor struct {
 	s string
 	i int
 }
 
 func (c *cursor) errorf(format string, args ...interface{}) error {
-	return fmt.Errorf("bind body offset %d: %s", c.i, fmt.Sprintf(format, args...))
+	return fmt.Errorf("body offset %d: %s", c.i, fmt.Sprintf(format, args...))
 }
 
 func (c *cursor) ws() {

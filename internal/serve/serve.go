@@ -33,12 +33,16 @@
 // last epoch of each server (shardkb.Client.Generation) knows when what
 // it cached may have gone stale.
 //
-// There is one matcher and one encoder. /query, /estimate and /bind all
-// run core.Matcher — /bind seeds its slots from the request's rows, the
-// others start from an empty row — and every /query reply, here and in
-// cmd/kbrouter, is the head AppendRowsHead's format fixes followed by
-// AppendRowsTail; encoding/json encodes only the small fixed-shape
-// replies (errors, /estimate, /readyz, /statsz).
+// There is one reader, one matcher and one encoder. The three request
+// bodies share one strict grammar, read by one cursor (bindwire.go): keys
+// are exact and case-sensitive, an unknown key or trailing data is a 400,
+// "limit" is a non-negative integer of at most 2^31-1, and the bytes of a
+// string are kept as sent. All three run core.Matcher — /bind seeds its
+// slots from the request's rows, the others start from an empty row — and
+// every /query reply, here and in cmd/kbrouter, is the head
+// AppendRowsHead's format fixes followed by AppendRowsTail; encoding/json
+// writes only the small fixed-shape replies (errors, /estimate, /readyz,
+// /statsz).
 //
 // /query keeps what it encoded. A miss reads the store's write
 // generation, compiles the patterns, runs the matcher and appends each
@@ -56,7 +60,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -238,31 +241,33 @@ func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 // shardkb client splits a bind step whose rows would not fit.
 const MaxRequestBytes = 1 << 20
 
-// DecodePatterns parses the shared request envelope of /query and
-// /estimate — also the router's, which speaks the same protocol. A nil
-// return means the error response was already written.
-func DecodePatterns(w http.ResponseWriter, r *http.Request) (*QueryRequest, []core.Pattern) {
+// readBody reads a POST body of at most MaxRequestBytes into one buffer
+// and decodes it with parse — the one reader of /query, /estimate and
+// /bind. A nil return means the error response was already written.
+func readBody[T any](w http.ResponseWriter, r *http.Request, parse func([]byte) (*T, error)) *T {
 	if r.Method != http.MethodPost {
 		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST a JSON body"})
-		return nil, nil
+		return nil
 	}
-	// Strict: a misspelt field ("limt") or a second JSON value would
-	// otherwise be dropped silently and the query answered without it.
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), MaxRequestBytes)+bytes.MinRead))
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	var req *T
 	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("data after the JSON body")
-		}
+		req, err = parse(body.Bytes())
 	}
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"bad request body: " + err.Error()})
-		return nil, nil
+		return nil
 	}
-	if len(req.Patterns) == 0 {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{"no patterns"})
+	return req
+}
+
+// DecodePatterns reads and parses the request body of /query and
+// /estimate — also the router's, which speaks the same protocol. A nil
+// return means the error response was already written.
+func DecodePatterns(w http.ResponseWriter, r *http.Request) (*QueryRequest, []core.Pattern) {
+	req := readBody(w, r, parseQueryRequest)
+	if req == nil {
 		return nil, nil
 	}
 	patterns := make([]core.Pattern, 0, len(req.Patterns))
@@ -274,7 +279,7 @@ func DecodePatterns(w http.ResponseWriter, r *http.Request) (*QueryRequest, []co
 		}
 		patterns = append(patterns, p)
 	}
-	return &req, patterns
+	return req, patterns
 }
 
 // HasVars reports whether any pattern position is a variable — false
@@ -441,9 +446,9 @@ func AppendRowsTail(dst []byte, cached bool, tookUS int64, partial bool) []byte 
 	return append(dst, '}', '\n')
 }
 
-// WriteRows writes a 200 /query reply whose body is the concatenation of
-// parts: a head from AppendRowsHead and its tail, or one slice holding
-// both.
+// WriteRows writes a 200 reply whose body is the concatenation of parts:
+// a /query head from AppendRowsHead and its tail, or one slice holding a
+// whole reply.
 func WriteRows(w http.ResponseWriter, parts ...[]byte) {
 	n := 0
 	for _, p := range parts {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"kbharvest/internal/core"
 	"kbharvest/internal/qcache"
@@ -447,9 +448,14 @@ func TestServerEpochHeader(t *testing.T) {
 	}
 }
 
-// DecodePatterns never panics, and a body it accepts re-encodes to a
-// QueryRequest it decodes to the same patterns, limit and cache key;
-// everything else is a 400 with the error envelope.
+// DecodePatterns never panics, and everything it refuses is a 400 with
+// the error envelope. What it accepts encoding/json accepts too, with the
+// same patterns and limit, when the body is valid UTF-8 (the cursor keeps
+// the bytes of a string that is not, where encoding/json substitutes
+// U+FFFD). An accepted body re-encodes — as shardkb writes a body with
+// AppendJSONStrings, and, for valid UTF-8, as kbbench writes one with
+// json.Marshal — to a body that decodes to the same patterns, limit and
+// cache key.
 func FuzzDecodePatterns(f *testing.F) {
 	for _, seed := range []string{
 		`{"patterns": ["?p kb:founded ?c", "?c kb:locatedIn ?city"], "limit": 3}`,
@@ -461,6 +467,10 @@ func FuzzDecodePatterns(f *testing.F) {
 		"{\"patterns\": [\"?p kb:founded ?c\"]}\n",
 		`{"patterns": ["?p kb:founded ?c"], "limit": 1.5}`,
 		`{"patterns": null}`, `null`, `[]`, ``, `{"patterns": ["only two"]}`,
+		`{"patterns":["?p \u003ckb:founded\u003e ?c","?c \u003ckb:locatedIn\u003e ?city"],"limit":3}`,
+		`{"Patterns": ["?p kb:founded ?c"]}`,
+		`{"patterns": ["?p kb:founded ?c"], "limit": -1}`,
+		`{"patterns": ["?p kb:founded ?c"], "limit": 2147483648}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -478,18 +488,31 @@ func FuzzDecodePatterns(f *testing.F) {
 			}
 			return
 		}
-		again, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+		encodings := [][]byte{fmt.Appendf(AppendJSONStrings([]byte(`{"patterns":`), req.Patterns), `,"limit":%d}`, req.Limit)}
+		if utf8.Valid(body) {
+			var want QueryRequest
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatalf("DecodePatterns accepted %q, encoding/json refuses it: %v", body, err)
+			}
+			if !slices.Equal(req.Patterns, want.Patterns) || req.Limit != want.Limit {
+				t.Fatalf("%q:\n cursor        %q limit %d\n encoding/json %q limit %d", body, req.Patterns, req.Limit, want.Patterns, want.Limit)
+			}
+			marshalled, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encodings = append(encodings, marshalled)
 		}
-		req2, pats2, rec2 := decode(again)
-		switch {
-		case req2 == nil:
-			t.Fatalf("accepted %q but refused its re-encoding %q: %s", body, again, rec2.Body.String())
-		case !slices.Equal(pats, pats2) || req.Limit != req2.Limit:
-			t.Fatalf("%q and its re-encoding %q decode differently:\n%v limit %d\n%v limit %d", body, again, pats, req.Limit, pats2, req2.Limit)
-		case qcache.Key(pats, req.Limit) != qcache.Key(pats2, req2.Limit):
-			t.Fatalf("%q and its re-encoding %q have different cache keys", body, again)
+		for _, again := range encodings {
+			req2, pats2, rec2 := decode(again)
+			switch {
+			case req2 == nil:
+				t.Fatalf("accepted %q but refused its re-encoding %q: %s", body, again, rec2.Body.String())
+			case !slices.Equal(pats, pats2) || req.Limit != req2.Limit:
+				t.Fatalf("%q and its re-encoding %q decode differently:\n%v limit %d\n%v limit %d", body, again, pats, req.Limit, pats2, req2.Limit)
+			case qcache.Key(pats, req.Limit) != qcache.Key(pats2, req2.Limit):
+				t.Fatalf("%q and its re-encoding %q have different cache keys", body, again)
+			}
 		}
 	})
 }

@@ -430,7 +430,11 @@ func (c *Client) readyz(ctx context.Context, rep *replica) (*serve.ReadyResponse
 	}
 	defer resp.Body.Close()
 	var rr serve.ReadyResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&rr); err != nil {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if err == nil {
+		err = json.Unmarshal(data, &rr)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("decode /readyz: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -655,10 +659,7 @@ func (c *Client) Estimates(ctx context.Context, patterns []core.Pattern) ([]int,
 	for i, p := range patterns {
 		lines[i] = FormatPattern(p)
 	}
-	body, err := json.Marshal(serve.QueryRequest{Patterns: lines})
-	if err != nil {
-		return nil, fmt.Errorf("shardkb: encode request: %w", err)
-	}
+	body := append(serve.AppendJSONStrings([]byte(`{"patterns":`), lines), '}')
 	replies := make([][]int, len(c.groups))
 	failed := c.gather(c.all, func(shard int) error {
 		data, err := c.call(ctx, shard, "/estimate", body)
